@@ -37,7 +37,7 @@ from .forces import (
     moments,
     pressure_force,
 )
-from .integrator import StepOutcome, build_force_field, lax_step, perturb_density, run
+from .integrator import build_force_field, drift_kick_step, perturb_density, run
 from .oracle import OracleWave
 from .presets import default_config, default_grid, default_params, preset, preset_names
 from .reference import WaveState, cn_step, fluid_to_wave, run_reference, wave_to_fluid
@@ -68,9 +68,8 @@ __all__ = [
     "gaussian_fit_force",
     "moments",
     "pressure_force",
-    "StepOutcome",
     "build_force_field",
-    "lax_step",
+    "drift_kick_step",
     "perturb_density",
     "run",
     "OracleWave",

@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import PhysicalParams, RunConfig, SpatialGrid, make_grid
-from .diagnostics import RunRecord, center_error, dispersion_error, l2_density_distance
+from .diagnostics import RunRecord, l2_density_distance
 from .integrator import run
 from .presets import PRESETS, default_grid, default_params, preset, preset_names
 from .reference import run_reference
@@ -103,19 +103,11 @@ def _build_scenario(args) -> tuple[PhysicalParams, RunConfig, SpatialGrid, str, 
                 raise UsageError(f"config key {flag_name}: {err}") from None
         return None
 
-    D = pick("D", float)
-    omega = pick("omega", float)
-    a = pick("a", float)
-    kp = pick("kp", float)
-    if any(v is not None for v in (D, omega, a, kp)):
+    physical = {key: pick(key, float) for key in ("D", "omega", "a", "kp")}
+    physical = {key: value for key, value in physical.items() if value is not None}
+    if physical:
         try:
-            params = PhysicalParams(
-                D=D if D is not None else params.D,
-                omega=omega if omega is not None else params.omega,
-                a=a if a is not None else params.a,
-                kp=kp if kp is not None else params.kp,
-                M=params.M,
-            )
+            params = replace(params, **physical)
         except ValueError as err:
             raise UsageError(str(err)) from None
 
@@ -211,11 +203,10 @@ def _cmd_run(args) -> int:
     _write_diagnostics(record, out_dir / "diagnostics.csv")
     if config.snapshot_every > 0:
         _write_snapshots(record, out_dir)
-    ce = float(np.max(center_error(record, params)))
-    de = float(np.max(dispersion_error(record, params)))
     print(
         f"steps_survived={record.steps_survived} status={record.final_status} "
-        f"max_center_error={_fmt(ce)} max_dispersion_error={_fmt(de)}"
+        f"max_center_error={_fmt(record.max_center_error)} "
+        f"max_dispersion_error={_fmt(record.max_var_error)}"
     )
     print(f"diagnostics written to {out_dir / 'diagnostics.csv'}")
     if record.final_status != "ok":
@@ -255,28 +246,24 @@ def _cmd_compare(args) -> int:
 _SWEEPABLE = ("D", "omega", "a", "kp", "dt", "steps", "seed", "noise-amplitude")
 
 
-def _run_sweep_point(base_params, base_config, grid, name, value):
-    params, config = base_params, base_config
-    if name in ("D", "omega", "a", "kp"):
-        params = PhysicalParams(
-            D=value if name == "D" else base_params.D,
-            omega=value if name == "omega" else base_params.omega,
-            a=value if name == "a" else base_params.a,
-            kp=value if name == "kp" else base_params.kp,
-            M=base_params.M,
-        )
-    elif name == "dt":
-        config = replace(config, dt=value)
-    elif name == "steps":
-        config = replace(config, steps=int(value))
-    elif name == "seed":
-        config = replace(config, seed=int(value))
-    elif name == "noise-amplitude":
-        config = replace(config, noise_amplitude=value)
+def _sweep_point(params, config, name, value):
+    """The (params, config) of one sweep point; raises UsageError naming the
+    point if the value is invalid for its parameter."""
+    try:
+        if name in ("steps", "seed"):
+            if not value.is_integer():
+                raise ValueError(f"{name} must be an integer")
+            value = int(value)
+        if name in ("D", "omega", "a", "kp"):
+            return replace(params, **{name: value}), config
+        return params, replace(config, **{name.replace("-", "_"): value})
+    except ValueError as err:
+        raise UsageError(f"sweep point {name}={value:g}: {err}") from None
+
+
+def _run_sweep_point(params, config, grid):
     record = run(config, params, grid)
-    ce = float(np.max(center_error(record, params)))
-    de = float(np.max(dispersion_error(record, params)))
-    return record.steps_survived, ce, de, record.final_status
+    return record.steps_survived, record.max_center_error, record.max_var_error, record.final_status
 
 
 def _cmd_sweep(args) -> int:
@@ -289,13 +276,12 @@ def _cmd_sweep(args) -> int:
         raise UsageError(f"bad sweep values: {err}") from None
     if not values:
         raise UsageError("empty sweep range")
+    points = [_sweep_point(params, config, args.param, v) for v in values]
 
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
     with ThreadPoolExecutor(max_workers=min(8, len(values))) as pool:
-        results = list(
-            pool.map(lambda v: _run_sweep_point(params, config, grid, args.param, v), values)
-        )
+        results = list(pool.map(lambda point: _run_sweep_point(*point, grid), points))
 
     lines = ["param,value,steps_survived,max_center_error,max_var_error,status"]
     for value, (survived, ce, de, status) in zip(values, results):

@@ -54,7 +54,10 @@ class SpatialGrid:
 
 
 def make_grid(x0: float, dx: float, n: int) -> SpatialGrid:
-    """Build a uniform grid; rejects dx <= 0 and n < 7 (stencil width)."""
+    """Build a uniform grid; rejects non-finite x0 or dx, dx <= 0 and n < 7
+    (stencil width)."""
+    if not (math.isfinite(x0) and math.isfinite(dx)):
+        raise ValueError(f"grid origin and spacing must be finite, got x0={x0}, dx={dx}")
     if dx <= 0:
         raise ValueError(f"grid spacing must be positive, got dx={dx}")
     if n < MIN_GRID_POINTS:
@@ -81,6 +84,9 @@ class PhysicalParams:
     M: float = 1.0
 
     def __post_init__(self):
+        for name in ("D", "omega", "a", "kp", "M"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.D <= 0:
             raise ValueError(f"D must be positive, got {self.D}")
         if self.omega <= 0:
@@ -148,6 +154,9 @@ class RunConfig:
     boundary_damping: bool = False
 
     def __post_init__(self):
+        for name in ("dt", "noise_amplitude"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.dt <= 0:
             raise ValueError(f"dt must be positive, got {self.dt}")
         if self.steps < 1:

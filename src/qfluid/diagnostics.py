@@ -11,6 +11,7 @@ from .forces import fd_log_gradient, fd_quantum_potential, moments
 
 __all__ = [
     "RunRecord",
+    "build_record",
     "center_error",
     "dispersion_error",
     "center_energy_estimate",
@@ -43,6 +44,37 @@ class RunRecord:
     final_status: str
     max_center_error: float = float("nan")
     max_var_error: float = float("nan")
+
+
+def build_record(
+    grid: SpatialGrid,
+    params: PhysicalParams,
+    rows: list[tuple[float, ...]],
+    status: list[str],
+    snapshots: dict[int, tuple[np.ndarray, np.ndarray]],
+    final_status: str,
+) -> RunRecord:
+    """Assemble a solver's RunRecord from one row per recorded step,
+    (t, mean, var, mass, max |V|, center energy, smoothness), and fill in
+    its summary errors against the ideal packet."""
+    t, mean, var, mass, max_abs_V, center_energy, smooth = (np.array(col) for col in zip(*rows))
+    record = RunRecord(
+        grid=grid,
+        t=t,
+        mean=mean,
+        var=var,
+        mass=mass,
+        max_abs_V=max_abs_V,
+        center_energy=center_energy,
+        smoothness_series=smooth,
+        status=status,
+        snapshots=snapshots,
+        steps_survived=len(rows) - 1,
+        final_status=final_status,
+    )
+    record.max_center_error = float(np.max(center_error(record, params)))
+    record.max_var_error = float(np.max(dispersion_error(record, params)))
+    return record
 
 
 def center_error(record: RunRecord, params: PhysicalParams) -> np.ndarray:

@@ -15,19 +15,19 @@ update instead yields the forward-Euler map whose amplitude grows by
 exp(omega^2 dt^2/2) per step and visibly falsifies the non-spreading packet
 within a period at the default resolution.
 
-``lax_step`` exposes the plain textbook update (both fields advanced from
-time-n values with a pre-computed force) for direct use and testing.
+``drift_kick_step`` performs steps 1-4 with noise drawn by the caller; ``run``
+calls it once per step.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .core import FluidState, PhysicalParams, RunConfig, SpatialGrid, init_coherent_state, mass
-from .diagnostics import RunRecord, center_energy_estimate, center_error, dispersion_error, smoothness
+from .diagnostics import RunRecord, build_record, center_energy_estimate, smoothness
 from .forces import (
     DegenerateDensityError,
     ForceField,
@@ -39,7 +39,7 @@ from .forces import (
 )
 from .oracle import OracleWave
 
-__all__ = ["StepOutcome", "lax_step", "perturb_density", "build_force_field", "run"]
+__all__ = ["drift_kick_step", "perturb_density", "build_force_field", "run"]
 
 STATUS_OK = "ok"
 STATUS_CFL = "cfl_warning"
@@ -83,14 +83,6 @@ SPONGE_STRENGTH = 1.0
 STENCIL_EDGE = 4
 
 
-@dataclass
-class StepOutcome:
-    """Stepper result; a diverged state must not be fed back into the loop."""
-
-    status: str
-    state: FluidState
-
-
 def _continuity_update(ln_rho: np.ndarray, V: np.ndarray, dt: float, dx: float) -> np.ndarray:
     """Lax update of ln rho:
     (avg of neighbors) - (dt/2dx) [ (V_{j+1}-V_{j-1}) + V_j (ln rho_{j+1}-ln rho_{j-1}) ].
@@ -126,19 +118,6 @@ def _velocity_update(V: np.ndarray, total_force: np.ndarray, dt: float, dx: floa
 
 def _cfl_exceeded(V: np.ndarray, dt: float, dx: float) -> bool:
     return bool(np.max(np.abs(V)) * dt / dx > 1.0)
-
-
-def lax_step(state: FluidState, forces: ForceField, grid: SpatialGrid, dt: float) -> StepOutcome:
-    """Advance both fields one step from time-n values with the given forces."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    cfl = _cfl_exceeded(state.V, dt, grid.dx)
-    new_lnr = _continuity_update(state.ln_rho, state.V, dt, grid.dx)
-    new_V = _velocity_update(state.V, forces.total, dt, grid.dx)
-    new_state = FluidState(state.t + dt, new_lnr, new_V)
-    if not (np.all(np.isfinite(new_lnr)) and np.all(np.isfinite(new_V))):
-        return StepOutcome(STATUS_NONFINITE, new_state)
-    return StepOutcome(STATUS_CFL if cfl else STATUS_OK, new_state)
 
 
 def perturb_density(state: FluidState, rng, amplitude: float = 1.0) -> FluidState:
@@ -196,13 +175,71 @@ def _extend_stencil_force(F: np.ndarray) -> np.ndarray:
     return F
 
 
-def _sponge(n: int) -> np.ndarray:
-    """Per-step velocity damping profile of the absorbing boundary strip."""
+@lru_cache(maxsize=16)
+def _damping(n: int) -> np.ndarray:
+    """Per-step velocity factor 1/(1+s) of the absorbing boundary strip."""
     s = np.zeros(n)
     ramp = (np.arange(1, SPONGE_CELLS + 1) / SPONGE_CELLS) ** 2 * SPONGE_STRENGTH
     s[:SPONGE_CELLS] = ramp[::-1]
     s[-SPONGE_CELLS:] = np.maximum(s[-SPONGE_CELLS:], ramp)
-    return s
+    damp = 1.0 / (1.0 + s)
+    damp.flags.writeable = False
+    return damp
+
+
+def drift_kick_step(
+    state: FluidState,
+    grid: SpatialGrid,
+    params: PhysicalParams,
+    config: RunConfig,
+    noise: np.ndarray | None = None,
+    ln_floor: float = -math.inf,
+) -> tuple[str, FluidState]:
+    """One protocol step: drift ln rho with the current V, measure the
+    drifted density, kick V with the force estimated from it.
+
+    ``noise`` is this step's ln rho perturbation; ``config.noise_target``
+    decides whether it lands on the state before the drift or only on the
+    measured copy.  ln rho is clamped from below at ``ln_floor``.  Returns
+    (status, new state) without touching ``state``; on a "diverged_*"
+    status the returned state must not be fed back into the loop.
+    """
+    dt, dx = config.dt, grid.dx
+    ln_rho = state.ln_rho
+    if noise is not None and config.noise_target == "state":
+        ln_rho = ln_rho + noise
+
+    cfl = _cfl_exceeded(state.V, dt, dx)
+    new_lnr = _continuity_update(ln_rho, state.V, dt, dx)
+    np.maximum(new_lnr, ln_floor, out=new_lnr)
+    t_new = state.t + dt
+
+    measured_lnr = new_lnr
+    if noise is not None and config.noise_target == "measurement":
+        measured_lnr = new_lnr + noise
+
+    try:
+        forces = build_force_field(
+            grid, params, config.estimator,
+            measured=FluidState(t_new, measured_lnr, state.V),
+            pressure_source=FluidState(t_new, new_lnr, state.V),
+            # The kick spans [t + dt/2, t + 3dt/2] in staggered-velocity
+            # time, so its center is the post-drift node time: the
+            # closed-form force is evaluated there, consistent with the
+            # measured estimators reading the post-drift density.
+            t_force=t_new,
+        )
+    except DegenerateDensityError:
+        return STATUS_DISPERSION, state
+
+    new_V = _velocity_update(state.V, forces.total, dt, dx)
+    if config.boundary_damping:
+        new_V *= _damping(grid.n)
+
+    new_state = FluidState(t_new, new_lnr, new_V)
+    if not (np.all(np.isfinite(new_lnr)) and np.all(np.isfinite(new_V))):
+        return STATUS_NONFINITE, new_state
+    return (STATUS_CFL if cfl else STATUS_OK), new_state
 
 
 def run(
@@ -228,26 +265,22 @@ def run(
     if config.noise == "initial":
         perturb_density(state, rng, config.noise_amplitude)
 
-    rows_t, rows_mean, rows_var, rows_mass, rows_vmax, rows_ec, rows_sm = ([] for _ in range(7))
+    rows: list[tuple[float, ...]] = []
     status_rows: list[str] = []
     snapshots: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     final_status = STATUS_OK
 
-    def record(step: int, step_status: str, m) -> None:
-        rows_t.append(state.t)
-        rows_mean.append(m.mean)
-        rows_var.append(m.var)
-        rows_mass.append(mass(state, grid))
-        rows_vmax.append(float(np.max(np.abs(state.V))))
-        rows_ec.append(center_energy_estimate(state, grid, params))
-        rows_sm.append(smoothness(state, grid))
+    def record(step: int, step_status: str, state: FluidState, m) -> None:
+        rows.append((
+            state.t, m.mean, m.var, mass(state, grid), float(np.max(np.abs(state.V))),
+            center_energy_estimate(state, grid, params), smoothness(state, grid),
+        ))
         status_rows.append(step_status)
         if config.snapshot_every > 0 and step % config.snapshot_every == 0:
             snapshots[step] = (np.exp(state.ln_rho), state.V.copy())
 
-    record(0, STATUS_OK, moments(state, grid))
-    var0 = rows_var[0]
-    damp = 1.0 / (1.0 + _sponge(grid.n)) if config.boundary_damping else None
+    record(0, STATUS_OK, state, moments(state, grid))
+    var0 = rows[0][2]
 
     # Leapfrog bootstrap: the loop below drifts the density with the current
     # velocity and then kicks the velocity with the force at the updated
@@ -266,80 +299,28 @@ def run(
         pass
 
     for step in range(1, config.steps + 1):
-        alpha = None
+        noise = None
         if config.noise == "per_step":
-            alpha = rng.uniform(0.0, config.noise_amplitude, size=grid.n)
-            if config.noise_target == "state":
-                state.ln_rho = state.ln_rho + alpha
+            noise = rng.uniform(0.0, config.noise_amplitude, size=grid.n)
+        step_status, new_state = drift_kick_step(state, grid, params, config, noise, ln_floor)
+        if step_status in (STATUS_DISPERSION, STATUS_NONFINITE):
+            final_status = step_status
+            break
 
-        cfl = _cfl_exceeded(state.V, config.dt, grid.dx)
-        new_lnr = _continuity_update(state.ln_rho, state.V, config.dt, grid.dx)
-        np.maximum(new_lnr, ln_floor, out=new_lnr)
-        t_new = state.t + config.dt
-
-        measured_lnr = new_lnr
-        if alpha is not None and config.noise_target == "measurement":
-            measured_lnr = new_lnr + alpha
-        measured = FluidState(t_new, measured_lnr, state.V)
-
+        # a step that blows up the variance or jumps the mass (column 3 of
+        # the previous row) ends the run unrecorded
         try:
-            forces = build_force_field(
-                grid, params, config.estimator,
-                measured=measured,
-                pressure_source=FluidState(t_new, new_lnr, state.V),
-                # The kick spans [t + dt/2, t + 3dt/2] in staggered-velocity
-                # time, so its center is the post-drift node time: the
-                # closed-form force is evaluated there, consistent with the
-                # measured estimators reading the post-drift density.
-                t_force=t_new,
-            )
+            m = moments(new_state, grid)
         except DegenerateDensityError:
             final_status = STATUS_DISPERSION
             break
-
-        new_V = _velocity_update(state.V, forces.total, config.dt, grid.dx)
-        if damp is not None:
-            new_V *= damp
-
-        if not (np.all(np.isfinite(new_lnr)) and np.all(np.isfinite(new_V))):
-            final_status = STATUS_NONFINITE
-            break
-
-        # commit, then decide whether the committed state is still sane;
-        # a diverged state is reported via final_status but never recorded
-        # nor evolved further
-        mass_prev = rows_mass[-1]
-        state.ln_rho = new_lnr
-        state.V = new_V
-        state.t = t_new
-
-        try:
-            m = moments(state, grid)
-        except DegenerateDensityError:
-            final_status = STATUS_DISPERSION
-            break
-        ratio = mass(state, grid) / mass_prev
+        ratio = mass(new_state, grid) / rows[-1][3]
         if m.var > VAR_BLOWUP_FACTOR * var0 or not (
             1.0 / MASS_STEP_JUMP_FACTOR < ratio < MASS_STEP_JUMP_FACTOR
         ):
             final_status = STATUS_DISPERSION
             break
-        record(step, STATUS_CFL if cfl else STATUS_OK, m)
+        state = new_state
+        record(step, step_status, state, m)
 
-    record_obj = RunRecord(
-        grid=grid,
-        t=np.array(rows_t),
-        mean=np.array(rows_mean),
-        var=np.array(rows_var),
-        mass=np.array(rows_mass),
-        max_abs_V=np.array(rows_vmax),
-        center_energy=np.array(rows_ec),
-        smoothness_series=np.array(rows_sm),
-        status=status_rows,
-        snapshots=snapshots,
-        steps_survived=len(rows_t) - 1,
-        final_status=final_status,
-    )
-    record_obj.max_center_error = float(np.max(center_error(record_obj, params)))
-    record_obj.max_var_error = float(np.max(dispersion_error(record_obj, params)))
-    return record_obj
+    return build_record(grid, params, rows, status_rows, snapshots, final_status)

@@ -25,7 +25,7 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from .core import FluidState, PhysicalParams, SpatialGrid, init_coherent_state
-from .diagnostics import RunRecord, center_energy_estimate, center_error, dispersion_error, smoothness
+from .diagnostics import RunRecord, build_record, center_energy_estimate, smoothness
 from .forces import moments
 
 __all__ = ["WaveState", "cn_step", "wave_to_fluid", "fluid_to_wave", "run_reference"]
@@ -138,22 +138,17 @@ def run_reference(
     else:
         wave = wave.copy()
 
-    rows_t, rows_mean, rows_var, rows_mass, rows_vmax, rows_ec, rows_sm = ([] for _ in range(7))
-    status_rows: list[str] = []
+    rows: list[tuple[float, ...]] = []
     snapshots: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     final_status = "ok"
 
     def record(step: int) -> None:
         fluid = wave_to_fluid(wave, grid, params)
         m = moments(fluid, grid)
-        rows_t.append(wave.t)
-        rows_mean.append(m.mean)
-        rows_var.append(m.var)
-        rows_mass.append(params.M * wave.norm2(grid))
-        rows_vmax.append(float(np.max(np.abs(fluid.V))))
-        rows_ec.append(center_energy_estimate(fluid, grid, params))
-        rows_sm.append(smoothness(fluid, grid))
-        status_rows.append("ok")
+        rows.append((
+            wave.t, m.mean, m.var, params.M * wave.norm2(grid), float(np.max(np.abs(fluid.V))),
+            center_energy_estimate(fluid, grid, params), smoothness(fluid, grid),
+        ))
         if snapshot_every > 0 and step % snapshot_every == 0:
             snapshots[step] = (params.M * np.abs(wave.psi) ** 2, fluid.V)
 
@@ -169,20 +164,4 @@ def run_reference(
             break
         record(step)
 
-    record_obj = RunRecord(
-        grid=grid,
-        t=np.array(rows_t),
-        mean=np.array(rows_mean),
-        var=np.array(rows_var),
-        mass=np.array(rows_mass),
-        max_abs_V=np.array(rows_vmax),
-        center_energy=np.array(rows_ec),
-        smoothness_series=np.array(rows_sm),
-        status=status_rows,
-        snapshots=snapshots,
-        steps_survived=len(rows_t) - 1,
-        final_status=final_status,
-    )
-    record_obj.max_center_error = float(np.max(center_error(record_obj, params)))
-    record_obj.max_var_error = float(np.max(dispersion_error(record_obj, params)))
-    return record_obj
+    return build_record(grid, params, rows, ["ok"] * len(rows), snapshots, final_status)

@@ -115,6 +115,18 @@ def test_sweep_unknown_param_is_usage_error(tmp_path):
     assert main(["sweep", "--param", "M", "--values", "1,2", "--out", str(tmp_path)]) == 1
 
 
+def test_sweep_invalid_point_is_usage_error_before_any_run(tmp_path, capsys):
+    assert main(["sweep", "--param", "D", "--values", "1,-1", "--out", str(tmp_path)]) == 1
+    assert "error: sweep point D=-1" in capsys.readouterr().err
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("param, value", [("steps", "2.5"), ("seed", "1.5")])
+def test_sweep_rejects_non_integer_steps_and_seed(tmp_path, capsys, param, value):
+    assert main(["sweep", "--param", param, "--values", value, "--out", str(tmp_path)]) == 1
+    assert f"error: sweep point {param}={value}" in capsys.readouterr().err
+
+
 def test_print_config_lists_defaults(capsys):
     code = main(["run", "--print-config"])
     assert code == 0

@@ -27,6 +27,9 @@ def test_make_grid_rejects_bad_arguments():
         qf.make_grid(0.0, 0.0, 10)
     with pytest.raises(ValueError):
         qf.make_grid(0.0, 1.0, 6)
+    for x0, dx in ((0.0, math.inf), (0.0, math.nan), (math.nan, 1.0), (-math.inf, 1.0)):
+        with pytest.raises(ValueError):
+            qf.make_grid(x0, dx, 10)
 
 
 def test_params_validation():
@@ -40,6 +43,10 @@ def test_params_validation():
         qf.PhysicalParams(D=1.0, omega=1.0, kp=-0.1)
     with pytest.raises(ValueError):
         qf.PhysicalParams(D=1.0, omega=1.0, M=0.0)
+    for field in ("D", "omega", "a", "kp", "M"):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                qf.PhysicalParams(**{"D": 1.0, "omega": 1.0, field: bad})
     p = qf.PhysicalParams(D=2.0, omega=0.5)
     assert p.equilibrium_sigma2() == pytest.approx(4.0)
 
@@ -59,6 +66,10 @@ def test_run_config_validation():
         RunConfig(snapshot_every=-1)
     with pytest.raises(ValueError):
         RunConfig(rho_floor=1.5)
+    for field in ("dt", "noise_amplitude", "rho_floor"):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                RunConfig(**{field: bad})
 
 
 def test_coherent_state_at_t0():

@@ -1,6 +1,7 @@
-"""Lax stepper, perturbations, and the feedback-loop driver."""
+"""Drift-kick stepper, perturbations, and the feedback loop (`run`)."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,61 +11,73 @@ from qfluid.core import FluidState
 from qfluid.presets import default_config, default_grid, default_params
 
 
-def uniform_forces(n, value=0.0):
-    z = np.zeros(n)
-    return qf.ForceField(external=z + value, quantum=np.zeros(n), pressure=np.zeros(n))
+def step(state, dt, a=0.0, omega=0.1):
+    """One drift-kick step on a 21-point grid with the closed-form force.
+    With a = 0 it cancels the trap exactly; with a > 0 the net force is the
+    uniform -omega^2 a cos(omega t) at the post-drift time."""
+    grid = qf.make_grid(-10.0, 1.0, 21)
+    params = qf.PhysicalParams(D=1.0, omega=omega, a=a)
+    config = qf.RunConfig(dt=dt, estimator="oracle_exact")
+    return qf.drift_kick_step(state, grid, params, config)
 
 
 def test_lax_step_uniform_state_is_stationary():
-    grid = qf.make_grid(-10.0, 1.0, 21)
     state = FluidState(0.0, np.full(21, -1.3), np.zeros(21))
-    out = qf.lax_step(state, uniform_forces(21), grid, 0.5)
-    assert out.status == "ok"
-    assert out.state.t == 0.5
-    assert np.allclose(out.state.ln_rho, -1.3)
-    assert np.allclose(out.state.V, 0.0)
+    status, new = step(state, 0.5)
+    assert status == "ok"
+    assert new.t == 0.5
+    assert np.allclose(new.ln_rho, -1.3)
+    assert np.allclose(new.V, 0.0)
+    assert state.t == 0.0 and np.array_equal(state.ln_rho, np.full(21, -1.3))
 
 
 def test_lax_step_uniform_force_kicks_velocity():
-    grid = qf.make_grid(-10.0, 1.0, 21)
     state = FluidState(0.0, np.full(21, 0.7), np.zeros(21))
-    f = 0.25
-    out = qf.lax_step(state, uniform_forces(21, f), grid, 2.0)
-    assert np.allclose(out.state.V, 2.0 * f)
-    assert np.allclose(out.state.ln_rho, 0.7)
+    a, omega, dt = 2.0, 0.3, 2.0
+    f = -omega**2 * a * math.cos(omega * dt)
+    _, new = step(state, dt, a=a, omega=omega)
+    assert np.allclose(new.V, 2.0 * f)
+    assert np.allclose(new.ln_rho, 0.7)
 
 
 def test_lax_step_pure_advection():
     # uniform V, linear ln rho: interior decreases by v0 * s * dt
-    grid = qf.make_grid(-10.0, 1.0, 21)
+    x = qf.make_grid(-10.0, 1.0, 21).positions
     v0, s, dt = 0.4, 0.11, 0.5
-    state = FluidState(0.0, s * grid.positions, np.full(21, v0))
-    out = qf.lax_step(state, uniform_forces(21), grid, dt)
-    assert np.allclose(out.state.ln_rho[1:-1], s * grid.positions[1:-1] - v0 * s * dt, atol=1e-14)
-    assert np.allclose(out.state.V, v0)
+    state = FluidState(0.0, s * x, np.full(21, v0))
+    _, new = step(state, dt)
+    assert np.allclose(new.ln_rho[1:-1], s * x[1:-1] - v0 * s * dt, atol=1e-14)
+    assert np.allclose(new.V, v0)
 
 
 def test_lax_step_flags_cfl():
-    grid = qf.make_grid(-10.0, 1.0, 21)
     state = FluidState(0.0, np.zeros(21), np.full(21, 1.5))
-    out = qf.lax_step(state, uniform_forces(21), grid, 1.0)
-    assert out.status == "cfl_warning"
+    status, _ = step(state, 1.0)
+    assert status == "cfl_warning"
 
 
 def test_lax_step_flags_nonfinite():
-    grid = qf.make_grid(-10.0, 1.0, 21)
     state = FluidState(0.0, np.zeros(21), np.zeros(21))
-    bad = uniform_forces(21)
-    bad.external[5] = np.inf
-    out = qf.lax_step(state, bad, grid, 1.0)
-    assert out.status == "diverged_nonfinite"
+    state.V[5] = np.nan
+    status, _ = step(state, 1.0)
+    assert status == "diverged_nonfinite"
 
 
-def test_lax_step_rejects_nonpositive_dt():
-    grid = qf.make_grid(-10.0, 1.0, 21)
-    state = FluidState(0.0, np.zeros(21), np.zeros(21))
-    with pytest.raises(ValueError):
-        qf.lax_step(state, uniform_forces(21), grid, 0.0)
+@pytest.mark.parametrize("name", ["fig1", "fig4", "fig5", "fig6", "fig7"])
+def test_run_is_mirror_symmetric(name):
+    # x -> -x on a grid symmetric about 0 maps the loop onto itself: the
+    # mirrored packet's center is the negated center, its variance the same
+    params, config, grid = qf.preset(name)
+    config = replace(config, steps=min(config.steps, 200))
+    grid = qf.make_grid(-(grid.n // 2) * grid.dx, grid.dx, grid.n + 1)
+    assert grid.position(grid.n // 2) == 0.0
+    state = qf.init_coherent_state(params, grid, 0.0)
+    mirror = FluidState(state.t, state.ln_rho[::-1].copy(), -state.V[::-1])
+    r1 = qf.run(config, params, grid, state=state)
+    r2 = qf.run(config, params, grid, state=mirror)
+    assert r1.final_status == r2.final_status == "ok"
+    assert np.max(np.abs(r1.mean + r2.mean)) <= 1e-12
+    assert np.max(np.abs(r1.var / r2.var - 1.0)) <= 1e-12
 
 
 def test_perturb_density_zero_amplitude_is_identity():
