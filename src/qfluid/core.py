@@ -9,8 +9,10 @@ Gaussian tails representable.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -41,9 +43,12 @@ class SpatialGrid:
     dx: float
     n: int
 
-    @property
+    @cached_property
     def positions(self) -> np.ndarray:
-        return self.x0 + self.dx * np.arange(self.n)
+        """Node positions, built once per grid and read-only."""
+        x = self.x0 + self.dx * np.arange(self.n)
+        x.flags.writeable = False
+        return x
 
     def position(self, j: int) -> float:
         return self.x0 + j * self.dx
@@ -53,9 +58,17 @@ class SpatialGrid:
         return self.position(self.n - 1)
 
 
+def _require_integer(name: str, value) -> None:
+    """Reject floats and bools where a count or seed is expected; numpy
+    integers pass."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def make_grid(x0: float, dx: float, n: int) -> SpatialGrid:
-    """Build a uniform grid; rejects non-finite x0 or dx, dx <= 0 and n < 7
-    (stencil width)."""
+    """Build a uniform grid; rejects non-finite x0 or dx, dx <= 0, a
+    non-integer n and n < 7 (stencil width)."""
+    _require_integer("n", n)
     if not (math.isfinite(x0) and math.isfinite(dx)):
         raise ValueError(f"grid origin and spacing must be finite, got x0={x0}, dx={dx}")
     if dx <= 0:
@@ -157,6 +170,8 @@ class RunConfig:
         for name in ("dt", "noise_amplitude"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        for name in ("steps", "seed", "snapshot_every"):
+            _require_integer(name, getattr(self, name))
         if self.dt <= 0:
             raise ValueError(f"dt must be positive, got {self.dt}")
         if self.steps < 1:
@@ -198,4 +213,4 @@ def init_coherent_state(params: PhysicalParams, grid: SpatialGrid, t0: float = 0
 
 def mass(state: FluidState, grid: SpatialGrid) -> float:
     """Total mass sum_j rho_j dx."""
-    return float(np.sum(np.exp(state.ln_rho)) * grid.dx)
+    return float(np.exp(state.ln_rho).sum() * grid.dx)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,13 +96,18 @@ def center_energy_estimate(state: FluidState, grid: SpatialGrid, params: Physica
     """Energy estimate at the packet center: V(xbar)^2/2 + phi(xbar) + Q(xbar).
 
     Q comes from the log-derivative stencil chain, linearly interpolated at
-    the (generically off-grid) measured mean.
+    the (generically off-grid) measured mean inside the stencil-valid band
+    x[2:-2] (held at the band's end value beyond it).  Interpolation reads
+    Q only at the two band nodes j, j+1 that bracket the mean, so the chain
+    runs on the six ln rho cells j-2..j+3 they need; the values are the same
+    bits the full-grid chain gives there.
     """
     m = moments(state, grid)
     x = grid.positions
-    Q = fd_quantum_potential(fd_log_gradient(state, grid), grid, params)
-    # interpolate inside the stencil-valid region only
-    q_at_mean = float(np.interp(m.mean, x[2:-2], Q[2:-2]))
+    j = min(max(int(x.searchsorted(m.mean, "right")) - 1, 2), grid.n - 4)
+    window = FluidState(state.t, state.ln_rho[j - 2 : j + 4], state.V)
+    Q = fd_quantum_potential(fd_log_gradient(window, grid), grid, params)
+    q_at_mean = float(np.interp(m.mean, x[j : j + 2], Q[2:4]))
     v_at_mean = float(np.interp(m.mean, x, state.V))
     return 0.5 * v_at_mean**2 + 0.5 * params.omega**2 * m.mean**2 + q_at_mean
 
@@ -112,10 +118,10 @@ def smoothness(state: FluidState, grid: SpatialGrid) -> float:
     m = moments(state, grid)
     x = grid.positions
     d2 = state.ln_rho[2:] - 2 * state.ln_rho[1:-1] + state.ln_rho[:-2]
-    core = np.abs(x[1:-1] - m.mean) <= 3.0 * np.sqrt(m.var)
-    if not np.any(core):
+    core = np.abs(x[1:-1] - m.mean) <= 3.0 * math.sqrt(m.var)
+    if not core.any():
         return float("nan")
-    return float(np.mean(d2[core] ** 2))
+    return float((d2[core] ** 2).mean())
 
 
 def l2_density_distance(record_a: RunRecord, record_b: RunRecord) -> tuple[np.ndarray, np.ndarray]:

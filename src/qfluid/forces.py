@@ -14,6 +14,7 @@ through ratios or log-derivatives, so they are invariant under rho -> c*rho.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,13 +65,14 @@ def moments(state: FluidState, grid: SpatialGrid) -> Moments:
     Weights are exponentiated relative to the running peak so that a uniform
     shift of ln rho (a global density rescaling) cancels exactly.
     """
-    w = np.exp(state.ln_rho - np.max(state.ln_rho))
-    total = float(np.sum(w))
-    if not np.isfinite(total) or total <= 0:
+    ln_rho = state.ln_rho
+    w = np.exp(ln_rho - ln_rho.max())
+    total = float(w.sum())
+    if not math.isfinite(total) or total <= 0:
         raise DegenerateDensityError("density weights are not summable")
     x = grid.positions
-    mean = float(np.sum(w * x) / total)
-    var = float(np.sum(w * (x - mean) ** 2) / total)
+    mean = float((w * x).sum() / total)
+    var = float((w * (x - mean) ** 2).sum() / total)
     if var < (grid.dx / 10.0) ** 2:
         raise DegenerateDensityError(
             f"density variance {var:g} below ({grid.dx}/10)^2; distribution is delta-like"

@@ -81,6 +81,9 @@ SPONGE_STRENGTH = 1.0
 # boundary cell of ln rho, which the continuity update fills by
 # extrapolation rather than by physics.
 STENCIL_EDGE = 4
+# offsets of the band's cells from the first valid cell on each side
+_EDGE_OFFSETS_LEFT = np.arange(-STENCIL_EDGE, 0)
+_EDGE_OFFSETS_RIGHT = np.arange(1, STENCIL_EDGE + 1)
 
 
 def _continuity_update(ln_rho: np.ndarray, V: np.ndarray, dt: float, dx: float) -> np.ndarray:
@@ -117,7 +120,7 @@ def _velocity_update(V: np.ndarray, total_force: np.ndarray, dt: float, dx: floa
 
 
 def _cfl_exceeded(V: np.ndarray, dt: float, dx: float) -> bool:
-    return bool(np.max(np.abs(V)) * dt / dx > 1.0)
+    return bool(np.abs(V).max() * dt / dx > 1.0)
 
 
 def perturb_density(state: FluidState, rng, amplitude: float = 1.0) -> FluidState:
@@ -152,7 +155,7 @@ def build_force_field(
         raise ValueError(f"unknown estimator {estimator!r}")
     press = pressure_force(pressure_source, grid, params)
     if params.kp != 0.0:
-        ln_gate = float(np.max(pressure_source.ln_rho)) + math.log(PRESSURE_GATE_REL)
+        ln_gate = float(pressure_source.ln_rho.max()) + math.log(PRESSURE_GATE_REL)
         arg = np.clip(
             -PRESSURE_GATE_SHARPNESS * (pressure_source.ln_rho - ln_gate), -60.0, 60.0
         )
@@ -168,8 +171,8 @@ def _extend_stencil_force(F: np.ndarray) -> np.ndarray:
     few steps; the packet's quantum force is linear in x, so linear
     extrapolation leaves no seed."""
     k = STENCIL_EDGE
-    left = F[k] + (np.arange(-k, 0)) * (F[k + 1] - F[k])
-    right = F[-k - 1] + (np.arange(1, k + 1)) * (F[-k - 1] - F[-k - 2])
+    left = F[k] + _EDGE_OFFSETS_LEFT * (F[k + 1] - F[k])
+    right = F[-k - 1] + _EDGE_OFFSETS_RIGHT * (F[-k - 1] - F[-k - 2])
     F[:k] = left
     F[-k:] = right
     return F
@@ -237,7 +240,7 @@ def drift_kick_step(
         new_V *= _damping(grid.n)
 
     new_state = FluidState(t_new, new_lnr, new_V)
-    if not (np.all(np.isfinite(new_lnr)) and np.all(np.isfinite(new_V))):
+    if not (np.isfinite(new_lnr).all() and np.isfinite(new_V).all()):
         return STATUS_NONFINITE, new_state
     return (STATUS_CFL if cfl else STATUS_OK), new_state
 
@@ -270,16 +273,16 @@ def run(
     snapshots: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     final_status = STATUS_OK
 
-    def record(step: int, step_status: str, state: FluidState, m) -> None:
+    def record(step: int, step_status: str, state: FluidState, m, state_mass: float) -> None:
         rows.append((
-            state.t, m.mean, m.var, mass(state, grid), float(np.max(np.abs(state.V))),
+            state.t, m.mean, m.var, state_mass, float(np.abs(state.V).max()),
             center_energy_estimate(state, grid, params), smoothness(state, grid),
         ))
         status_rows.append(step_status)
         if config.snapshot_every > 0 and step % config.snapshot_every == 0:
             snapshots[step] = (np.exp(state.ln_rho), state.V.copy())
 
-    record(0, STATUS_OK, state, moments(state, grid))
+    record(0, STATUS_OK, state, moments(state, grid), mass(state, grid))
     var0 = rows[0][2]
 
     # Leapfrog bootstrap: the loop below drifts the density with the current
@@ -314,13 +317,14 @@ def run(
         except DegenerateDensityError:
             final_status = STATUS_DISPERSION
             break
-        ratio = mass(new_state, grid) / rows[-1][3]
+        new_mass = mass(new_state, grid)
+        ratio = new_mass / rows[-1][3]
         if m.var > VAR_BLOWUP_FACTOR * var0 or not (
             1.0 / MASS_STEP_JUMP_FACTOR < ratio < MASS_STEP_JUMP_FACTOR
         ):
             final_status = STATUS_DISPERSION
             break
         state = new_state
-        record(step, step_status, state, m)
+        record(step, step_status, state, m, new_mass)
 
     return build_record(grid, params, rows, status_rows, snapshots, final_status)

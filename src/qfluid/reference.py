@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .core import FluidState, PhysicalParams, SpatialGrid, init_coherent_state
 from .diagnostics import RunRecord, build_record, center_energy_estimate, smoothness
@@ -81,6 +80,10 @@ def cn_step(wave: WaveState, grid: SpatialGrid, params: PhysicalParams, dt: floa
     ab[0, 1:] = z * off
     ab[1, :] = 1.0 + z * diag[1:-1]
     ab[2, :-1] = z * off
+    # scipy is imported here, on first use, so that the fluid loop and its
+    # CLI commands never pay for loading it
+    from scipy.linalg import solve_banded
+
     try:
         interior = solve_banded((1, 1), ab, rhs[1:-1])
     except np.linalg.LinAlgError as err:

@@ -195,3 +195,14 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "fig1" in proc.stdout
+
+
+def test_importing_the_cli_leaves_scipy_unloaded():
+    # scipy serves only the Crank-Nicolson reference solver, which imports
+    # it on first use
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, qfluid.cli; print('scipy' in sys.modules)"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

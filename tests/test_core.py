@@ -1,5 +1,6 @@
 """Grid, parameter, state, and initial-condition tests."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -30,6 +31,24 @@ def test_make_grid_rejects_bad_arguments():
     for x0, dx in ((0.0, math.inf), (0.0, math.nan), (math.nan, 1.0), (-math.inf, 1.0)):
         with pytest.raises(ValueError):
             qf.make_grid(x0, dx, 10)
+    for n in (10.7, 10.0, True):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            qf.make_grid(0.0, 1.0, n)
+    assert qf.make_grid(0.0, 1.0, np.int64(10)).n == 10
+
+
+def test_grid_positions_are_cached_and_read_only():
+    g = qf.make_grid(0.0, 1.0, 10)
+    same = qf.make_grid(0.0, 1.0, 10)
+    assert g.positions is g.positions
+    with pytest.raises(ValueError):
+        g.positions[0] = 5.0
+    assert g.positions[0] == 0.0
+    # the cache is not a field: equality and hashing ignore it
+    assert g == same and hash(g) == hash(same)
+    wider = dataclasses.replace(g, n=12)
+    assert np.array_equal(wider.positions, np.arange(12.0))
+    assert len(g.positions) == 10
 
 
 def test_params_validation():
@@ -70,6 +89,12 @@ def test_run_config_validation():
         for bad in (math.nan, math.inf):
             with pytest.raises(ValueError):
                 RunConfig(**{field: bad})
+    for field in ("steps", "seed", "snapshot_every"):
+        for bad in (2.5, 2.0, True):
+            with pytest.raises(ValueError, match=f"{field} must be an integer"):
+                RunConfig(**{field: bad})
+    cfg = RunConfig(steps=np.int64(3), seed=np.int32(1), snapshot_every=np.int64(2))
+    assert qf.run(cfg, default_params(), default_grid()).steps_survived == 3
 
 
 def test_coherent_state_at_t0():

@@ -71,6 +71,56 @@ def test_center_energy_estimate_zero_amplitude():
     assert e2 == pytest.approx(2.0 * e1, rel=1e-6)
 
 
+def _full_grid_center_energy(state, grid, params):
+    """center_energy_estimate's formula with the stencil chain run over the
+    whole grid."""
+    m = qf.moments(state, grid)
+    x = grid.positions
+    Q = qf.fd_quantum_potential(qf.fd_log_gradient(state, grid), grid, params)
+    q_at_mean = float(np.interp(m.mean, x[2:-2], Q[2:-2]))
+    v_at_mean = float(np.interp(m.mean, x, state.V))
+    return 0.5 * v_at_mean**2 + 0.5 * params.omega**2 * m.mean**2 + q_at_mean
+
+
+@pytest.mark.parametrize("n", [7, 8, 192])
+def test_center_energy_estimate_matches_the_full_grid_stencil_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    params = qf.PhysicalParams(D=1.5, omega=0.3)
+    grid = qf.make_grid(-float(n // 2), 1.0, n)
+    x = grid.positions
+    # seeded noisy packets centered on every node, between nodes, and off
+    # both ends of the grid, so the mean also falls outside the stencil
+    # band x[2:-2]; plus three-cell plateaus whose mean is exactly a node
+    packets = []
+    centers = np.concatenate((x, x + 0.37, rng.uniform(x[0] - 3.0, x[-1] + 3.0, 60)))
+    for center in centers:
+        for width in (0.6, 1.5, n / 4.0):
+            for noise in (0.0, 0.05):
+                packets.append(-((x - center) ** 2) / (2 * width**2) + noise * rng.standard_normal(n))
+    for k in range(1, n - 1):
+        plateau = np.full(n, -1000.0)
+        plateau[k - 1 : k + 2] = 0.0
+        packets.append(plateau)
+    seen = {"below_band": 0, "above_band": 0, "on_node": 0, "between_nodes": 0}
+    for ln_rho in packets:
+        state = qf.FluidState(0.0, ln_rho, rng.standard_normal(n))
+        try:
+            expected = _full_grid_center_energy(state, grid, params)
+        except qf.DegenerateDensityError:
+            continue
+        assert qf.center_energy_estimate(state, grid, params) == expected
+        mean = qf.moments(state, grid).mean
+        if mean < x[2]:
+            seen["below_band"] += 1
+        elif mean > x[-3]:
+            seen["above_band"] += 1
+        elif mean in x:
+            seen["on_node"] += 1
+        else:
+            seen["between_nodes"] += 1
+    assert min(seen.values()) > 0, seen
+
+
 def test_smoothness_of_exact_packet():
     # second difference of the quadratic ln rho is the constant -dx^2/sigma^2
     params = default_params()
