@@ -37,7 +37,7 @@ from .forces import (
     moments,
     pressure_force,
 )
-from .integrator import build_force_field, drift_kick_step, perturb_density, run
+from .integrator import build_force_field, drift_kick_step, run
 from .oracle import OracleWave
 from .presets import default_config, default_grid, default_params, preset, preset_names
 from .reference import WaveState, cn_step, fluid_to_wave, run_reference, wave_to_fluid
@@ -70,7 +70,6 @@ __all__ = [
     "pressure_force",
     "build_force_field",
     "drift_kick_step",
-    "perturb_density",
     "run",
     "OracleWave",
     "default_config",

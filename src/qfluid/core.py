@@ -146,8 +146,6 @@ class RunConfig:
                      ("state") or only the measured copy that feeds the
                      force estimate ("measurement")
     snapshot_every   store (rho, V) snapshots every k steps (0 = off)
-    rho_floor        lower density clamp, relative to the initial peak
-                     (0 disables the clamp)
     boundary_damping absorbing velocity strip at the grid edges; useful for
                      pressure runs with the fitted estimator, whose gated
                      tails shed momentum toward the boundary, but must stay
@@ -163,7 +161,6 @@ class RunConfig:
     noise_amplitude: float = 1.0
     seed: int = 0
     snapshot_every: int = 0
-    rho_floor: float = 1e-12
     boundary_damping: bool = False
 
     def __post_init__(self):
@@ -186,8 +183,6 @@ class RunConfig:
             raise ValueError("noise_amplitude must be non-negative")
         if self.snapshot_every < 0:
             raise ValueError("snapshot_every must be >= 0")
-        if not (0 <= self.rho_floor < 1):
-            raise ValueError("rho_floor is a fraction of the initial peak; need 0 <= rho_floor < 1")
 
 
 def init_coherent_state(params: PhysicalParams, grid: SpatialGrid, t0: float = 0.0) -> FluidState:

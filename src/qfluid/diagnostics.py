@@ -1,4 +1,5 @@
-"""Per-step measurements, oracle/reference comparison metrics, run summaries."""
+"""Per-step measurements, the recorder both solvers feed, oracle/reference
+comparison metrics, run summaries."""
 
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ from .forces import fd_log_gradient, fd_quantum_potential, moments
 
 __all__ = [
     "RunRecord",
-    "build_record",
+    "Recorder",
     "center_error",
     "dispersion_error",
     "center_energy_estimate",
@@ -47,35 +48,48 @@ class RunRecord:
     max_var_error: float = float("nan")
 
 
-def build_record(
-    grid: SpatialGrid,
-    params: PhysicalParams,
-    rows: list[tuple[float, ...]],
-    status: list[str],
-    snapshots: dict[int, tuple[np.ndarray, np.ndarray]],
-    final_status: str,
-) -> RunRecord:
-    """Assemble a solver's RunRecord from one row per recorded step,
-    (t, mean, var, mass, max |V|, center energy, smoothness), and fill in
-    its summary errors against the ideal packet."""
-    t, mean, var, mass, max_abs_V, center_energy, smooth = (np.array(col) for col in zip(*rows))
-    record = RunRecord(
-        grid=grid,
-        t=t,
-        mean=mean,
-        var=var,
-        mass=mass,
-        max_abs_V=max_abs_V,
-        center_energy=center_energy,
-        smoothness_series=smooth,
-        status=status,
-        snapshots=snapshots,
-        steps_survived=len(rows) - 1,
-        final_status=final_status,
-    )
-    record.max_center_error = float(np.max(center_error(record, params)))
-    record.max_var_error = float(np.max(dispersion_error(record, params)))
-    return record
+class Recorder:
+    """Collects a solver's run one recorded step at a time and turns it into
+    its RunRecord.
+
+    Each step becomes one row (t, mean, var, mass, max |V|, center energy,
+    smoothness) plus its stepper status; every ``snapshot_every`` steps
+    (0 = never) it also keeps a (rho, V) snapshot.
+    """
+
+    def __init__(self, grid: SpatialGrid, params: PhysicalParams, snapshot_every: int):
+        self.grid = grid
+        self.params = params
+        self.snapshot_every = snapshot_every
+        self._rows: list[tuple[float, ...]] = []
+        self._status: list[str] = []
+        self._snapshots: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+    def add(self, step: int, state: FluidState, moments, mass: float, status: str = "ok",
+            rho: np.ndarray | None = None) -> None:
+        """Record ``state``, whose moments and mass the solver has already
+        measured, as step ``step``.  A snapshot stores ``rho`` (by default
+        exp(ln rho)) and a copy of V."""
+        self._rows.append((
+            state.t, moments.mean, moments.var, mass, float(np.abs(state.V).max()),
+            center_energy_estimate(state, self.grid, self.params), smoothness(state, self.grid),
+        ))
+        self._status.append(status)
+        if self.snapshot_every > 0 and step % self.snapshot_every == 0:
+            self._snapshots[step] = (np.exp(state.ln_rho) if rho is None else rho, state.V.copy())
+
+    def finish(self, final_status: str) -> RunRecord:
+        """The RunRecord of the steps added so far, with its summary errors
+        against the ideal packet filled in."""
+        t, mean, var, mass, max_abs_V, center_energy, smooth = (np.array(col) for col in zip(*self._rows))
+        record = RunRecord(
+            grid=self.grid, t=t, mean=mean, var=var, mass=mass, max_abs_V=max_abs_V,
+            center_energy=center_energy, smoothness_series=smooth, status=self._status,
+            snapshots=self._snapshots, steps_survived=len(self._rows) - 1, final_status=final_status,
+        )
+        record.max_center_error = float(np.max(center_error(record, self.params)))
+        record.max_var_error = float(np.max(dispersion_error(record, self.params)))
+        return record
 
 
 def center_error(record: RunRecord, params: PhysicalParams) -> np.ndarray:

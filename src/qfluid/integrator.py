@@ -16,7 +16,8 @@ exp(omega^2 dt^2/2) per step and visibly falsifies the non-spreading packet
 within a period at the default resolution.
 
 ``drift_kick_step`` performs steps 1-4 with noise drawn by the caller; ``run``
-calls it once per step.
+calls it once per step and draws every density perturbation, initial or
+per-step, in one place.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from functools import lru_cache
 import numpy as np
 
 from .core import FluidState, PhysicalParams, RunConfig, SpatialGrid, init_coherent_state, mass
-from .diagnostics import RunRecord, build_record, center_energy_estimate, smoothness
+from .diagnostics import Recorder, RunRecord
 from .forces import (
     DegenerateDensityError,
     ForceField,
@@ -39,7 +40,7 @@ from .forces import (
 )
 from .oracle import OracleWave
 
-__all__ = ["drift_kick_step", "perturb_density", "build_force_field", "run"]
+__all__ = ["drift_kick_step", "build_force_field", "run"]
 
 STATUS_OK = "ok"
 STATUS_CFL = "cfl_warning"
@@ -52,6 +53,11 @@ STATUS_DISPERSION = "diverged_dispersion"
 # shrinks under refinement) is not a divergence; a 10x jump within one dt is.
 VAR_BLOWUP_FACTOR = 10.0
 MASS_STEP_JUMP_FACTOR = 10.0
+
+# ln rho is clamped from below at this fraction of the initial peak density
+# (measured before any initial noise), so the Gaussian tails cannot sink
+# towards -inf under the drift.
+RHO_FLOOR = 1e-12
 
 # The applied pressure force is faded out below this fraction of the peak
 # density.  grad(ln rho) of a Gaussian grows without bound in the wings, so
@@ -121,13 +127,6 @@ def _velocity_update(V: np.ndarray, total_force: np.ndarray, dt: float, dx: floa
 
 def _cfl_exceeded(V: np.ndarray, dt: float, dx: float) -> bool:
     return bool(np.abs(V).max() * dt / dx > 1.0)
-
-
-def perturb_density(state: FluidState, rng, amplitude: float = 1.0) -> FluidState:
-    """Multiply rho at every grid point by exp(alpha), alpha ~ U[0, amplitude];
-    V is untouched.  Mutates and returns the state."""
-    state.ln_rho = state.ln_rho + rng.uniform(0.0, amplitude, size=state.ln_rho.shape)
-    return state
 
 
 def build_force_field(
@@ -263,27 +262,22 @@ def run(
     else:
         state = state.copy()
     rng = np.random.default_rng(config.seed)
-    ln_floor = float(np.max(state.ln_rho)) + math.log(config.rho_floor) if config.rho_floor > 0 else -np.inf
+    ln_floor = float(state.ln_rho.max()) + math.log(RHO_FLOOR)
+
+    def draw_noise() -> np.ndarray:
+        """ln rho perturbation alpha ~ U[0, noise_amplitude] at every cell,
+        i.e. rho multiplied by exp(alpha)."""
+        return rng.uniform(0.0, config.noise_amplitude, size=grid.n)
 
     if config.noise == "initial":
-        perturb_density(state, rng, config.noise_amplitude)
+        state.ln_rho = state.ln_rho + draw_noise()
 
-    rows: list[tuple[float, ...]] = []
-    status_rows: list[str] = []
-    snapshots: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    recorder = Recorder(grid, params, config.snapshot_every)
     final_status = STATUS_OK
-
-    def record(step: int, step_status: str, state: FluidState, m, state_mass: float) -> None:
-        rows.append((
-            state.t, m.mean, m.var, state_mass, float(np.abs(state.V).max()),
-            center_energy_estimate(state, grid, params), smoothness(state, grid),
-        ))
-        status_rows.append(step_status)
-        if config.snapshot_every > 0 and step % config.snapshot_every == 0:
-            snapshots[step] = (np.exp(state.ln_rho), state.V.copy())
-
-    record(0, STATUS_OK, state, moments(state, grid), mass(state, grid))
-    var0 = rows[0][2]
+    m = moments(state, grid)
+    prev_mass = mass(state, grid)
+    recorder.add(0, state, m, prev_mass)
+    var0 = m.var
 
     # Leapfrog bootstrap: the loop below drifts the density with the current
     # velocity and then kicks the velocity with the force at the updated
@@ -302,29 +296,27 @@ def run(
         pass
 
     for step in range(1, config.steps + 1):
-        noise = None
-        if config.noise == "per_step":
-            noise = rng.uniform(0.0, config.noise_amplitude, size=grid.n)
+        noise = draw_noise() if config.noise == "per_step" else None
         step_status, new_state = drift_kick_step(state, grid, params, config, noise, ln_floor)
         if step_status in (STATUS_DISPERSION, STATUS_NONFINITE):
             final_status = step_status
             break
 
-        # a step that blows up the variance or jumps the mass (column 3 of
-        # the previous row) ends the run unrecorded
+        # a step that blows up the variance or jumps the mass ends the run
+        # unrecorded
         try:
             m = moments(new_state, grid)
         except DegenerateDensityError:
             final_status = STATUS_DISPERSION
             break
         new_mass = mass(new_state, grid)
-        ratio = new_mass / rows[-1][3]
+        ratio = new_mass / prev_mass
         if m.var > VAR_BLOWUP_FACTOR * var0 or not (
             1.0 / MASS_STEP_JUMP_FACTOR < ratio < MASS_STEP_JUMP_FACTOR
         ):
             final_status = STATUS_DISPERSION
             break
-        state = new_state
-        record(step, step_status, state, m, new_mass)
+        state, prev_mass = new_state, new_mass
+        recorder.add(step, state, m, new_mass, step_status)
 
-    return build_record(grid, params, rows, status_rows, snapshots, final_status)
+    return recorder.finish(final_status)

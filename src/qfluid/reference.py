@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import FluidState, PhysicalParams, SpatialGrid, init_coherent_state
-from .diagnostics import RunRecord, build_record, center_energy_estimate, smoothness
+from .diagnostics import Recorder, RunRecord
 from .forces import moments
 
 __all__ = ["WaveState", "cn_step", "wave_to_fluid", "fluid_to_wave", "run_reference"]
@@ -43,9 +43,6 @@ class WaveState:
 
     def norm2(self, grid: SpatialGrid) -> float:
         return float(np.sum(np.abs(self.psi) ** 2) * grid.dx)
-
-    def copy(self) -> "WaveState":
-        return WaveState(self.t, self.psi.copy())
 
 
 def cn_step(wave: WaveState, grid: SpatialGrid, params: PhysicalParams, dt: float) -> WaveState:
@@ -130,41 +127,28 @@ def run_reference(
     grid: SpatialGrid,
     dt: float,
     steps: int,
-    wave: WaveState | None = None,
     snapshot_every: int = 1,
 ) -> RunRecord:
-    """Integrate the wave equation and record the same diagnostics as the
-    fluid loop (computed from the extracted density/velocity), so records
-    from both solvers can be compared like for like."""
-    if wave is None:
-        wave = fluid_to_wave(init_coherent_state(params, grid, 0.0), grid, params)
-    else:
-        wave = wave.copy()
-
-    rows: list[tuple[float, ...]] = []
-    snapshots: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    """Integrate the wave equation from the coherent packet and record the
+    same diagnostics as the fluid loop (computed from the extracted
+    density/velocity), so records from both solvers can be compared like
+    for like.  Snapshots hold rho = M |psi|^2 itself."""
+    wave = fluid_to_wave(init_coherent_state(params, grid, 0.0), grid, params)
+    recorder = Recorder(grid, params, snapshot_every)
     final_status = "ok"
-
-    def record(step: int) -> None:
+    for step in range(steps + 1):
+        if step > 0:
+            try:
+                wave = cn_step(wave, grid, params, dt)
+            except RuntimeError:
+                final_status = "diverged_nonfinite"
+                break
+            if not np.all(np.isfinite(wave.psi)):
+                final_status = "diverged_nonfinite"
+                break
         fluid = wave_to_fluid(wave, grid, params)
-        m = moments(fluid, grid)
-        rows.append((
-            wave.t, m.mean, m.var, params.M * wave.norm2(grid), float(np.max(np.abs(fluid.V))),
-            center_energy_estimate(fluid, grid, params), smoothness(fluid, grid),
-        ))
-        if snapshot_every > 0 and step % snapshot_every == 0:
-            snapshots[step] = (params.M * np.abs(wave.psi) ** 2, fluid.V)
-
-    record(0)
-    for step in range(1, steps + 1):
-        try:
-            wave = cn_step(wave, grid, params, dt)
-        except RuntimeError:
-            final_status = "diverged_nonfinite"
-            break
-        if not np.all(np.isfinite(wave.psi)):
-            final_status = "diverged_nonfinite"
-            break
-        record(step)
-
-    return build_record(grid, params, rows, ["ok"] * len(rows), snapshots, final_status)
+        recorder.add(
+            step, fluid, moments(fluid, grid), params.M * wave.norm2(grid),
+            rho=params.M * np.abs(wave.psi) ** 2,
+        )
+    return recorder.finish(final_status)

@@ -72,6 +72,21 @@ def test_compare_passes_at_default_tolerance(tmp_path, capsys):
     assert max(float(r[2]) for r in rows) <= 0.05
 
 
+def test_bare_compare_runs_the_16_step_window_and_passes(tmp_path, capsys):
+    code = main(["compare", "--out", str(tmp_path)])
+    assert code == 0
+    assert "PASS" in capsys.readouterr().out
+    _, rows = read_csv(tmp_path / "compare.csv")
+    assert len(rows) == 17
+
+
+def test_compare_over_a_full_period_exceeds_the_tolerance(tmp_path, capsys):
+    # at dx = dt = 1 the first-order Lax-Friedrichs error outgrows 5% by step 64
+    code = main(["compare", "--steps", "64", "--out", str(tmp_path)])
+    assert code == 3
+    assert "FAIL" in capsys.readouterr().out
+
+
 def test_compare_fails_at_tiny_tolerance(tmp_path, capsys):
     code = main(["compare", "--steps", "16", "--tol", "1e-9", "--out", str(tmp_path)])
     assert code == 3

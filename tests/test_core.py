@@ -83,9 +83,7 @@ def test_run_config_validation():
         RunConfig(noise_target="force")
     with pytest.raises(ValueError):
         RunConfig(snapshot_every=-1)
-    with pytest.raises(ValueError):
-        RunConfig(rho_floor=1.5)
-    for field in ("dt", "noise_amplitude", "rho_floor"):
+    for field in ("dt", "noise_amplitude"):
         for bad in (math.nan, math.inf):
             with pytest.raises(ValueError):
                 RunConfig(**{field: bad})

@@ -135,7 +135,7 @@ def test_smoothness_increases_with_noise():
     grid = default_grid()
     state = qf.init_coherent_state(params, grid, 0.0)
     before = qf.smoothness(state, grid)
-    qf.perturb_density(state, np.random.default_rng(1))
+    state.ln_rho = state.ln_rho + np.random.default_rng(1).uniform(0.0, 1.0, size=grid.n)
     assert qf.smoothness(state, grid) > 100 * before
 
 

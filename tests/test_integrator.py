@@ -1,4 +1,4 @@
-"""Drift-kick stepper, perturbations, and the feedback loop (`run`)."""
+"""Drift-kick stepper and the feedback loop (`run`): its noise, floor and record."""
 
 import math
 from dataclasses import replace
@@ -8,6 +8,7 @@ import pytest
 
 import qfluid as qf
 from qfluid.core import FluidState
+from qfluid.integrator import RHO_FLOOR
 from qfluid.presets import default_config, default_grid, default_params
 
 
@@ -80,41 +81,63 @@ def test_run_is_mirror_symmetric(name):
     assert np.max(np.abs(r1.var / r2.var - 1.0)) <= 1e-12
 
 
-def test_perturb_density_zero_amplitude_is_identity():
-    grid = default_grid()
-    state = qf.init_coherent_state(default_params(), grid, 0.0)
-    before = state.ln_rho.copy()
-    qf.perturb_density(state, np.random.default_rng(0), amplitude=0.0)
-    assert np.array_equal(state.ln_rho, before)
+def record_arrays(rec):
+    return (rec.t, rec.mean, rec.var, rec.mass, rec.max_abs_V, rec.center_energy,
+            rec.smoothness_series)
 
 
-def test_perturb_density_deterministic_given_seed():
-    grid = default_grid()
-    s1 = qf.init_coherent_state(default_params(), grid, 0.0)
-    s2 = qf.init_coherent_state(default_params(), grid, 0.0)
-    qf.perturb_density(s1, np.random.default_rng(99))
-    qf.perturb_density(s2, np.random.default_rng(99))
-    assert np.array_equal(s1.ln_rho, s2.ln_rho)
-    assert np.all(s1.ln_rho >= qf.init_coherent_state(default_params(), grid, 0.0).ln_rho)
-
-
-def test_perturb_density_mean_factor():
-    # E[exp(alpha)] = e - 1 for alpha ~ U[0,1]; Monte-Carlo to 0.1%
-    rng = np.random.default_rng(123)
-    state = FluidState(0.0, np.zeros(10**6), np.zeros(10**6))
-    qf.perturb_density(state, rng)
-    assert np.exp(state.ln_rho).mean() == pytest.approx(math.e - 1.0, rel=1e-3)
-
-
-def test_run_is_deterministic():
+def test_run_initial_noise_is_one_uniform_draw():
+    # the initial perturbation multiplies rho by exp(alpha), alpha drawn as
+    # the first U[0, amplitude] vector of the run's seeded generator
     params, grid = default_params(), default_grid()
-    cfg = default_config(steps=30, noise="per_step", seed=5)
+    amp, seed = 0.7, 13
+    clean = qf.run(default_config(steps=1, snapshot_every=1), params, grid)
+    noisy = qf.run(
+        default_config(steps=1, snapshot_every=1, noise="initial", noise_amplitude=amp, seed=seed),
+        params, grid,
+    )
+    alpha = np.log(noisy.snapshots[0][0] / clean.snapshots[0][0])
+    expected = np.random.default_rng(seed).uniform(0.0, amp, grid.n)
+    assert np.allclose(alpha, expected, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("noise", ["initial", "per_step"])
+def test_run_with_zero_noise_amplitude_matches_clean_run(noise):
+    params, grid = default_params(), default_grid()
+    clean = qf.run(default_config(steps=20, snapshot_every=10), params, grid)
+    quiet = qf.run(
+        default_config(steps=20, snapshot_every=10, noise=noise, noise_amplitude=0.0, seed=3),
+        params, grid,
+    )
+    for a, b in zip(record_arrays(clean), record_arrays(quiet)):
+        assert np.array_equal(a, b)
+    assert clean.status == quiet.status
+    assert all(np.array_equal(clean.snapshots[k][0], quiet.snapshots[k][0]) for k in (0, 10, 20))
+
+
+@pytest.mark.parametrize("noise", ["initial", "per_step"])
+def test_run_is_deterministic(noise):
+    params, grid = default_params(), default_grid()
+    cfg = default_config(steps=30, noise=noise, seed=5)
     r1 = qf.run(cfg, params, grid)
     r2 = qf.run(cfg, params, grid)
-    assert np.array_equal(r1.mean, r2.mean)
-    assert np.array_equal(r1.var, r2.var)
-    assert np.array_equal(r1.mass, r2.mass)
+    for a, b in zip(record_arrays(r1), record_arrays(r2)):
+        assert np.array_equal(a, b)
     assert r1.status == r2.status
+
+
+def test_run_clamps_ln_rho_at_the_density_floor():
+    # a hole 60 e-folds deep at the center cell: the first drift averages it
+    # into the neighbors, which would land 3.6 below the floor unclamped
+    params, config, grid = qf.preset("fig1")
+    state = qf.init_coherent_state(params, grid, 0.0)
+    peak = state.ln_rho.max()
+    state.ln_rho[96] = peak - 60.0
+    rec = qf.run(replace(config, steps=2, snapshot_every=1), params, grid, state=state)
+    assert rec.steps_survived == 2
+    floor = peak + math.log(RHO_FLOOR)
+    assert RHO_FLOOR == 1e-12
+    assert np.log(rec.snapshots[1][0]).min() >= floor - 1e-9
 
 
 def test_run_trajectory_scale_invariance():

@@ -55,6 +55,14 @@ def test_cn_center_returns_after_one_period():
     assert rec.var[-1] == pytest.approx(params.equilibrium_sigma2(), rel=0.01)
 
 
+def test_run_reference_snapshot_cadence():
+    params, grid = default_params(), default_grid()
+    rec = qf.run_reference(params, grid, dt=1.0, steps=10, snapshot_every=5)
+    assert sorted(rec.snapshots) == [0, 5, 10]
+    for rho, V in rec.snapshots.values():
+        assert rho.shape == (grid.n,) and V.shape == (grid.n,)
+
+
 def test_cn_norm_preserved_with_pressure():
     # the lagged logarithmic term keeps each step Hermitian
     params = default_params(kp=1.0)
