@@ -1,8 +1,9 @@
 """Noise injected into every loop iteration, two ways.
 
 The run can perturb either the measured copy that feeds the force estimate
-("measurement": detector and actuation errors) or the evolving fluid itself
-("state": measurement error plus unmodeled physics dumped into the density).
+(noise "measurement": detector and actuation errors) or the evolving fluid
+itself (noise "per_step": measurement error plus unmodeled physics dumped
+into the density).
 Measurement noise leaves the fluid's own moments nearly clean because the
 Gaussian fit averages the jitter out of the applied force.  State noise is
 far harsher: the recorded dispersion inherits the full per-step fluctuation
@@ -16,8 +17,8 @@ import qfluid as qf
 
 params, base_config, grid = qf.preset("fig3")
 
-for target in ("measurement", "state"):
-    config = replace(base_config, noise_target=target, steps=40)
+for noise, target in (("measurement", "measurement"), ("per_step", "state")):
+    config = replace(base_config, noise=noise, steps=40)
     record = qf.run(config, params, grid)
     ce = qf.center_error(record, params)
     de = qf.dispersion_error(record, params)

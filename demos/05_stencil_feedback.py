@@ -10,14 +10,14 @@ noise takes over within a fraction of a period.
 """
 
 import qfluid as qf
-from qfluid.presets import default_config, default_grid, default_params
+from qfluid.presets import default_grid, default_params
 
 params = default_params()
 grid = default_grid()
 
 print("gain = (D dt/dx^2)^2 per step for the worst ripple mode\n")
 for dt, steps in ((0.02, 800), (0.05, 800), (0.1, 400), (1.0, 40)):
-    config = default_config(steps=steps, dt=dt, estimator="finite_difference")
+    config = qf.RunConfig(steps=steps, dt=dt, estimator="finite_difference")
     record = qf.run(config, params, grid)
     gain = (params.D * dt / grid.dx**2) ** 2
     ce = qf.center_error(record, params).max()

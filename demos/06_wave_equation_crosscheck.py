@@ -12,13 +12,13 @@ as a discretization artifact should.
 import numpy as np
 
 import qfluid as qf
-from qfluid.presets import default_config, default_params
+from qfluid.presets import default_params
 
 
 def compare(dx, dt, steps):
     params = default_params()
     grid = qf.make_grid(-96.0, dx, int(round(192 / dx)))
-    config = default_config(steps=steps, dt=dt, estimator="oracle_exact", snapshot_every=1)
+    config = qf.RunConfig(steps=steps, dt=dt, estimator="oracle_exact", snapshot_every=1)
     rec_fluid = qf.run(config, params, grid)
     rec_wave = qf.run_reference(params, grid, dt=dt, steps=steps)
     steps_idx, dist = qf.l2_density_distance(rec_fluid, rec_wave)

@@ -12,7 +12,7 @@ any equilibrium of their own dynamics.
 """
 
 import qfluid as qf
-from qfluid.presets import default_config, default_grid, default_params
+from qfluid.presets import default_grid, default_params
 
 base = default_params()
 grid = default_grid()
@@ -22,7 +22,7 @@ print(" D / D_default   steps survived   final width^2 / initial   status")
 survivals = []
 for factor in (1.0, 0.5, 0.25, 0.1, 0.03, 0.01):
     params = qf.PhysicalParams(D=base.D * factor, omega=base.omega, a=base.a)
-    config = default_config(steps=128)
+    config = qf.RunConfig(steps=128)
     record = qf.run(config, params, grid, state=state0)
     survivals.append(record.steps_survived)
     print(f"{factor:13.2f} {record.steps_survived:14d} "

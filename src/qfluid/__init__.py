@@ -39,7 +39,7 @@ from .forces import (
 )
 from .integrator import build_force_field, drift_kick_step, run
 from .oracle import OracleWave
-from .presets import default_config, default_grid, default_params, preset, preset_names
+from .presets import default_grid, default_params, preset, preset_names
 from .reference import WaveState, cn_step, fluid_to_wave, run_reference, wave_to_fluid
 
 __version__ = "0.1.0"
@@ -72,7 +72,6 @@ __all__ = [
     "drift_kick_step",
     "run",
     "OracleWave",
-    "default_config",
     "default_grid",
     "default_params",
     "preset",

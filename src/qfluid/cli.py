@@ -19,15 +19,16 @@ import argparse
 import os
 import re
 import sys
+from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .core import PhysicalParams, RunConfig, SpatialGrid, make_grid
 from .diagnostics import RunRecord, l2_density_distance
-from .integrator import run
+from .integrator import run, sponge_active
 from .presets import PRESETS, default_grid, default_params, preset, preset_names
 from .reference import run_reference
 
@@ -42,14 +43,9 @@ _ESTIMATOR_FLAGS = {
     "oracle": "oracle_exact",
     "none": "none",
 }
-_NOISE_FLAGS = {"none": "none", "initial": "initial", "per-step": "per_step"}
-
-# keys accepted in a config file (flat `key = value` lines); identical to the
-# corresponding command-line flags
-_CONFIG_KEYS = (
-    "preset", "steps", "dt", "dx", "n", "D", "omega", "a", "kp",
-    "estimator", "noise", "seed", "snapshot_every", "out", "tol",
-)
+_NOISE_FLAGS = {
+    "none": "none", "initial": "initial", "per-step": "per_step", "measurement": "measurement",
+}
 
 
 # `compare` without a preset runs the closed-form force for the 16 steps its
@@ -66,7 +62,73 @@ def _fmt(value: float) -> str:
     return f"{value:.17g}"
 
 
+def _choice(flags: dict[str, str]):
+    """(parse, show) between the flag words of ``flags`` and their values."""
+
+    def parse(text: str) -> str:
+        if text not in flags:
+            raise argparse.ArgumentTypeError(f"unknown value {text!r}; choose from {sorted(flags)}")
+        return flags[text]
+
+    return parse, {value: word for word, value in flags.items()}.__getitem__
+
+
+_FLOAT = (float, _fmt)
+_INT = (int, str)
+_TEXT = (str, str)
+_BOOL = (None, lambda value: str(value).lower())
+
+
+# One table of settings.  `key` is the config-file key and, with "-" for
+# "_", the flag; `home` names where the resolved value lives ("params",
+# "grid", "config" or "scenario"); `kind` is the (parse, show) pair between
+# text and value.  A setting without `help` is resolved but cannot be set:
+# --print-config shows it as a comment.
+_Setting = namedtuple("_Setting", "key home kind help", defaults=(None,))
+_SETTINGS = (
+    _Setting("preset", "scenario", _TEXT, "named experiment preset (see `qfluid presets`)"),
+    _Setting("D", "params", _FLOAT, "generalized quantum constant"),
+    _Setting("omega", "params", _FLOAT, "trap angular frequency"),
+    _Setting("a", "params", _FLOAT, "packet oscillation amplitude"),
+    _Setting("kp", "params", _FLOAT, "pressure amplitude (squared sound speed)"),
+    _Setting("M", "params", _FLOAT),
+    _Setting("dx", "grid", _FLOAT, "grid spacing"),
+    _Setting("n", "grid", _INT, "number of grid points (grid stays centered on 0)"),
+    _Setting("x0", "grid", _FLOAT),
+    _Setting("dt", "config", _FLOAT, "time step"),
+    _Setting("steps", "config", _INT, "number of loop iterations"),
+    _Setting("estimator", "config", _choice(_ESTIMATOR_FLAGS),
+             f"quantum-force estimator: {', '.join(sorted(_ESTIMATOR_FLAGS))}"),
+    _Setting("noise", "config", _choice(_NOISE_FLAGS),
+             f"density noise mode: {', '.join(sorted(_NOISE_FLAGS))}"),
+    _Setting("noise_amplitude", "config", _FLOAT),
+    _Setting("seed", "config", _INT, "RNG seed"),
+    _Setting("snapshot_every", "config", _INT, "write a density snapshot every k steps (0 = off)"),
+    _Setting("boundary_damping", "scenario", _BOOL),
+    _Setting("out", "scenario", _TEXT, "output directory (default $QFLUID_OUT or ./out)"),
+    _Setting("tol", "scenario", _FLOAT, "comparison tolerance (compare only)"),
+)
+_SETTABLE = {setting.key: setting for setting in _SETTINGS if setting.help}
+
+
+@dataclass(frozen=True)
+class _Scenario:
+    """A resolved scenario: what to run, where to write, what to accept."""
+
+    params: PhysicalParams
+    config: RunConfig
+    grid: SpatialGrid
+    preset: str | None
+    out: str
+    tol: float
+
+    @property
+    def boundary_damping(self) -> bool:
+        return sponge_active(self.params, self.config)
+
+
 def _read_config_file(path: str) -> dict:
+    """Parsed values of a flat `key = value` file, by key."""
     values = {}
     try:
         text = Path(path).read_text()
@@ -79,18 +141,26 @@ def _read_config_file(path: str) -> dict:
         if "=" not in line:
             raise UsageError(f"{path}:{lineno}: expected `key = value`, got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _CONFIG_KEYS:
+        if key not in _SETTABLE:
             raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
-        values[key] = value
+        try:
+            values[key] = _SETTABLE[key].kind[0](value)
+        except (ValueError, argparse.ArgumentTypeError) as err:
+            raise UsageError(f"{path}:{lineno}: {key}: {err}") from None
     return values
 
 
-def _build_scenario(args, base=RunConfig()) -> tuple[PhysicalParams, RunConfig, SpatialGrid, str, float]:
+def _build_scenario(args, base=RunConfig()) -> _Scenario:
     """Resolve preset (else the default scenario run with config ``base``),
     config file, and flags (in increasing precedence)."""
-    file_values = _read_config_file(args.config) if args.config else {}
+    values = _read_config_file(args.config) if args.config else {}
+    values.update((key, getattr(args, key)) for key in _SETTABLE if getattr(args, key) is not None)
+    by_home = {"params": {}, "grid": {}, "config": {}, "scenario": {}}
+    for key, value in values.items():
+        by_home[_SETTABLE[key].home][key] = value
+    own = by_home["scenario"]
 
-    preset_name = args.preset or file_values.get("preset")
+    preset_name = own.get("preset") or None
     if preset_name:
         try:
             params, config, grid = preset(preset_name)
@@ -99,82 +169,29 @@ def _build_scenario(args, base=RunConfig()) -> tuple[PhysicalParams, RunConfig, 
     else:
         params, config, grid = default_params(), base, default_grid()
 
-    def pick(flag_name, cast):
-        flag = getattr(args, flag_name.replace("-", "_"), None)
-        if flag is not None:
-            return cast(flag)
-        if flag_name in file_values:
-            try:
-                return cast(file_values[flag_name])
-            except ValueError as err:
-                raise UsageError(f"config key {flag_name}: {err}") from None
-        return None
-
-    physical = {key: pick(key, float) for key in ("D", "omega", "a", "kp")}
-    physical = {key: value for key, value in physical.items() if value is not None}
-    if physical:
-        try:
-            params = replace(params, **physical)
-        except ValueError as err:
-            raise UsageError(str(err)) from None
-
-    dx = pick("dx", float)
-    n = pick("n", int)
-    if dx is not None or n is not None:
-        dx = dx if dx is not None else grid.dx
-        n = n if n is not None else grid.n
-        try:
+    try:
+        params = replace(params, **by_home["params"])
+        if by_home["grid"]:
+            dx = by_home["grid"].get("dx", grid.dx)
+            n = by_home["grid"].get("n", grid.n)
             grid = make_grid(-0.5 * n * dx, dx, n)
-        except ValueError as err:
-            raise UsageError(str(err)) from None
+        config = replace(config, **by_home["config"])
+    except ValueError as err:
+        raise UsageError(str(err)) from None
 
-    overrides = {}
-    for key, cast in (
-        ("steps", int), ("dt", float), ("seed", int), ("snapshot_every", int),
-    ):
-        value = pick(key, cast)
+    out = own.get("out") or os.environ.get("QFLUID_OUT") or "./out"
+    return _Scenario(params, config, grid, preset_name, out, own.get("tol", 0.05))
+
+
+def _print_config(scenario: _Scenario) -> None:
+    """Print the resolved settings as a config file that reruns them; the
+    values no key can set are comments."""
+    for setting in _SETTINGS:
+        home = scenario if setting.home == "scenario" else getattr(scenario, setting.home)
+        value = getattr(home, setting.key)
         if value is not None:
-            overrides[key] = value
-    estimator = pick("estimator", str)
-    if estimator is not None:
-        if estimator not in _ESTIMATOR_FLAGS:
-            raise UsageError(
-                f"unknown estimator {estimator!r}; choose from {sorted(_ESTIMATOR_FLAGS)}"
-            )
-        overrides["estimator"] = _ESTIMATOR_FLAGS[estimator]
-    noise = pick("noise", str)
-    if noise is not None:
-        if noise not in _NOISE_FLAGS:
-            raise UsageError(f"unknown noise mode {noise!r}; choose from {sorted(_NOISE_FLAGS)}")
-        overrides["noise"] = _NOISE_FLAGS[noise]
-    if overrides:
-        try:
-            config = replace(config, **overrides)
-        except ValueError as err:
-            raise UsageError(str(err)) from None
-
-    out = args.out or file_values.get("out") or os.environ.get("QFLUID_OUT") or "./out"
-    tol = pick("tol", float)
-    if tol is None:
-        tol = 0.05
-    return params, config, grid, out, tol
-
-
-def _print_config(params, config, grid, out, tol):
-    flag_estimator = {v: k for k, v in _ESTIMATOR_FLAGS.items()}[config.estimator]
-    flag_noise = {v: k for k, v in _NOISE_FLAGS.items()}[config.noise]
-    for key, value in (
-        ("D", _fmt(params.D)), ("omega", _fmt(params.omega)), ("a", _fmt(params.a)),
-        ("kp", _fmt(params.kp)), ("M", _fmt(params.M)),
-        ("dx", _fmt(grid.dx)), ("n", str(grid.n)), ("x0", _fmt(grid.x0)),
-        ("dt", _fmt(config.dt)), ("steps", str(config.steps)),
-        ("estimator", flag_estimator), ("noise", flag_noise),
-        ("noise_target", config.noise_target), ("seed", str(config.seed)),
-        ("snapshot_every", str(config.snapshot_every)),
-        ("boundary_damping", str(config.boundary_damping).lower()),
-        ("out", out), ("tol", _fmt(tol)),
-    ):
-        print(f"{key} = {value}")
+            comment = "" if setting.help else "# "
+            print(f"{comment}{setting.key} = {setting.kind[1](value)}")
 
 
 def _write_diagnostics(record: RunRecord, path: Path) -> None:
@@ -199,15 +216,15 @@ def _write_snapshots(record: RunRecord, out_dir: Path) -> None:
 
 
 def _cmd_run(args) -> int:
-    params, config, grid, out, _ = _build_scenario(args)
+    scenario = _build_scenario(args)
     if args.print_config:
-        _print_config(params, config, grid, out, 0.05)
+        _print_config(scenario)
         return EXIT_OK
-    out_dir = Path(out)
+    out_dir = Path(scenario.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    record = run(config, params, grid)
+    record = run(scenario.config, scenario.params, scenario.grid)
     _write_diagnostics(record, out_dir / "diagnostics.csv")
-    if config.snapshot_every > 0:
+    if scenario.config.snapshot_every > 0:
         _write_snapshots(record, out_dir)
     print(
         f"steps_survived={record.steps_survived} status={record.final_status} "
@@ -221,12 +238,13 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    params, config, grid, out, tol = _build_scenario(args, _COMPARE_BASE)
+    scenario = _build_scenario(args, _COMPARE_BASE)
     if args.print_config:
-        _print_config(params, config, grid, out, tol)
+        _print_config(scenario)
         return EXIT_OK
-    config = replace(config, snapshot_every=1)
-    out_dir = Path(out)
+    params, grid = scenario.params, scenario.grid
+    config = replace(scenario.config, snapshot_every=1)
+    out_dir = Path(scenario.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     record_fb = run(config, params, grid)
@@ -239,8 +257,8 @@ def _cmd_compare(args) -> int:
     (out_dir / "compare.csv").write_text("\n".join(lines) + "\n")
 
     worst = float(np.max(dist)) if len(dist) else float("nan")
-    ok = record_fb.final_status == "ok" and len(dist) == config.steps + 1 and worst <= tol
-    print(f"max_l2_distance={_fmt(worst)} tol={_fmt(tol)} -> {'PASS' if ok else 'FAIL'}")
+    ok = record_fb.final_status == "ok" and len(dist) == config.steps + 1 and worst <= scenario.tol
+    print(f"max_l2_distance={_fmt(worst)} tol={_fmt(scenario.tol)} -> {'PASS' if ok else 'FAIL'}")
     print(f"series written to {out_dir / 'compare.csv'}")
     if record_fb.final_status != "ok":
         return EXIT_DIVERGED
@@ -251,7 +269,7 @@ _SWEEPABLE = ("D", "omega", "a", "kp", "dt", "steps", "seed", "noise-amplitude")
 
 
 def _sweep_point(params, config, name, value):
-    """The (params, config) of one sweep point; raises UsageError naming the
+    """The (config, params) of one sweep point; raises UsageError naming the
     point if the value is invalid for its parameter."""
     try:
         if name in ("steps", "seed"):
@@ -259,19 +277,14 @@ def _sweep_point(params, config, name, value):
                 raise ValueError(f"{name} must be an integer")
             value = int(value)
         if name in ("D", "omega", "a", "kp"):
-            return replace(params, **{name: value}), config
-        return params, replace(config, **{name.replace("-", "_"): value})
+            return config, replace(params, **{name: value})
+        return replace(config, **{name.replace("-", "_"): value}), params
     except ValueError as err:
         raise UsageError(f"sweep point {name}={value:g}: {err}") from None
 
 
-def _run_sweep_point(params, config, grid):
-    record = run(config, params, grid)
-    return record.steps_survived, record.max_center_error, record.max_var_error, record.final_status
-
-
 def _cmd_sweep(args) -> int:
-    params, config, grid, out, _ = _build_scenario(args)
+    scenario = _build_scenario(args)
     if args.param not in _SWEEPABLE:
         raise UsageError(f"cannot sweep {args.param!r}; choose from {_SWEEPABLE}")
     try:
@@ -280,16 +293,17 @@ def _cmd_sweep(args) -> int:
         raise UsageError(f"bad sweep values: {err}") from None
     if not values:
         raise UsageError("empty sweep range")
-    points = [_sweep_point(params, config, args.param, v) for v in values]
+    points = [_sweep_point(scenario.params, scenario.config, args.param, v) for v in values]
 
-    out_dir = Path(out)
+    out_dir = Path(scenario.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     with ThreadPoolExecutor(max_workers=min(8, len(values))) as pool:
-        results = list(pool.map(lambda point: _run_sweep_point(*point, grid), points))
+        records = list(pool.map(lambda point: run(*point, scenario.grid), points))
 
     lines = ["param,value,steps_survived,max_center_error,max_var_error,status"]
-    for value, (survived, ce, de, status) in zip(values, results):
-        lines.append(f"{args.param},{_fmt(value)},{survived},{_fmt(ce)},{_fmt(de)},{status}")
+    for value, rec in zip(values, records):
+        lines.append(f"{args.param},{_fmt(value)},{rec.steps_survived},{_fmt(rec.max_center_error)},"
+                     f"{_fmt(rec.max_var_error)},{rec.final_status}")
     (out_dir / "sweep.csv").write_text("\n".join(lines) + "\n")
     for line in lines:
         print(line)
@@ -309,25 +323,12 @@ def _cmd_presets(_args) -> int:
 
 
 def _add_scenario_flags(sub):
-    sub.add_argument("--preset", help="named experiment preset (see `qfluid presets`)")
     sub.add_argument("--config", help="flat key = value config file; flags override it")
-    sub.add_argument("--steps", type=int, help="number of loop iterations")
-    sub.add_argument("--dt", type=float, help="time step")
-    sub.add_argument("--dx", type=float, help="grid spacing")
-    sub.add_argument("--n", type=int, help="number of grid points (grid stays centered on 0)")
-    sub.add_argument("--D", type=float, help="generalized quantum constant")
-    sub.add_argument("--omega", type=float, help="trap angular frequency")
-    sub.add_argument("--a", type=float, help="packet oscillation amplitude")
-    sub.add_argument("--kp", type=float, help="pressure amplitude (squared sound speed)")
-    sub.add_argument("--estimator", choices=sorted(_ESTIMATOR_FLAGS), help="quantum-force estimator")
-    sub.add_argument("--noise", choices=sorted(_NOISE_FLAGS), help="density noise mode")
-    sub.add_argument("--seed", type=int, help="RNG seed")
-    sub.add_argument("--snapshot-every", type=int, dest="snapshot_every",
-                     help="write a density snapshot every k steps (0 = off)")
-    sub.add_argument("--out", help="output directory (default $QFLUID_OUT or ./out)")
-    sub.add_argument("--tol", type=float, help="comparison tolerance (compare only)")
+    for setting in _SETTABLE.values():
+        sub.add_argument(f"--{setting.key.replace('_', '-')}", dest=setting.key,
+                         type=setting.kind[0], help=setting.help)
     sub.add_argument("--print-config", action="store_true",
-                     help="print the resolved settings and exit")
+                     help="print the resolved settings as a config file and exit")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -31,8 +31,7 @@ __all__ = [
 MIN_GRID_POINTS = 7
 
 ESTIMATORS = ("gaussian_fit", "finite_difference", "oracle_exact", "none")
-NOISE_MODES = ("none", "initial", "per_step")
-NOISE_TARGETS = ("state", "measurement")
+NOISE_MODES = ("none", "initial", "per_step", "measurement")
 
 
 @dataclass(frozen=True)
@@ -140,28 +139,24 @@ class RunConfig:
                      finite_difference log-derivative stencils on the grid
                      oracle_exact      closed-form coherent-packet force
                      none              no quantum force (classical fluid)
-    noise            none | initial | per_step multiplicative exp(alpha)
-                     density perturbations, alpha ~ U[0, noise_amplitude]
-    noise_target     where per-step noise lands: the evolving state itself
-                     ("state") or only the measured copy that feeds the
-                     force estimate ("measurement")
+    noise            multiplicative exp(alpha) density perturbations,
+                     alpha ~ U[0, noise_amplitude] at every cell: none,
+                     initial (once, on the initial density), per_step
+                     (fresh every step, on the fluid) or measurement (fresh
+                     every step, only on the copy the force is measured on)
     snapshot_every   store (rho, V) snapshots every k steps (0 = off)
-    boundary_damping absorbing velocity strip at the grid edges; useful for
-                     pressure runs with the fitted estimator, whose gated
-                     tails shed momentum toward the boundary, but must stay
-                     off for the stencil estimator, which would re-read the
-                     strip's shear layer as a density ridge
+
+    The absorbing boundary strip is not a setting: ``integrator.sponge_active``
+    derives it from the pressure and the estimator.
     """
 
     dt: float = 1.0
     steps: int = 64
     estimator: str = "gaussian_fit"
     noise: str = "none"
-    noise_target: str = "state"
     noise_amplitude: float = 1.0
     seed: int = 0
     snapshot_every: int = 0
-    boundary_damping: bool = False
 
     def __post_init__(self):
         for name in ("dt", "noise_amplitude"):
@@ -177,8 +172,6 @@ class RunConfig:
             raise ValueError(f"unknown estimator {self.estimator!r}; choose from {ESTIMATORS}")
         if self.noise not in NOISE_MODES:
             raise ValueError(f"unknown noise mode {self.noise!r}; choose from {NOISE_MODES}")
-        if self.noise_target not in NOISE_TARGETS:
-            raise ValueError(f"unknown noise target {self.noise_target!r}; choose from {NOISE_TARGETS}")
         if self.noise_amplitude < 0:
             raise ValueError("noise_amplitude must be non-negative")
         if self.snapshot_every < 0:

@@ -40,7 +40,7 @@ from .forces import (
 )
 from .oracle import OracleWave
 
-__all__ = ["drift_kick_step", "build_force_field", "run"]
+__all__ = ["drift_kick_step", "build_force_field", "sponge_active", "run"]
 
 STATUS_OK = "ok"
 STATUS_CFL = "cfl_warning"
@@ -77,7 +77,7 @@ PRESSURE_GATE_SHARPNESS = 1.0
 # Absorbing strip: velocities in the outermost cells are damped each step
 # (quadratic ramp, factor 1/(1+s), s -> SPONGE_STRENGTH at the edge) so that
 # whatever momentum the gated tail fluid still picks up cannot pile up
-# against the open boundary.
+# against the open boundary.  See ``sponge_active`` for when it is on.
 SPONGE_CELLS = 8
 SPONGE_STRENGTH = 1.0
 
@@ -189,6 +189,13 @@ def _damping(n: int) -> np.ndarray:
     return damp
 
 
+def sponge_active(params: PhysicalParams, config: RunConfig) -> bool:
+    """Whether the absorbing strip damps V: in pressure runs, whose gated
+    tails shed momentum toward the boundary, except with the stencil
+    estimator, which would re-read the strip's shear layer as a ridge."""
+    return params.kp > 0.0 and config.estimator != "finite_difference"
+
+
 def drift_kick_step(
     state: FluidState,
     grid: SpatialGrid,
@@ -200,15 +207,15 @@ def drift_kick_step(
     """One protocol step: drift ln rho with the current V, measure the
     drifted density, kick V with the force estimated from it.
 
-    ``noise`` is this step's ln rho perturbation; ``config.noise_target``
-    decides whether it lands on the state before the drift or only on the
-    measured copy.  ln rho is clamped from below at ``ln_floor``.  Returns
+    ``noise`` is this step's ln rho perturbation; it lands only on the
+    measured copy if ``config.noise`` is "measurement", else on the state
+    before the drift.  ln rho is clamped from below at ``ln_floor``.  Returns
     (status, new state) without touching ``state``; on a "diverged_*"
     status the returned state must not be fed back into the loop.
     """
     dt, dx = config.dt, grid.dx
     ln_rho = state.ln_rho
-    if noise is not None and config.noise_target == "state":
+    if noise is not None and config.noise != "measurement":
         ln_rho = ln_rho + noise
 
     cfl = _cfl_exceeded(state.V, dt, dx)
@@ -217,7 +224,7 @@ def drift_kick_step(
     t_new = state.t + dt
 
     measured_lnr = new_lnr
-    if noise is not None and config.noise_target == "measurement":
+    if noise is not None and config.noise == "measurement":
         measured_lnr = new_lnr + noise
 
     try:
@@ -235,7 +242,7 @@ def drift_kick_step(
         return STATUS_DISPERSION, state
 
     new_V = _velocity_update(state.V, forces.total, dt, dx)
-    if config.boundary_damping:
+    if sponge_active(params, config):
         new_V *= _damping(grid.n)
 
     new_state = FluidState(t_new, new_lnr, new_V)
@@ -296,7 +303,7 @@ def run(
         pass
 
     for step in range(1, config.steps + 1):
-        noise = draw_noise() if config.noise == "per_step" else None
+        noise = draw_noise() if config.noise in ("per_step", "measurement") else None
         step_status, new_state = drift_kick_step(state, grid, params, config, noise, ln_floor)
         if step_status in (STATUS_DISPERSION, STATUS_NONFINITE):
             final_status = step_status

@@ -28,7 +28,6 @@ from .core import PhysicalParams, RunConfig, SpatialGrid, make_grid
 __all__ = [
     "default_params",
     "default_grid",
-    "default_config",
     "PRESETS",
     "preset",
     "preset_names",
@@ -52,48 +51,44 @@ def default_grid(dx: float = 1.0, n: int = GRID_N) -> SpatialGrid:
     return make_grid(-0.5 * n * dx, dx, n)
 
 
-def default_config(**overrides) -> RunConfig:
-    return RunConfig(**overrides)
-
-
 def _fig1():
     """Clean feedback run, Gaussian-fit force: 77 steps = 1.2 periods of the
     non-spreading oscillation."""
-    return default_params(), default_config(steps=77, estimator="gaussian_fit"), default_grid()
+    return default_params(), RunConfig(steps=77, estimator="gaussian_fit"), default_grid()
 
 
 def _fig2():
     """Same loop started from a density multiplied by exp(U[0,1]) noise at
     every point; one full period."""
-    cfg = default_config(steps=64, estimator="gaussian_fit", noise="initial", seed=9)
+    cfg = RunConfig(steps=64, estimator="gaussian_fit", noise="initial", seed=9)
     return default_params(), cfg, default_grid()
 
 
 def _fig3():
     """Fresh exp(U[0,1]) noise injected into the measured density at every
     loop iteration; the applied force wobbles accordingly while the fluid's
-    own moments keep tracking the coherent packet for about 1/3 period."""
-    cfg = default_config(
-        steps=25, estimator="gaussian_fit", noise="per_step", noise_target="measurement", seed=10
-    )
+    own moments keep tracking the coherent packet for about 1/3 period.
+    The noise lands only on the measured copy (noise="measurement"); the
+    fluid itself carries none."""
+    cfg = RunConfig(steps=25, estimator="gaussian_fit", noise="measurement", seed=10)
     return default_params(), cfg, default_grid()
 
 
 def _fig4():
     """Strong pressure (kp = 5): pronounced oscillatory spreading.  Sound
     speed sqrt(5) plus the width-breathing flow requires dt = 1/8; the run
-    covers 40 time units so the full breathing cycle is visible.  The
-    absorbing strip keeps the momentum shed by the gated tails from piling
-    up at the open boundary."""
-    cfg = default_config(steps=320, dt=0.125, estimator="gaussian_fit", boundary_damping=True)
+    covers 40 time units so the full breathing cycle is visible.  As in
+    every pressure run with a fitted force, the absorbing strip keeps the
+    momentum shed by the gated tails from piling up at the open boundary."""
+    cfg = RunConfig(steps=320, dt=0.125, estimator="gaussian_fit")
     return default_params(kp=5.0), cfg, default_grid()
 
 
 def _fig5():
     """Mild pressure (kp = 1): the packet spreads and nearly recovers after
     half a period (32 time units); dt = 1/4 for the acoustic CFL with unit
-    sound speed."""
-    cfg = default_config(steps=160, dt=0.25, estimator="gaussian_fit", boundary_damping=True)
+    sound speed.  The absorbing strip is on, as in fig4."""
+    cfg = RunConfig(steps=160, dt=0.25, estimator="gaussian_fit")
     return default_params(kp=1.0), cfg, default_grid()
 
 
@@ -103,7 +98,7 @@ def _fig6():
     grid-scale density ripples at a per-step gain of order (D dt/dx^2)^2,
     so dt = 1/50 keeps the loop below the ripple-growth threshold for the
     whole window."""
-    cfg = default_config(steps=800, dt=0.02, estimator="finite_difference")
+    cfg = RunConfig(steps=800, dt=0.02, estimator="finite_difference")
     return default_params(), cfg, default_grid()
 
 
@@ -111,7 +106,7 @@ def _fig7():
     """Finite-difference force plus pressure (kp = 1): oscillatory
     spreading, integrated through a full breathing cycle (half a period);
     same ripple-gain-limited dt as fig6."""
-    cfg = default_config(steps=1600, dt=0.02, estimator="finite_difference")
+    cfg = RunConfig(steps=1600, dt=0.02, estimator="finite_difference")
     return default_params(kp=1.0), cfg, default_grid()
 
 

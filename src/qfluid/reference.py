@@ -95,8 +95,12 @@ def wave_to_fluid(wave: WaveState, grid: SpatialGrid, params: PhysicalParams) ->
     """Read the fluid fields out of psi: rho = M |psi|^2 and
     V = 2 D Im(psi_x / psi) by central differences (V = 0 where the
     amplitude is below floor)."""
+    return _fluid_from(wave, params.M * np.abs(wave.psi) ** 2, grid, params)
+
+
+def _fluid_from(wave: WaveState, rho: np.ndarray, grid: SpatialGrid, params: PhysicalParams) -> FluidState:
+    """``wave_to_fluid`` with rho = M |psi|^2 already computed."""
     psi = wave.psi
-    rho = params.M * np.abs(psi) ** 2
     peak = float(np.max(rho))
     floor = AMPLITUDE_FLOOR * max(peak, 1e-300)
     ln_rho = np.log(np.maximum(rho, floor))
@@ -146,9 +150,8 @@ def run_reference(
             if not np.all(np.isfinite(wave.psi)):
                 final_status = "diverged_nonfinite"
                 break
-        fluid = wave_to_fluid(wave, grid, params)
-        recorder.add(
-            step, fluid, moments(fluid, grid), params.M * wave.norm2(grid),
-            rho=params.M * np.abs(wave.psi) ** 2,
-        )
+        # one M |psi|^2 per step: the fluid fields, the mass and the snapshot
+        rho = params.M * np.abs(wave.psi) ** 2
+        fluid = _fluid_from(wave, rho, grid, params)
+        recorder.add(step, fluid, moments(fluid, grid), float(rho.sum() * grid.dx), rho=rho)
     return recorder.finish(final_status)

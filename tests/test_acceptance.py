@@ -12,7 +12,7 @@ import pytest
 
 import qfluid as qf
 from qfluid.core import FluidState
-from qfluid.presets import default_config, default_grid, default_params, preset
+from qfluid.presets import default_grid, default_params, preset
 
 
 def _report(number: int, ok: bool, detail: str) -> None:
@@ -146,7 +146,7 @@ def test_criterion_6_stencil_estimator_with_pressure():
 def _compare_l2(dx: float, dt: float, steps: int) -> float:
     params = default_params()
     grid = qf.make_grid(-96.0, dx, int(round(192 / dx)))
-    config = default_config(steps=steps, dt=dt, estimator="oracle_exact", snapshot_every=1)
+    config = qf.RunConfig(steps=steps, dt=dt, estimator="oracle_exact", snapshot_every=1)
     rec_fb = qf.run(config, params, grid)
     assert rec_fb.final_status == "ok"
     rec_ref = qf.run_reference(params, grid, dt=dt, steps=steps)

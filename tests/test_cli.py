@@ -122,6 +122,18 @@ def test_sweep_single_point_matches_run_summary(tmp_path):
     assert int(sweep_rows[0][2]) == len(run_rows) - 1
 
 
+def test_sweep_over_kp_turns_the_sponge_on_as_fig5_does(tmp_path, capsys):
+    # kp = 1 at dt = 1/4 over 160 steps is fig5, absorbing strip included
+    code = main(["sweep", "--param", "kp", "--values", "0,1", "--dt", "0.25", "--steps", "160",
+                 "--out", str(tmp_path / "sweep")])
+    assert code == 0
+    _, rows = read_csv(tmp_path / "sweep" / "sweep.csv")
+    assert [row[2] for row in rows] == ["160", "160"]
+    capsys.readouterr()
+    assert main(["run", "--preset", "fig5", "--out", str(tmp_path / "fig5")]) == 0
+    assert f"max_center_error={rows[1][3]} " in capsys.readouterr().out
+
+
 def test_sweep_empty_range_is_usage_error(tmp_path):
     assert main(["sweep", "--param", "kp", "--values", "", "--out", str(tmp_path)]) == 1
 
@@ -162,6 +174,44 @@ def test_config_file_and_flag_precedence(tmp_path, capsys):
     assert settings["steps"] == "12"  # from file
     assert settings["kp"] == "0"  # flag wins
     assert settings["seed"] == "9"
+
+
+def test_print_config_prints_the_resolved_tolerance(capsys):
+    assert main(["run", "--tol", "0.2", "--print-config"]) == 0
+    assert "tol = 0.20000000000000001\n" in capsys.readouterr().out
+
+
+def test_print_config_comments_out_what_no_key_sets(capsys):
+    assert main(["run", "--preset", "fig4", "--print-config"]) == 0
+    comments = [line for line in capsys.readouterr().out.splitlines() if line.startswith("#")]
+    assert comments == ["# M = 1", "# x0 = -96", "# noise_amplitude = 1", "# boundary_damping = true"]
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+@pytest.mark.parametrize("name", [None, "fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7"])
+def test_printed_config_reads_back_to_the_same_settings(tmp_path, capsys, command, name):
+    chosen = ["--preset", name] if name else []
+    assert main([command, *chosen, "--out", str(tmp_path / "a"), "--print-config"]) == 0
+    printed = capsys.readouterr().out
+    cfg = tmp_path / "printed.cfg"
+    cfg.write_text(printed)
+    assert main([command, "--config", str(cfg), "--print-config"]) == 0
+    assert capsys.readouterr().out == printed
+
+
+@pytest.mark.parametrize("name", ["fig2", "fig3", "fig4", "fig5"])
+def test_printed_config_reruns_the_preset(tmp_path, capsys, name):
+    # also without its preset line: the printed keys alone are the run
+    assert main(["run", "--preset", name, "--print-config"]) == 0
+    printed = capsys.readouterr().out
+    assert printed.startswith(f"preset = {name}\n")
+    (tmp_path / "printed.cfg").write_text(printed)
+    (tmp_path / "keys.cfg").write_text(printed.split("\n", 1)[1])
+    assert main(["run", "--preset", name, "--out", str(tmp_path / "preset")]) == 0
+    for cfg in ("printed.cfg", "keys.cfg"):
+        assert main(["run", "--config", str(tmp_path / cfg), "--out", str(tmp_path / cfg[:-4])]) == 0
+        rerun = (tmp_path / cfg[:-4] / "diagnostics.csv").read_bytes()
+        assert rerun == (tmp_path / "preset" / "diagnostics.csv").read_bytes(), cfg
 
 
 def test_config_file_rejects_unknown_key(tmp_path):

@@ -80,8 +80,6 @@ def test_run_config_validation():
     with pytest.raises(ValueError):
         RunConfig(noise="sometimes")
     with pytest.raises(ValueError):
-        RunConfig(noise_target="force")
-    with pytest.raises(ValueError):
         RunConfig(snapshot_every=-1)
     for field in ("dt", "noise_amplitude"):
         for bad in (math.nan, math.inf):

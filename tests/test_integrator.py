@@ -8,8 +8,8 @@ import pytest
 
 import qfluid as qf
 from qfluid.core import FluidState
-from qfluid.integrator import RHO_FLOOR
-from qfluid.presets import default_config, default_grid, default_params
+from qfluid.integrator import RHO_FLOOR, sponge_active
+from qfluid.presets import default_grid, default_params
 
 
 def step(state, dt, a=0.0, omega=0.1):
@@ -91,9 +91,9 @@ def test_run_initial_noise_is_one_uniform_draw():
     # the first U[0, amplitude] vector of the run's seeded generator
     params, grid = default_params(), default_grid()
     amp, seed = 0.7, 13
-    clean = qf.run(default_config(steps=1, snapshot_every=1), params, grid)
+    clean = qf.run(qf.RunConfig(steps=1, snapshot_every=1), params, grid)
     noisy = qf.run(
-        default_config(steps=1, snapshot_every=1, noise="initial", noise_amplitude=amp, seed=seed),
+        qf.RunConfig(steps=1, snapshot_every=1, noise="initial", noise_amplitude=amp, seed=seed),
         params, grid,
     )
     alpha = np.log(noisy.snapshots[0][0] / clean.snapshots[0][0])
@@ -104,9 +104,9 @@ def test_run_initial_noise_is_one_uniform_draw():
 @pytest.mark.parametrize("noise", ["initial", "per_step"])
 def test_run_with_zero_noise_amplitude_matches_clean_run(noise):
     params, grid = default_params(), default_grid()
-    clean = qf.run(default_config(steps=20, snapshot_every=10), params, grid)
+    clean = qf.run(qf.RunConfig(steps=20, snapshot_every=10), params, grid)
     quiet = qf.run(
-        default_config(steps=20, snapshot_every=10, noise=noise, noise_amplitude=0.0, seed=3),
+        qf.RunConfig(steps=20, snapshot_every=10, noise=noise, noise_amplitude=0.0, seed=3),
         params, grid,
     )
     for a, b in zip(record_arrays(clean), record_arrays(quiet)):
@@ -118,7 +118,7 @@ def test_run_with_zero_noise_amplitude_matches_clean_run(noise):
 @pytest.mark.parametrize("noise", ["initial", "per_step"])
 def test_run_is_deterministic(noise):
     params, grid = default_params(), default_grid()
-    cfg = default_config(steps=30, noise=noise, seed=5)
+    cfg = qf.RunConfig(steps=30, noise=noise, seed=5)
     r1 = qf.run(cfg, params, grid)
     r2 = qf.run(cfg, params, grid)
     for a, b in zip(record_arrays(r1), record_arrays(r2)):
@@ -140,16 +140,27 @@ def test_run_clamps_ln_rho_at_the_density_floor():
     assert np.log(rec.snapshots[1][0]).min() >= floor - 1e-9
 
 
-def test_run_trajectory_scale_invariance():
+def scale_invariance_case(name):
+    """A preset capped at 200 steps, or the default scenario over 40 steps
+    with the named estimator."""
+    if name.startswith("fig"):
+        params, config, grid = qf.preset(name)
+        return params, replace(config, steps=min(config.steps, 200)), grid
+    return default_params(), qf.RunConfig(steps=40, estimator=name), default_grid()
+
+
+@pytest.mark.parametrize("name", ["fig1", "fig4", "fig5", "fig6", "fig7", "oracle_exact", "none"])
+def test_run_trajectory_scale_invariance(name):
     # multiplying the initial density by a constant leaves the moment
-    # trajectory unchanged (all force paths are scale-free)
-    params, grid = default_params(), default_grid()
+    # trajectory unchanged: every force path, the pressure gate and the
+    # sponge are scale-free
+    params, cfg, grid = scale_invariance_case(name)
     base = qf.init_coherent_state(params, grid, 0.0)
     scaled = base.copy()
     scaled.ln_rho = scaled.ln_rho + math.log(3.0)
-    cfg = default_config(steps=40)
     r1 = qf.run(cfg, params, grid, state=base)
     r2 = qf.run(cfg, params, grid, state=scaled)
+    assert (r1.final_status, r1.steps_survived) == (r2.final_status, r2.steps_survived)
     assert np.max(np.abs(r1.mean - r2.mean)) <= 1e-9
     assert np.max(np.abs(r1.var / r2.var - 1.0)) <= 1e-9
     assert np.allclose(r2.mass, 3.0 * r1.mass, rtol=1e-9)
@@ -157,7 +168,7 @@ def test_run_trajectory_scale_invariance():
 
 def test_run_oracle_estimator_tracks_center_over_a_period():
     params, grid = default_params(), default_grid()
-    rec = qf.run(default_config(steps=64, estimator="oracle_exact"), params, grid)
+    rec = qf.run(qf.RunConfig(steps=64, estimator="oracle_exact"), params, grid)
     assert rec.steps_survived == 64
     assert np.max(qf.center_error(rec, params)) <= 0.02
 
@@ -168,7 +179,7 @@ def test_run_convergence_under_refinement():
 
     def max_err(dx, dt, steps):
         grid = qf.make_grid(-96.0, dx, int(round(192 / dx)))
-        rec = qf.run(default_config(steps=steps, dt=dt, estimator="oracle_exact"), params, grid)
+        rec = qf.run(qf.RunConfig(steps=steps, dt=dt, estimator="oracle_exact"), params, grid)
         assert rec.steps_survived == steps
         return np.max(qf.center_error(rec, params))
 
@@ -184,7 +195,7 @@ def test_run_mass_drift_shrinks_under_refinement():
     drifts = []
     for dx, dt in ((1.0, 1.0), (0.5, 0.5), (0.25, 0.25)):
         grid = qf.make_grid(-96.0, dx, int(round(192 / dx)))
-        rec = qf.run(default_config(steps=int(round(64 / dt)), dt=dt), params, grid)
+        rec = qf.run(qf.RunConfig(steps=int(round(64 / dt)), dt=dt), params, grid)
         assert rec.steps_survived == int(round(64 / dt))
         drifts.append(abs(rec.mass[-1] / rec.mass[0] - 1.0))
     assert drifts[0] > drifts[1] > drifts[2]
@@ -194,7 +205,7 @@ def test_run_returns_partial_record_on_divergence():
     # without any quantum force the trap squeezes the packet until the
     # moments guard trips; the run must stop early, not raise
     params, grid = default_params(), default_grid()
-    rec = qf.run(default_config(steps=200, estimator="none"), params, grid)
+    rec = qf.run(qf.RunConfig(steps=200, estimator="none"), params, grid)
     assert rec.final_status in ("diverged_dispersion", "diverged_nonfinite")
     assert rec.steps_survived < 200
     assert len(rec.t) == rec.steps_survived + 1
@@ -203,7 +214,7 @@ def test_run_returns_partial_record_on_divergence():
 
 def test_run_snapshot_cadence():
     params, grid = default_params(), default_grid()
-    rec = qf.run(default_config(steps=20, snapshot_every=5), params, grid)
+    rec = qf.run(qf.RunConfig(steps=20, snapshot_every=5), params, grid)
     assert sorted(rec.snapshots) == [0, 5, 10, 15, 20]
     rho, V = rec.snapshots[10]
     assert rho.shape == (grid.n,) and V.shape == (grid.n,)
@@ -211,31 +222,33 @@ def test_run_snapshot_cadence():
 
 def test_run_initial_noise_perturbs_state():
     params, grid = default_params(), default_grid()
-    clean = qf.run(default_config(steps=5), params, grid)
-    noisy = qf.run(default_config(steps=5, noise="initial", seed=3), params, grid)
+    clean = qf.run(qf.RunConfig(steps=5), params, grid)
+    noisy = qf.run(qf.RunConfig(steps=5, noise="initial", seed=3), params, grid)
     assert not np.allclose(clean.mass[0], noisy.mass[0], rtol=1e-3)
     assert noisy.smoothness_series[0] > 10 * clean.smoothness_series[0]
 
 
 def test_run_per_step_noise_targets():
     params, grid = default_params(), default_grid()
-    state_noise = qf.run(
-        default_config(steps=10, noise="per_step", noise_target="state", seed=4), params, grid
-    )
-    meas_noise = qf.run(
-        default_config(steps=10, noise="per_step", noise_target="measurement", seed=4), params, grid
-    )
+    state_noise = qf.run(qf.RunConfig(steps=10, noise="per_step", seed=4), params, grid)
+    meas_noise = qf.run(qf.RunConfig(steps=10, noise="measurement", seed=4), params, grid)
     # state-side noise inflates the carried mass every step; measurement-side
     # leaves the fluid's own mass nearly untouched
     assert state_noise.mass[-1] / state_noise.mass[0] > 50.0
     assert abs(meas_noise.mass[-1] / meas_noise.mass[0] - 1.0) < 0.05
 
 
+@pytest.mark.parametrize("name", ["fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7"])
+def test_sponge_is_on_for_the_fitted_pressure_presets_only(name):
+    params, config, _ = qf.preset(name)
+    assert sponge_active(params, config) == (name in ("fig4", "fig5"))
+
+
 def test_run_cfl_warning_recorded():
     params, grid = default_params(), default_grid()
     state = qf.init_coherent_state(params, grid, 0.0)
     state.V = np.full(grid.n, 1.2)  # above dx/dt
-    rec = qf.run(default_config(steps=3), params, grid, state=state)
+    rec = qf.run(qf.RunConfig(steps=3), params, grid, state=state)
     assert "cfl_warning" in rec.status
 
 
@@ -248,6 +261,6 @@ def test_build_force_field_unknown_estimator():
 
 def test_summary_errors_populated():
     params, grid = default_params(), default_grid()
-    rec = qf.run(default_config(steps=16), params, grid)
+    rec = qf.run(qf.RunConfig(steps=16), params, grid)
     assert rec.max_center_error == pytest.approx(np.max(qf.center_error(rec, params)))
     assert rec.max_var_error == pytest.approx(np.max(qf.dispersion_error(rec, params)))

@@ -19,7 +19,7 @@ def test_unknown_preset_raises():
     [
         ("fig1", "gaussian_fit", "none", 0.0),
         ("fig2", "gaussian_fit", "initial", 0.0),
-        ("fig3", "gaussian_fit", "per_step", 0.0),
+        ("fig3", "gaussian_fit", "measurement", 0.0),
         ("fig4", "gaussian_fit", "none", 5.0),
         ("fig5", "gaussian_fit", "none", 1.0),
         ("fig6", "finite_difference", "none", 0.0),
