@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import os
-import re
 import sys
 from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
@@ -26,8 +25,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import PhysicalParams, RunConfig, SpatialGrid, make_grid
-from .diagnostics import RunRecord, l2_density_distance
+from .core import PhysicalParams, RunConfig, SpatialGrid
+from .diagnostics import l2_density_distance
+from .forces import DegenerateDensityError
 from .integrator import run, sponge_active
 from .presets import PRESETS, default_grid, default_params, preset, preset_names
 from .reference import run_reference
@@ -91,7 +91,6 @@ _SETTINGS = (
     _Setting("omega", "params", _FLOAT, "trap angular frequency"),
     _Setting("a", "params", _FLOAT, "packet oscillation amplitude"),
     _Setting("kp", "params", _FLOAT, "pressure amplitude (squared sound speed)"),
-    _Setting("M", "params", _FLOAT),
     _Setting("dx", "grid", _FLOAT, "grid spacing"),
     _Setting("n", "grid", _INT, "number of grid points (grid stays centered on 0)"),
     _Setting("x0", "grid", _FLOAT),
@@ -150,9 +149,9 @@ def _read_config_file(path: str) -> dict:
     return values
 
 
-def _build_scenario(args, base=RunConfig()) -> _Scenario:
-    """Resolve preset (else the default scenario run with config ``base``),
-    config file, and flags (in increasing precedence)."""
+def _build_scenario(args) -> _Scenario:
+    """Resolve preset (else the command's default scenario), config file,
+    and flags (in increasing precedence)."""
     values = _read_config_file(args.config) if args.config else {}
     values.update((key, getattr(args, key)) for key in _SETTABLE if getattr(args, key) is not None)
     by_home = {"params": {}, "grid": {}, "config": {}, "scenario": {}}
@@ -167,14 +166,13 @@ def _build_scenario(args, base=RunConfig()) -> _Scenario:
         except ValueError as err:
             raise UsageError(str(err)) from None
     else:
+        base = _COMPARE_BASE if args.command == "compare" else RunConfig()
         params, config, grid = default_params(), base, default_grid()
 
     try:
         params = replace(params, **by_home["params"])
         if by_home["grid"]:
-            dx = by_home["grid"].get("dx", grid.dx)
-            n = by_home["grid"].get("n", grid.n)
-            grid = make_grid(-0.5 * n * dx, dx, n)
+            grid = default_grid(**{"dx": grid.dx, "n": grid.n, **by_home["grid"]})
         config = replace(config, **by_home["config"])
     except ValueError as err:
         raise UsageError(str(err)) from None
@@ -194,38 +192,30 @@ def _print_config(scenario: _Scenario) -> None:
             print(f"{comment}{setting.key} = {setting.kind[1](value)}")
 
 
-def _write_diagnostics(record: RunRecord, path: Path) -> None:
-    lines = ["step,t,mean,var,mass,max_abs_V,center_energy,status"]
-    for i in range(len(record.t)):
-        lines.append(
-            f"{i},{_fmt(record.t[i])},{_fmt(record.mean[i])},{_fmt(record.var[i])},"
-            f"{_fmt(record.mass[i])},{_fmt(record.max_abs_V[i])},"
-            f"{_fmt(record.center_energy[i])},{record.status[i]}"
-        )
-    path.write_text("\n".join(lines) + "\n")
+def _write_csv(path: Path, header: str, *columns) -> str:
+    """Write ``columns`` side by side under ``header`` to ``path``, creating
+    its directory; floats are written with ``_fmt``.  Returns the text."""
+    cells = []
+    for column in columns:
+        if isinstance(column, np.ndarray):
+            column = column.tolist()
+        cells.append([_fmt(v) if isinstance(v, float) else str(v) for v in column])
+    text = "\n".join([header, *map(",".join, zip(*cells))]) + "\n"
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text)
+    return text
 
 
-def _write_snapshots(record: RunRecord, out_dir: Path) -> None:
+def _cmd_run(scenario: _Scenario, _args) -> int:
+    out_dir = Path(scenario.out)
+    record = run(scenario.config, scenario.params, scenario.grid)
+    _write_csv(out_dir / "diagnostics.csv", "step,t,mean,var,mass,max_abs_V,center_energy,status",
+               range(len(record.t)), record.t, record.mean, record.var, record.mass,
+               record.max_abs_V, record.center_energy, record.status)
     x = record.grid.positions
     for step in sorted(record.snapshots):
         rho, V = record.snapshots[step]
-        lines = ["j,x,rho,V"]
-        for j in range(len(x)):
-            lines.append(f"{j},{_fmt(x[j])},{_fmt(rho[j])},{_fmt(V[j])}")
-        (out_dir / f"snapshot_{step:06d}.csv").write_text("\n".join(lines) + "\n")
-
-
-def _cmd_run(args) -> int:
-    scenario = _build_scenario(args)
-    if args.print_config:
-        _print_config(scenario)
-        return EXIT_OK
-    out_dir = Path(scenario.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    record = run(scenario.config, scenario.params, scenario.grid)
-    _write_diagnostics(record, out_dir / "diagnostics.csv")
-    if scenario.config.snapshot_every > 0:
-        _write_snapshots(record, out_dir)
+        _write_csv(out_dir / f"snapshot_{step:06d}.csv", "j,x,rho,V", range(len(x)), x, rho, V)
     print(
         f"steps_survived={record.steps_survived} status={record.final_status} "
         f"max_center_error={_fmt(record.max_center_error)} "
@@ -237,24 +227,15 @@ def _cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _cmd_compare(args) -> int:
-    scenario = _build_scenario(args, _COMPARE_BASE)
-    if args.print_config:
-        _print_config(scenario)
-        return EXIT_OK
+def _cmd_compare(scenario: _Scenario, _args) -> int:
     params, grid = scenario.params, scenario.grid
     config = replace(scenario.config, snapshot_every=1)
     out_dir = Path(scenario.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     record_fb = run(config, params, grid)
     record_ref = run_reference(params, grid, dt=config.dt, steps=config.steps)
     steps, dist = l2_density_distance(record_fb, record_ref)
-
-    lines = ["step,t,l2_distance"]
-    for s, d in zip(steps, dist):
-        lines.append(f"{s},{_fmt(record_fb.t[s])},{_fmt(d)}")
-    (out_dir / "compare.csv").write_text("\n".join(lines) + "\n")
+    _write_csv(out_dir / "compare.csv", "step,t,l2_distance", steps, record_fb.t[steps], dist)
 
     worst = float(np.max(dist)) if len(dist) else float("nan")
     ok = record_fb.final_status == "ok" and len(dist) == config.steps + 1 and worst <= scenario.tol
@@ -283,8 +264,7 @@ def _sweep_point(params, config, name, value):
         raise UsageError(f"sweep point {name}={value:g}: {err}") from None
 
 
-def _cmd_sweep(args) -> int:
-    scenario = _build_scenario(args)
+def _cmd_sweep(scenario: _Scenario, args) -> int:
     if args.param not in _SWEEPABLE:
         raise UsageError(f"cannot sweep {args.param!r}; choose from {_SWEEPABLE}")
     try:
@@ -295,29 +275,25 @@ def _cmd_sweep(args) -> int:
         raise UsageError("empty sweep range")
     points = [_sweep_point(scenario.params, scenario.config, args.param, v) for v in values]
 
-    out_dir = Path(scenario.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     with ThreadPoolExecutor(max_workers=min(8, len(values))) as pool:
         records = list(pool.map(lambda point: run(*point, scenario.grid), points))
-
-    lines = ["param,value,steps_survived,max_center_error,max_var_error,status"]
-    for value, rec in zip(values, records):
-        lines.append(f"{args.param},{_fmt(value)},{rec.steps_survived},{_fmt(rec.max_center_error)},"
-                     f"{_fmt(rec.max_var_error)},{rec.final_status}")
-    (out_dir / "sweep.csv").write_text("\n".join(lines) + "\n")
-    for line in lines:
-        print(line)
+    text = _write_csv(
+        Path(scenario.out) / "sweep.csv",
+        "param,value,steps_survived,max_center_error,max_var_error,status",
+        [args.param] * len(values), values,
+        [rec.steps_survived for rec in records], [rec.max_center_error for rec in records],
+        [rec.max_var_error for rec in records], [rec.final_status for rec in records],
+    )
+    print(text, end="")
     return EXIT_OK
 
 
-def _cmd_presets(_args) -> int:
+def _cmd_presets() -> int:
     for name in preset_names():
         params, config, grid = preset(name)
-        doc = re.split(r"\.(?:\s|$)", PRESETS[name].__doc__ or "", maxsplit=1)[0]
-        doc = " ".join(doc.split())
         print(
             f"{name}: estimator={config.estimator} noise={config.noise} kp={params.kp:g} "
-            f"dt={config.dt:g} steps={config.steps} n={grid.n}\n    {doc}"
+            f"dt={config.dt:g} steps={config.steps} n={grid.n}\n    {PRESETS[name][0]}"
         )
     return EXIT_OK
 
@@ -353,24 +329,33 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--values", required=True, help="comma-separated values")
     p_sweep.set_defaults(func=_cmd_sweep)
 
-    p_list = subs.add_parser("presets", help="list bundled presets")
-    p_list.set_defaults(func=_cmd_presets)
+    subs.add_parser("presets", help="list bundled presets")
 
     return parser
 
 
 def main(argv=None) -> int:
+    """Parse ``argv``, resolve the scenario, answer --print-config, then hand
+    the scenario to the command."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as err:
         # argparse exits 2 on usage problems; the contract here is 1
         return EXIT_USAGE if err.code not in (0, None) else EXIT_OK
+    if args.command == "presets":
+        return _cmd_presets()
     try:
-        return args.func(args)
+        scenario = _build_scenario(args)
+        if args.print_config:
+            _print_config(scenario)
+            return EXIT_OK
+        return args.func(scenario, args)
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
+    except DegenerateDensityError as err:
+        print(f"error: degenerate initial density: {err}", file=sys.stderr)
+    return EXIT_USAGE
 
 
 if __name__ == "__main__":

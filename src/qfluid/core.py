@@ -86,17 +86,17 @@ class PhysicalParams:
     omega   angular frequency of the external harmonic force -omega^2 x
     a       oscillation amplitude of the packet center
     kp      pressure amplitude (squared sound speed); 0 disables pressure
-    M       total fluid mass
+
+    The fluid's total mass is 1, as psi = sqrt(rho) exp(iS/2D) fixes it.
     """
 
     D: float
     omega: float
     a: float = 0.0
     kp: float = 0.0
-    M: float = 1.0
 
     def __post_init__(self):
-        for name in ("D", "omega", "a", "kp", "M"):
+        for name in ("D", "omega", "a", "kp"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.D <= 0:
@@ -107,8 +107,6 @@ class PhysicalParams:
             raise ValueError(f"a must be non-negative, got {self.a}")
         if self.kp < 0:
             raise ValueError(f"kp must be non-negative, got {self.kp}")
-        if self.M <= 0:
-            raise ValueError(f"M must be positive, got {self.M}")
 
     def equilibrium_sigma2(self) -> float:
         """Variance D/omega of the non-spreading packet."""
@@ -181,7 +179,7 @@ class RunConfig:
 def init_coherent_state(params: PhysicalParams, grid: SpatialGrid, t0: float = 0.0) -> FluidState:
     """Initialize the fluid on the exact oscillating-packet solution at time t0.
 
-    ln rho_j = ln[M sqrt(omega/2 pi D)] - (omega/2D)(x_j - a cos(omega t0))^2
+    ln rho_j = ln sqrt(omega/2 pi D) - (omega/2D)(x_j - a cos(omega t0))^2
     V_j      = -a omega sin(omega t0)   (uniform)
     """
     x = grid.positions
@@ -193,7 +191,7 @@ def init_coherent_state(params: PhysicalParams, grid: SpatialGrid, t0: float = 0
             f"within +/-5 sigma of the grid [{grid.x0:g}, {grid.x_end:g}]",
             stacklevel=2,
         )
-    ln_peak = math.log(params.M * math.sqrt(params.omega / (2 * math.pi * params.D)))
+    ln_peak = math.log(math.sqrt(params.omega / (2 * math.pi * params.D)))
     ln_rho = ln_peak - (params.omega / (2 * params.D)) * (x - center) ** 2
     V = np.full(grid.n, -params.a * params.omega * math.sin(params.omega * t0))
     return FluidState(float(t0), ln_rho, V)

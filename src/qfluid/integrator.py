@@ -262,7 +262,8 @@ def run(
     Starts from the exact coherent packet unless a state is supplied.  Stops
     early (with a partial record and a divergence label) on non-finite
     fields, variance blow-up, or a single-step mass jump; never raises for a
-    diverging run.
+    diverging run.  Raises ``DegenerateDensityError`` for an initial state it
+    cannot measure, e.g. a packet narrower than a tenth of a cell.
     """
     if state is None:
         state = init_coherent_state(params, grid, 0.0)

@@ -36,7 +36,7 @@ class OracleWave:
         return p.a * np.cos(p.omega * t)
 
     def psi(self, x, t):
-        """Complex amplitude of the packet (unit norm, M-independent)."""
+        """Complex amplitude of the packet (unit norm)."""
         p = self.params
         x = np.asarray(x, dtype=float)
         envelope = (p.omega / (2 * math.pi * p.D)) ** 0.25 * np.exp(

@@ -42,8 +42,8 @@ AMPLITUDE_CELLS = 8.0
 GRID_N = 192
 
 
-def default_params(kp: float = 0.0, sigma: float = SIGMA_CELLS) -> PhysicalParams:
-    return PhysicalParams(D=sigma**2 * OMEGA, omega=OMEGA, a=AMPLITUDE_CELLS, kp=kp, M=1.0)
+def default_params(kp: float = 0.0) -> PhysicalParams:
+    return PhysicalParams(D=SIGMA_CELLS**2 * OMEGA, omega=OMEGA, a=AMPLITUDE_CELLS, kp=kp)
 
 
 def default_grid(dx: float = 1.0, n: int = GRID_N) -> SpatialGrid:
@@ -51,73 +51,40 @@ def default_grid(dx: float = 1.0, n: int = GRID_N) -> SpatialGrid:
     return make_grid(-0.5 * n * dx, dx, n)
 
 
-def _fig1():
-    """Clean feedback run, Gaussian-fit force: 77 steps = 1.2 periods of the
-    non-spreading oscillation."""
-    return default_params(), RunConfig(steps=77, estimator="gaussian_fit"), default_grid()
-
-
-def _fig2():
-    """Same loop started from a density multiplied by exp(U[0,1]) noise at
-    every point; one full period."""
-    cfg = RunConfig(steps=64, estimator="gaussian_fit", noise="initial", seed=9)
-    return default_params(), cfg, default_grid()
-
-
-def _fig3():
-    """Fresh exp(U[0,1]) noise injected into the measured density at every
-    loop iteration; the applied force wobbles accordingly while the fluid's
-    own moments keep tracking the coherent packet for about 1/3 period.
-    The noise lands only on the measured copy (noise="measurement"); the
-    fluid itself carries none."""
-    cfg = RunConfig(steps=25, estimator="gaussian_fit", noise="measurement", seed=10)
-    return default_params(), cfg, default_grid()
-
-
-def _fig4():
-    """Strong pressure (kp = 5): pronounced oscillatory spreading.  Sound
-    speed sqrt(5) plus the width-breathing flow requires dt = 1/8; the run
-    covers 40 time units so the full breathing cycle is visible.  As in
-    every pressure run with a fitted force, the absorbing strip keeps the
-    momentum shed by the gated tails from piling up at the open boundary."""
-    cfg = RunConfig(steps=320, dt=0.125, estimator="gaussian_fit")
-    return default_params(kp=5.0), cfg, default_grid()
-
-
-def _fig5():
-    """Mild pressure (kp = 1): the packet spreads and nearly recovers after
-    half a period (32 time units); dt = 1/4 for the acoustic CFL with unit
-    sound speed.  The absorbing strip is on, as in fig4."""
-    cfg = RunConfig(steps=160, dt=0.25, estimator="gaussian_fit")
-    return default_params(kp=1.0), cfg, default_grid()
-
-
-def _fig6():
-    """Quantum force taken directly from log-density finite differences (no
-    fitting), run over a quarter period.  The stencil feedback amplifies
-    grid-scale density ripples at a per-step gain of order (D dt/dx^2)^2,
-    so dt = 1/50 keeps the loop below the ripple-growth threshold for the
-    whole window."""
-    cfg = RunConfig(steps=800, dt=0.02, estimator="finite_difference")
-    return default_params(), cfg, default_grid()
-
-
-def _fig7():
-    """Finite-difference force plus pressure (kp = 1): oscillatory
-    spreading, integrated through a full breathing cycle (half a period);
-    same ripple-gain-limited dt as fig6."""
-    cfg = RunConfig(steps=1600, dt=0.02, estimator="finite_difference")
-    return default_params(kp=1.0), cfg, default_grid()
-
-
+# name: (one-line description, kp, config); every preset runs on
+# default_params(kp) and default_grid().
 PRESETS = {
-    "fig1": _fig1,
-    "fig2": _fig2,
-    "fig3": _fig3,
-    "fig4": _fig4,
-    "fig5": _fig5,
-    "fig6": _fig6,
-    "fig7": _fig7,
+    "fig1": ("Clean feedback run, Gaussian-fit force: 77 steps = 1.2 periods of the "
+             "non-spreading oscillation",
+             0.0, RunConfig(steps=77, estimator="gaussian_fit")),
+    "fig2": ("Same loop started from a density multiplied by exp(U[0,1]) noise at every "
+             "point; one full period",
+             0.0, RunConfig(steps=64, estimator="gaussian_fit", noise="initial", seed=9)),
+    # The noise lands only on the measured copy; the fluid itself carries none.
+    "fig3": ("Fresh exp(U[0,1]) noise injected into the measured density at every loop "
+             "iteration; the applied force wobbles accordingly while the fluid's own "
+             "moments keep tracking the coherent packet for about 1/3 period",
+             0.0, RunConfig(steps=25, estimator="gaussian_fit", noise="measurement", seed=10)),
+    # Sound speed sqrt(5) plus the width-breathing flow requires dt = 1/8; the
+    # run covers 40 time units so the full breathing cycle is visible.  As in
+    # every pressure run with a fitted force, the absorbing strip keeps the
+    # momentum shed by the gated tails from piling up at the open boundary.
+    "fig4": ("Strong pressure (kp = 5): pronounced oscillatory spreading",
+             5.0, RunConfig(steps=320, dt=0.125, estimator="gaussian_fit")),
+    # The absorbing strip is on, as in fig4.
+    "fig5": ("Mild pressure (kp = 1): the packet spreads and nearly recovers after half "
+             "a period (32 time units); dt = 1/4 for the acoustic CFL with unit sound speed",
+             1.0, RunConfig(steps=160, dt=0.25, estimator="gaussian_fit")),
+    # The stencil feedback amplifies grid-scale density ripples at a per-step
+    # gain of order (D dt/dx^2)^2, so dt = 1/50 keeps the loop below the
+    # ripple-growth threshold for the whole window.
+    "fig6": ("Quantum force taken directly from log-density finite differences (no "
+             "fitting), run over a quarter period",
+             0.0, RunConfig(steps=800, dt=0.02, estimator="finite_difference")),
+    "fig7": ("Finite-difference force plus pressure (kp = 1): oscillatory spreading, "
+             "integrated through a full breathing cycle (half a period); same "
+             "ripple-gain-limited dt as fig6",
+             1.0, RunConfig(steps=1600, dt=0.02, estimator="finite_difference")),
 }
 
 
@@ -126,9 +93,10 @@ def preset_names() -> list[str]:
 
 
 def preset(name: str) -> tuple[PhysicalParams, RunConfig, SpatialGrid]:
-    """Bound (params, config, grid) for a named preset."""
+    """Bound (params, config, grid) for a named preset; the config is the
+    table's own frozen instance."""
     try:
-        factory = PRESETS[name]
+        _doc, kp, config = PRESETS[name]
     except KeyError:
         raise ValueError(f"unknown preset {name!r}; available: {', '.join(preset_names())}") from None
-    return factory()
+    return default_params(kp), config, default_grid()

@@ -6,15 +6,12 @@ claimed to be equivalent to
     D^2 psi_xx + i D psi_t - [(phi + w)/2] psi = 0,
     phi = omega^2 x^2 / 2,   w = kp ln|psi|^2   (isentropic pressure term),
 
-via psi = sqrt(rho) exp(i S / 2D), V = 2 D grad(theta), rho = M |psi|^2.
+via psi = sqrt(rho) exp(i S / 2D), V = 2 D grad(theta), rho = |psi|^2.
 This module integrates that wave equation directly with a Crank-Nicolson
 (Cayley) scheme -- unconditionally stable and exactly norm-preserving for a
 Hermitian step Hamiltonian -- so the fluid loop can be validated against it.
 The logarithmic pressure nonlinearity is evaluated lagged (from the current
 step's amplitude), which keeps each step's Hamiltonian Hermitian.
-
-Comparisons fix M = 1: for other masses the pressure term shifts by the
-constant kp ln M, an unobservable global phase.
 """
 
 from __future__ import annotations
@@ -92,14 +89,14 @@ def cn_step(wave: WaveState, grid: SpatialGrid, params: PhysicalParams, dt: floa
 
 
 def wave_to_fluid(wave: WaveState, grid: SpatialGrid, params: PhysicalParams) -> FluidState:
-    """Read the fluid fields out of psi: rho = M |psi|^2 and
+    """Read the fluid fields out of psi: rho = |psi|^2 and
     V = 2 D Im(psi_x / psi) by central differences (V = 0 where the
     amplitude is below floor)."""
-    return _fluid_from(wave, params.M * np.abs(wave.psi) ** 2, grid, params)
+    return _fluid_from(wave, np.abs(wave.psi) ** 2, grid, params)
 
 
 def _fluid_from(wave: WaveState, rho: np.ndarray, grid: SpatialGrid, params: PhysicalParams) -> FluidState:
-    """``wave_to_fluid`` with rho = M |psi|^2 already computed."""
+    """``wave_to_fluid`` with rho = |psi|^2 already computed."""
     psi = wave.psi
     peak = float(np.max(rho))
     floor = AMPLITUDE_FLOOR * max(peak, 1e-300)
@@ -117,9 +114,9 @@ def _fluid_from(wave: WaveState, rho: np.ndarray, grid: SpatialGrid, params: Phy
 
 
 def fluid_to_wave(state: FluidState, grid: SpatialGrid, params: PhysicalParams) -> WaveState:
-    """Build psi = sqrt(rho/M) exp(i theta) with theta(x) = (1/2D) int V dx
+    """Build psi = sqrt(rho) exp(i theta) with theta(x) = (1/2D) int V dx
     (trapezoid cumulative sum, phase 0 at the left boundary)."""
-    rho = np.exp(state.ln_rho) / params.M
+    rho = np.exp(state.ln_rho)
     theta = np.concatenate(
         ([0.0], np.cumsum(0.5 * (state.V[1:] + state.V[:-1]) * grid.dx))
     ) / (2.0 * params.D)
@@ -136,7 +133,7 @@ def run_reference(
     """Integrate the wave equation from the coherent packet and record the
     same diagnostics as the fluid loop (computed from the extracted
     density/velocity), so records from both solvers can be compared like
-    for like.  Snapshots hold rho = M |psi|^2 itself."""
+    for like.  Snapshots hold rho = |psi|^2 itself."""
     wave = fluid_to_wave(init_coherent_state(params, grid, 0.0), grid, params)
     recorder = Recorder(grid, params, snapshot_every)
     final_status = "ok"
@@ -150,8 +147,8 @@ def run_reference(
             if not np.all(np.isfinite(wave.psi)):
                 final_status = "diverged_nonfinite"
                 break
-        # one M |psi|^2 per step: the fluid fields, the mass and the snapshot
-        rho = params.M * np.abs(wave.psi) ** 2
+        # one |psi|^2 per step: the fluid fields, the mass and the snapshot
+        rho = np.abs(wave.psi) ** 2
         fluid = _fluid_from(wave, rho, grid, params)
         recorder.add(step, fluid, moments(fluid, grid), float(rho.sum() * grid.dx), rho=rho)
     return recorder.finish(final_status)

@@ -154,6 +154,33 @@ def test_sweep_rejects_non_integer_steps_and_seed(tmp_path, capsys, param, value
     assert f"error: sweep point {param}={value}" in capsys.readouterr().err
 
 
+def test_sweep_print_config_prints_the_run_settings_and_runs_nothing(tmp_path, capsys):
+    scenario = ["--preset", "fig5", "--steps", "2", "--out", str(tmp_path)]
+    assert main(["run", *scenario, "--print-config"]) == 0
+    printed = capsys.readouterr().out
+    assert main(["sweep", "--param", "kp", "--values", "1", *scenario, "--print-config"]) == 0
+    assert capsys.readouterr().out == printed
+    assert list(tmp_path.iterdir()) == []
+
+
+# sigma = sqrt(D/omega) ~ 0.07 cells: the initial density is one spike
+_SUB_CELL_D = "0.0005"
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_a_packet_narrower_than_a_cell_is_refused(tmp_path, capsys, command):
+    assert main([command, "--D", _SUB_CELL_D, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: degenerate initial density: ") and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_sweep_point_narrower_than_a_cell_is_refused(tmp_path, capsys):
+    assert main(["sweep", "--param", "D", "--values", f"25,{_SUB_CELL_D}", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("error: degenerate initial density: ")
+    assert not (tmp_path / "sweep.csv").exists()
+
+
 def test_print_config_lists_defaults(capsys):
     code = main(["run", "--print-config"])
     assert code == 0
@@ -184,7 +211,7 @@ def test_print_config_prints_the_resolved_tolerance(capsys):
 def test_print_config_comments_out_what_no_key_sets(capsys):
     assert main(["run", "--preset", "fig4", "--print-config"]) == 0
     comments = [line for line in capsys.readouterr().out.splitlines() if line.startswith("#")]
-    assert comments == ["# M = 1", "# x0 = -96", "# noise_amplitude = 1", "# boundary_damping = true"]
+    assert comments == ["# x0 = -96", "# noise_amplitude = 1", "# boundary_damping = true"]
 
 
 @pytest.mark.parametrize("command", ["run", "compare"])

@@ -60,9 +60,7 @@ def test_params_validation():
         qf.PhysicalParams(D=1.0, omega=1.0, a=-0.5)
     with pytest.raises(ValueError):
         qf.PhysicalParams(D=1.0, omega=1.0, kp=-0.1)
-    with pytest.raises(ValueError):
-        qf.PhysicalParams(D=1.0, omega=1.0, M=0.0)
-    for field in ("D", "omega", "a", "kp", "M"):
+    for field in ("D", "omega", "a", "kp"):
         for bad in (math.nan, math.inf):
             with pytest.raises(ValueError):
                 qf.PhysicalParams(**{"D": 1.0, "omega": 1.0, field: bad})
@@ -146,7 +144,7 @@ def test_mass_of_coherent_packet_matches_quadrature():
     analytic, err = quad(lambda xx: wave.density(xx, 0.0), -200.0, 200.0, limit=200)
     assert err < 1e-6
     assert analytic == pytest.approx(1.0, abs=1e-8)
-    assert qf.mass(state, grid) == pytest.approx(params.M * analytic, abs=1e-6)
+    assert qf.mass(state, grid) == pytest.approx(analytic, abs=1e-6)
 
 
 def test_mass_scales_linearly():

@@ -1,5 +1,7 @@
 """Preset contracts: each bundled experiment binds its protocol."""
 
+import dataclasses
+
 import pytest
 
 import qfluid as qf
@@ -50,4 +52,6 @@ def test_presets_return_fresh_objects():
     _, c1, _ = qf.preset("fig1")
     _, c2, _ = qf.preset("fig1")
     assert c1 == c2
-    assert c1 is not c2
+    # the preset table's configs are shared, so they must not be mutable
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        c1.steps = 1
