@@ -249,32 +249,36 @@ def _cmd_compare(scenario: _Scenario, _args) -> int:
 _SWEEPABLE = ("D", "omega", "a", "kp", "dt", "steps", "seed", "noise-amplitude")
 
 
-def _sweep_point(params, config, name, value):
-    """The (config, params) of one sweep point; raises UsageError naming the
-    point if the value is invalid for its parameter."""
-    try:
-        if name in ("steps", "seed"):
-            if not value.is_integer():
-                raise ValueError(f"{name} must be an integer")
-            value = int(value)
-        if name in ("D", "omega", "a", "kp"):
-            return config, replace(params, **{name: value})
-        return replace(config, **{name.replace("-", "_"): value}), params
-    except ValueError as err:
-        raise UsageError(f"sweep point {name}={value:g}: {err}") from None
-
-
-def _cmd_sweep(scenario: _Scenario, args) -> int:
-    if args.param not in _SWEEPABLE:
-        raise UsageError(f"cannot sweep {args.param!r}; choose from {_SWEEPABLE}")
+def _sweep_points(scenario: _Scenario, args) -> tuple[list[float], list[tuple]]:
+    """The swept values and the (config, params) of each; raises UsageError
+    on an unknown parameter, unreadable values or an invalid point."""
+    name, params, config = args.param, scenario.params, scenario.config
+    if name not in _SWEEPABLE:
+        raise UsageError(f"cannot sweep {name!r}; choose from {_SWEEPABLE}")
     try:
         values = [float(v) for v in args.values.split(",") if v.strip()]
     except ValueError as err:
         raise UsageError(f"bad sweep values: {err}") from None
     if not values:
         raise UsageError("empty sweep range")
-    points = [_sweep_point(scenario.params, scenario.config, args.param, v) for v in values]
+    points = []
+    for value in values:
+        try:
+            if name in ("steps", "seed"):
+                if not value.is_integer():
+                    raise ValueError(f"{name} must be an integer")
+                value = int(value)
+            if name in ("D", "omega", "a", "kp"):
+                points.append((config, replace(params, **{name: value})))
+            else:
+                points.append((replace(config, **{name.replace("-", "_"): value}), params))
+        except ValueError as err:
+            raise UsageError(f"sweep point {name}={value:g}: {err}") from None
+    return values, points
 
+
+def _cmd_sweep(scenario: _Scenario, args) -> int:
+    values, points = _sweep_points(scenario, args)
     with ThreadPoolExecutor(max_workers=min(8, len(values))) as pool:
         records = list(pool.map(lambda point: run(*point, scenario.grid), points))
     text = _write_csv(
@@ -335,8 +339,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Parse ``argv``, resolve the scenario, answer --print-config, then hand
-    the scenario to the command."""
+    """Parse ``argv``, resolve the scenario (and check a sweep's points),
+    answer --print-config, then hand the scenario to the command."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -348,6 +352,8 @@ def main(argv=None) -> int:
     try:
         scenario = _build_scenario(args)
         if args.print_config:
+            if args.command == "sweep":
+                _sweep_points(scenario, args)
             _print_config(scenario)
             return EXIT_OK
         return args.func(scenario, args)

@@ -197,6 +197,6 @@ def init_coherent_state(params: PhysicalParams, grid: SpatialGrid, t0: float = 0
     return FluidState(float(t0), ln_rho, V)
 
 
-def mass(state: FluidState, grid: SpatialGrid) -> float:
-    """Total mass sum_j rho_j dx."""
-    return float(np.exp(state.ln_rho).sum() * grid.dx)
+def mass(ln_rho: np.ndarray, grid: SpatialGrid) -> float:
+    """Total mass sum_j rho_j dx of the density exp(ln_rho)."""
+    return float(np.exp(ln_rho).sum() * grid.dx)

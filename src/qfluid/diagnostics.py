@@ -72,7 +72,8 @@ class Recorder:
         exp(ln rho)) and a copy of V."""
         self._rows.append((
             state.t, moments.mean, moments.var, mass, float(np.abs(state.V).max()),
-            center_energy_estimate(state, self.grid, self.params), smoothness(state, self.grid),
+            center_energy_estimate(state, self.grid, self.params),
+            smoothness(state.ln_rho, self.grid),
         ))
         self._status.append(status)
         if self.snapshot_every > 0 and step % self.snapshot_every == 0:
@@ -116,22 +117,21 @@ def center_energy_estimate(state: FluidState, grid: SpatialGrid, params: Physica
     runs on the six ln rho cells j-2..j+3 they need; the values are the same
     bits the full-grid chain gives there.
     """
-    m = moments(state, grid)
+    m = moments(state.ln_rho, grid)
     x = grid.positions
     j = min(max(int(x.searchsorted(m.mean, "right")) - 1, 2), grid.n - 4)
-    window = FluidState(state.t, state.ln_rho[j - 2 : j + 4], state.V)
-    Q = fd_quantum_potential(fd_log_gradient(window, grid), grid, params)
+    Q = fd_quantum_potential(fd_log_gradient(state.ln_rho[j - 2 : j + 4], grid), grid, params)
     q_at_mean = float(np.interp(m.mean, x[j : j + 2], Q[2:4]))
     v_at_mean = float(np.interp(m.mean, x, state.V))
     return 0.5 * v_at_mean**2 + 0.5 * params.omega**2 * m.mean**2 + q_at_mean
 
 
-def smoothness(state: FluidState, grid: SpatialGrid) -> float:
+def smoothness(ln_rho: np.ndarray, grid: SpatialGrid) -> float:
     """Mean squared second difference of ln rho over the packet core
     (|x - mean| <= 3 sigma)."""
-    m = moments(state, grid)
+    m = moments(ln_rho, grid)
     x = grid.positions
-    d2 = state.ln_rho[2:] - 2 * state.ln_rho[1:-1] + state.ln_rho[:-2]
+    d2 = ln_rho[2:] - 2 * ln_rho[1:-1] + ln_rho[:-2]
     core = np.abs(x[1:-1] - m.mean) <= 3.0 * math.sqrt(m.var)
     if not core.any():
         return float("nan")

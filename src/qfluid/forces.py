@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FluidState, PhysicalParams, SpatialGrid
+from .core import PhysicalParams, SpatialGrid
 
 __all__ = [
     "Moments",
@@ -59,13 +59,12 @@ class ForceField:
         return self.external + self.quantum + self.pressure
 
 
-def moments(state: FluidState, grid: SpatialGrid) -> Moments:
-    """Mean and dispersion of position under the density distribution.
+def moments(ln_rho: np.ndarray, grid: SpatialGrid) -> Moments:
+    """Mean and dispersion of position under the density exp(ln_rho).
 
     Weights are exponentiated relative to the running peak so that a uniform
     shift of ln rho (a global density rescaling) cancels exactly.
     """
-    ln_rho = state.ln_rho
     w = np.exp(ln_rho - ln_rho.max())
     total = float(w.sum())
     if not math.isfinite(total) or total <= 0:
@@ -80,7 +79,7 @@ def moments(state: FluidState, grid: SpatialGrid) -> Moments:
     return Moments(mean, var)
 
 
-def gaussian_fit_force(state: FluidState, grid: SpatialGrid, params: PhysicalParams) -> np.ndarray:
+def gaussian_fit_force(ln_rho: np.ndarray, grid: SpatialGrid, params: PhysicalParams) -> np.ndarray:
     """Quantum force from a Gaussian fit of the density: D^2 (x - mean)/var^2.
 
     Moments are carried in physical units, so the analytic form applies
@@ -88,13 +87,12 @@ def gaussian_fit_force(state: FluidState, grid: SpatialGrid, params: PhysicalPar
     the same expression by dx^3, which is the finite-difference bookkeeping
     variant of this formula.
     """
-    m = moments(state, grid)
+    m = moments(ln_rho, grid)
     return params.D**2 * (grid.positions - m.mean) / m.var**2
 
 
-def fd_log_gradient(state: FluidState, grid: SpatialGrid) -> np.ndarray:
+def fd_log_gradient(ln_rho: np.ndarray, grid: SpatialGrid) -> np.ndarray:
     """H = grad ln rho by central differences; boundary entries are 0."""
-    ln_rho = state.ln_rho
     H = np.zeros_like(ln_rho)
     H[1:-1] = (ln_rho[2:] - ln_rho[:-2]) / (2 * grid.dx)
     return H
@@ -110,7 +108,7 @@ def fd_quantum_potential(H: np.ndarray, grid: SpatialGrid, params: PhysicalParam
     return Q
 
 
-def fd_quantum_force(state: FluidState, grid: SpatialGrid, params: PhysicalParams) -> np.ndarray:
+def fd_quantum_force(ln_rho: np.ndarray, grid: SpatialGrid, params: PhysicalParams) -> np.ndarray:
     """Quantum force from log-density stencils alone: H at j+/-1, j+/-2, then
     Q at j+/-1, then the central difference (Q_{j-1} - Q_{j+1})/(2 dx).
 
@@ -119,19 +117,19 @@ def fd_quantum_force(state: FluidState, grid: SpatialGrid, params: PhysicalParam
     """
     if grid.n < 7:
         raise ValueError("finite-difference force needs at least 7 grid points")
-    H = fd_log_gradient(state, grid)
+    H = fd_log_gradient(ln_rho, grid)
     Q = fd_quantum_potential(H, grid, params)
     F = np.zeros_like(Q)
     F[3:-3] = (Q[2:-4] - Q[4:-2]) / (2 * grid.dx)
     return F
 
 
-def pressure_force(state: FluidState, grid: SpatialGrid, params: PhysicalParams) -> np.ndarray:
+def pressure_force(ln_rho: np.ndarray, grid: SpatialGrid, params: PhysicalParams) -> np.ndarray:
     """Isentropic pressure force -kp * grad ln rho (central differences)."""
-    F = np.zeros_like(state.ln_rho)
+    F = np.zeros_like(ln_rho)
     if params.kp == 0.0:
         return F
-    F[1:-1] = -params.kp * (state.ln_rho[2:] - state.ln_rho[:-2]) / (2 * grid.dx)
+    F[1:-1] = -params.kp * (ln_rho[2:] - ln_rho[:-2]) / (2 * grid.dx)
     return F
 
 

@@ -133,31 +133,29 @@ def build_force_field(
     grid: SpatialGrid,
     params: PhysicalParams,
     estimator: str,
-    measured: FluidState,
-    pressure_source: FluidState,
-    t_force: float,
+    measured: np.ndarray,
+    ln_rho: np.ndarray,
+    t: float,
 ) -> ForceField:
-    """Assemble the total applied force: external trap + estimated quantum
-    force + optional pressure (faded out smoothly below the density gate).
-    The quantum term comes from the measured state; pressure acts on the
-    true fluid density."""
+    """Assemble the total applied force at time ``t``: external trap +
+    estimated quantum force + optional pressure (faded out smoothly below
+    the density gate).  The quantum term comes from the ``measured`` ln rho;
+    pressure acts on the true fluid ``ln_rho``."""
     ext = external_force(grid, params)
     if estimator == "gaussian_fit":
         quantum = gaussian_fit_force(measured, grid, params)
     elif estimator == "finite_difference":
         quantum = _extend_stencil_force(fd_quantum_force(measured, grid, params))
     elif estimator == "oracle_exact":
-        quantum = OracleWave(params).force(grid.positions, t_force)
+        quantum = OracleWave(params).force(grid.positions, t)
     elif estimator == "none":
         quantum = np.zeros(grid.n)
     else:
         raise ValueError(f"unknown estimator {estimator!r}")
-    press = pressure_force(pressure_source, grid, params)
+    press = pressure_force(ln_rho, grid, params)
     if params.kp != 0.0:
-        ln_gate = float(pressure_source.ln_rho.max()) + math.log(PRESSURE_GATE_REL)
-        arg = np.clip(
-            -PRESSURE_GATE_SHARPNESS * (pressure_source.ln_rho - ln_gate), -60.0, 60.0
-        )
+        ln_gate = float(ln_rho.max()) + math.log(PRESSURE_GATE_REL)
+        arg = np.clip(-PRESSURE_GATE_SHARPNESS * (ln_rho - ln_gate), -60.0, 60.0)
         press = press / (1.0 + np.exp(arg))
     return ForceField(external=ext, quantum=quantum, pressure=press)
 
@@ -228,16 +226,11 @@ def drift_kick_step(
         measured_lnr = new_lnr + noise
 
     try:
-        forces = build_force_field(
-            grid, params, config.estimator,
-            measured=FluidState(t_new, measured_lnr, state.V),
-            pressure_source=FluidState(t_new, new_lnr, state.V),
-            # The kick spans [t + dt/2, t + 3dt/2] in staggered-velocity
-            # time, so its center is the post-drift node time: the
-            # closed-form force is evaluated there, consistent with the
-            # measured estimators reading the post-drift density.
-            t_force=t_new,
-        )
+        # The kick spans [t + dt/2, t + 3dt/2] in staggered-velocity time,
+        # so its center is the post-drift node time: the closed-form force
+        # is evaluated there, consistent with the measured estimators
+        # reading the post-drift density.
+        forces = build_force_field(grid, params, config.estimator, measured_lnr, new_lnr, t_new)
     except DegenerateDensityError:
         return STATUS_DISPERSION, state
 
@@ -282,8 +275,8 @@ def run(
 
     recorder = Recorder(grid, params, config.snapshot_every)
     final_status = STATUS_OK
-    m = moments(state, grid)
-    prev_mass = mass(state, grid)
+    m = moments(state.ln_rho, grid)
+    prev_mass = mass(state.ln_rho, grid)
     recorder.add(0, state, m, prev_mass)
     var0 = m.var
 
@@ -294,14 +287,8 @@ def run(
     # with node times; without it the whole oscillation lags by dt/2, which
     # at the default resolution already costs a*omega*dt/2 ~ 5% of the
     # amplitude in apparent center error.
-    try:
-        boot = build_force_field(
-            grid, params, config.estimator,
-            measured=state, pressure_source=state, t_force=state.t,
-        )
-        state.V = state.V + 0.5 * config.dt * boot.total
-    except DegenerateDensityError:
-        pass
+    boot = build_force_field(grid, params, config.estimator, state.ln_rho, state.ln_rho, state.t)
+    state.V = state.V + 0.5 * config.dt * boot.total
 
     for step in range(1, config.steps + 1):
         noise = draw_noise() if config.noise in ("per_step", "measurement") else None
@@ -313,11 +300,11 @@ def run(
         # a step that blows up the variance or jumps the mass ends the run
         # unrecorded
         try:
-            m = moments(new_state, grid)
+            m = moments(new_state.ln_rho, grid)
         except DegenerateDensityError:
             final_status = STATUS_DISPERSION
             break
-        new_mass = mass(new_state, grid)
+        new_mass = mass(new_state.ln_rho, grid)
         ratio = new_mass / prev_mass
         if m.var > VAR_BLOWUP_FACTOR * var0 or not (
             1.0 / MASS_STEP_JUMP_FACTOR < ratio < MASS_STEP_JUMP_FACTOR

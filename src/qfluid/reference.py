@@ -88,15 +88,10 @@ def cn_step(wave: WaveState, grid: SpatialGrid, params: PhysicalParams, dt: floa
     return WaveState(wave.t + dt, new_psi)
 
 
-def wave_to_fluid(wave: WaveState, grid: SpatialGrid, params: PhysicalParams) -> FluidState:
-    """Read the fluid fields out of psi: rho = |psi|^2 and
-    V = 2 D Im(psi_x / psi) by central differences (V = 0 where the
-    amplitude is below floor)."""
-    return _fluid_from(wave, np.abs(wave.psi) ** 2, grid, params)
-
-
-def _fluid_from(wave: WaveState, rho: np.ndarray, grid: SpatialGrid, params: PhysicalParams) -> FluidState:
-    """``wave_to_fluid`` with rho = |psi|^2 already computed."""
+def wave_to_fluid(wave: WaveState, rho: np.ndarray, grid: SpatialGrid, params: PhysicalParams) -> FluidState:
+    """Read the fluid fields out of psi, given its density rho = |psi|^2:
+    ln rho and V = 2 D Im(psi_x / psi) by central differences (V = 0 where
+    the amplitude is below floor)."""
     psi = wave.psi
     peak = float(np.max(rho))
     floor = AMPLITUDE_FLOOR * max(peak, 1e-300)
@@ -149,6 +144,6 @@ def run_reference(
                 break
         # one |psi|^2 per step: the fluid fields, the mass and the snapshot
         rho = np.abs(wave.psi) ** 2
-        fluid = _fluid_from(wave, rho, grid, params)
-        recorder.add(step, fluid, moments(fluid, grid), float(rho.sum() * grid.dx), rho=rho)
+        fluid = wave_to_fluid(wave, rho, grid, params)
+        recorder.add(step, fluid, moments(fluid.ln_rho, grid), float(rho.sum() * grid.dx), rho=rho)
     return recorder.finish(final_status)

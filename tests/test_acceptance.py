@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 import qfluid as qf
-from qfluid.core import FluidState
 from qfluid.presets import default_grid, default_params, preset
 
 
@@ -196,9 +195,9 @@ def test_criterion_9_estimator_equivalence():
         center = rng.uniform(-20.0, 20.0)
         amp = rng.uniform(-1.0, 1.0)
         x = grid.positions
-        state = FluidState(0.0, amp - (x - center) ** 2 / (2 * sigma**2), np.zeros(grid.n))
-        f_fd = qf.fd_quantum_force(state, grid, params)
-        f_gauss = qf.gaussian_fit_force(state, grid, params)
+        ln_rho = amp - (x - center) ** 2 / (2 * sigma**2)
+        f_fd = qf.fd_quantum_force(ln_rho, grid, params)
+        f_gauss = qf.gaussian_fit_force(ln_rho, grid, params)
         core = np.abs(x - center) <= 3 * sigma
         worst = max(worst, float(np.max(np.abs(f_fd[core] - f_gauss[core]))
                                  / np.max(np.abs(f_gauss[core]))))
@@ -211,7 +210,7 @@ def test_criterion_9_estimator_equivalence():
         x = g.positions
         u = x - center
         ln_rho = -(u**2) / (2 * sigma**2) + eps * np.cos(q * u)
-        F = qf.fd_quantum_force(FluidState(0.0, ln_rho, np.zeros(g.n)), g, params)
+        F = qf.fd_quantum_force(ln_rho, g, params)
         L1 = -u / sigma**2 - eps * q * np.sin(q * u)
         L2 = -1.0 / sigma**2 - eps * q**2 * np.cos(q * u)
         L3 = eps * q**3 * np.sin(q * u)

@@ -163,6 +163,20 @@ def test_sweep_print_config_prints_the_run_settings_and_runs_nothing(tmp_path, c
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("sweep, error", [
+    (["--param", "M", "--values", "x"], "error: cannot sweep 'M'"),
+    (["--param", "kp", "--values", "1,x"], "error: bad sweep values: "),
+    (["--param", "D", "--values", "25,-1"], "error: sweep point D=-1: "),
+], ids=["param", "values", "point"])
+def test_sweep_print_config_refuses_what_the_sweep_refuses(tmp_path, capsys, sweep, error):
+    out = ["--out", str(tmp_path)]
+    assert main(["sweep", *sweep, *out]) == 1
+    refused = capsys.readouterr()
+    assert refused.out == "" and refused.err.startswith(error)
+    assert main(["sweep", *sweep, *out, "--print-config"]) == 1
+    assert capsys.readouterr() == refused
+
+
 # sigma = sqrt(D/omega) ~ 0.07 cells: the initial density is one spike
 _SUB_CELL_D = "0.0005"
 

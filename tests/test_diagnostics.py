@@ -74,9 +74,9 @@ def test_center_energy_estimate_zero_amplitude():
 def _full_grid_center_energy(state, grid, params):
     """center_energy_estimate's formula with the stencil chain run over the
     whole grid."""
-    m = qf.moments(state, grid)
+    m = qf.moments(state.ln_rho, grid)
     x = grid.positions
-    Q = qf.fd_quantum_potential(qf.fd_log_gradient(state, grid), grid, params)
+    Q = qf.fd_quantum_potential(qf.fd_log_gradient(state.ln_rho, grid), grid, params)
     q_at_mean = float(np.interp(m.mean, x[2:-2], Q[2:-2]))
     v_at_mean = float(np.interp(m.mean, x, state.V))
     return 0.5 * v_at_mean**2 + 0.5 * params.omega**2 * m.mean**2 + q_at_mean
@@ -109,7 +109,7 @@ def test_center_energy_estimate_matches_the_full_grid_stencil_bit_for_bit(n):
         except qf.DegenerateDensityError:
             continue
         assert qf.center_energy_estimate(state, grid, params) == expected
-        mean = qf.moments(state, grid).mean
+        mean = qf.moments(state.ln_rho, grid).mean
         if mean < x[2]:
             seen["below_band"] += 1
         elif mean > x[-3]:
@@ -127,16 +127,16 @@ def test_smoothness_of_exact_packet():
     grid = default_grid()
     state = qf.init_coherent_state(params, grid, 0.0)
     expected = (grid.dx**2 * params.omega / params.D) ** 2
-    assert qf.smoothness(state, grid) == pytest.approx(expected, rel=1e-9)
+    assert qf.smoothness(state.ln_rho, grid) == pytest.approx(expected, rel=1e-9)
 
 
 def test_smoothness_increases_with_noise():
     params = default_params()
     grid = default_grid()
     state = qf.init_coherent_state(params, grid, 0.0)
-    before = qf.smoothness(state, grid)
+    before = qf.smoothness(state.ln_rho, grid)
     state.ln_rho = state.ln_rho + np.random.default_rng(1).uniform(0.0, 1.0, size=grid.n)
-    assert qf.smoothness(state, grid) > 100 * before
+    assert qf.smoothness(state.ln_rho, grid) > 100 * before
 
 
 def test_l2_distance_identical_records():

@@ -19,7 +19,7 @@ def test_moments_of_coherent_packet():
     params = default_params()
     grid = default_grid()
     state = qf.init_coherent_state(params, grid, 0.0)
-    m = qf.moments(state, grid)
+    m = qf.moments(state.ln_rho, grid)
     assert m.mean == pytest.approx(params.a, abs=1e-4)
     assert m.var == pytest.approx(params.D / params.omega, rel=1e-5)
 
@@ -30,22 +30,22 @@ def test_moments_two_point_masses():
     ln_rho = np.full(101, -80.0)
     ln_rho[30] = 0.0  # x = -20
     ln_rho[70] = 0.0  # x = +20
-    m = qf.moments(FluidState(0.0, ln_rho, np.zeros(101)), grid)
+    m = qf.moments(ln_rho, grid)
     assert m.mean == pytest.approx(0.0, abs=1e-12)
     assert m.var == pytest.approx(b**2, rel=1e-12)
 
 
 def test_moments_uniform_density():
     grid = qf.make_grid(0.0, 1.0, 101)
-    m = qf.moments(FluidState(0.0, np.zeros(101), np.zeros(101)), grid)
+    m = qf.moments(np.zeros(101), grid)
     assert m.mean == pytest.approx(50.0)
 
 
 def test_moments_scale_invariance():
     grid = default_grid()
     state = log_quadratic_state(grid, 5.0, 12.0)
-    scaled = FluidState(0.0, state.ln_rho + 0.3, state.V)
-    m1, m2 = qf.moments(state, grid), qf.moments(scaled, grid)
+    scaled = state.ln_rho + 0.3
+    m1, m2 = qf.moments(state.ln_rho, grid), qf.moments(scaled, grid)
     assert m1.mean == pytest.approx(m2.mean, abs=1e-12)
     assert m1.var == pytest.approx(m2.var, rel=1e-12)
 
@@ -55,7 +55,7 @@ def test_moments_degenerate_density_raises():
     ln_rho = np.full(101, -200.0)
     ln_rho[50] = 0.0
     with pytest.raises(qf.DegenerateDensityError):
-        qf.moments(FluidState(0.0, ln_rho, np.zeros(101)), grid)
+        qf.moments(ln_rho, grid)
 
 
 def test_gaussian_fit_force_on_equilibrium_packet():
@@ -63,7 +63,7 @@ def test_gaussian_fit_force_on_equilibrium_packet():
     params = default_params()
     grid = default_grid()
     state = log_quadratic_state(grid, 0.0, params.sigma())
-    force = qf.gaussian_fit_force(state, grid, params)
+    force = qf.gaussian_fit_force(state.ln_rho, grid, params)
     x = grid.positions
     assert np.allclose(force, params.omega**2 * x, rtol=1e-5, atol=1e-8)
 
@@ -72,8 +72,8 @@ def test_gaussian_fit_force_vanishes_at_mean():
     params = default_params()
     grid = default_grid()
     state = log_quadratic_state(grid, 6.0, 14.0)
-    force = qf.gaussian_fit_force(state, grid, params)
-    m = qf.moments(state, grid)
+    force = qf.gaussian_fit_force(state.ln_rho, grid, params)
+    m = qf.moments(state.ln_rho, grid)
     assert np.interp(m.mean, grid.positions, force) == pytest.approx(0.0, abs=1e-10)
 
 
@@ -81,8 +81,8 @@ def test_gaussian_fit_force_scale_invariance():
     params = default_params()
     grid = default_grid()
     state = log_quadratic_state(grid, -4.0, 10.0)
-    f1 = qf.gaussian_fit_force(state, grid, params)
-    f2 = qf.gaussian_fit_force(FluidState(0.0, state.ln_rho + 0.3, state.V), grid, params)
+    f1 = qf.gaussian_fit_force(state.ln_rho, grid, params)
+    f2 = qf.gaussian_fit_force(state.ln_rho + 0.3, grid, params)
     assert np.max(np.abs(f1 - f2)) <= 1e-12 * np.max(np.abs(f1))
 
 
@@ -92,11 +92,11 @@ def test_all_density_forces_scale_invariant():
     params = default_params(kp=1.5)
     grid = default_grid()
     state = log_quadratic_state(grid, 2.0, 9.0)
-    scaled = FluidState(0.0, state.ln_rho + math.log(7.0), state.V)
-    f_fd1 = qf.fd_quantum_force(state, grid, params)
+    scaled = state.ln_rho + math.log(7.0)
+    f_fd1 = qf.fd_quantum_force(state.ln_rho, grid, params)
     f_fd2 = qf.fd_quantum_force(scaled, grid, params)
     assert np.max(np.abs(f_fd1 - f_fd2)) <= 1e-12 * max(np.max(np.abs(f_fd1)), 1e-30)
-    p1 = qf.pressure_force(state, grid, params)
+    p1 = qf.pressure_force(state.ln_rho, grid, params)
     p2 = qf.pressure_force(scaled, grid, params)
     assert np.max(np.abs(p1 - p2)) <= 1e-12 * max(np.max(np.abs(p1)), 1e-30)
 
@@ -108,7 +108,7 @@ def test_gaussian_fit_force_index_units_identity():
     params = default_params()
     grid = qf.make_grid(-37.5, 0.75, 120)
     state = log_quadratic_state(grid, 3.0, 7.5)
-    physical = qf.gaussian_fit_force(state, grid, params)
+    physical = qf.gaussian_fit_force(state.ln_rho, grid, params)
 
     w = np.exp(state.ln_rho - np.max(state.ln_rho))
     j = np.arange(grid.n, dtype=float)
@@ -122,8 +122,8 @@ def test_gaussian_fit_force_index_units_identity():
 def test_fd_log_gradient_linear_density():
     grid = qf.make_grid(-20.0, 0.5, 81)
     s = 0.37
-    state = FluidState(0.0, s * grid.positions, np.zeros(81))
-    H = qf.fd_log_gradient(state, grid)
+    ln_rho = s * grid.positions
+    H = qf.fd_log_gradient(ln_rho, grid)
     assert np.allclose(H[1:-1], s, rtol=1e-12)
     assert H[0] == 0.0 and H[-1] == 0.0
 
@@ -131,9 +131,9 @@ def test_fd_log_gradient_linear_density():
 def test_fd_log_gradient_uniform_and_packet():
     params = default_params()
     grid = default_grid()
-    assert np.all(qf.fd_log_gradient(FluidState(0.0, np.zeros(grid.n), np.zeros(grid.n)), grid) == 0.0)
+    assert np.all(qf.fd_log_gradient(np.zeros(grid.n), grid) == 0.0)
     state = qf.init_coherent_state(params, grid, 0.0)
-    H = qf.fd_log_gradient(state, grid)
+    H = qf.fd_log_gradient(state.ln_rho, grid)
     expected = -(params.omega / params.D) * (grid.positions - params.a)
     assert np.allclose(H[1:-1], expected[1:-1], atol=1e-10)
 
@@ -142,8 +142,8 @@ def test_fd_quantum_potential_exponential_density():
     params = default_params()
     grid = qf.make_grid(-48.0, 1.0, 97)
     b = 0.21
-    state = FluidState(0.0, b * grid.positions, np.zeros(97))
-    H = qf.fd_log_gradient(state, grid)
+    ln_rho = b * grid.positions
+    H = qf.fd_log_gradient(ln_rho, grid)
     Q = qf.fd_quantum_potential(H, grid, params)
     assert np.allclose(Q[2:-2], -params.D**2 * b**2 / 2, rtol=1e-10)
 
@@ -151,10 +151,10 @@ def test_fd_quantum_potential_exponential_density():
 def test_fd_quantum_potential_uniform_and_packet_center():
     params = default_params()
     grid = default_grid()
-    H0 = qf.fd_log_gradient(FluidState(0.0, np.zeros(grid.n), np.zeros(grid.n)), grid)
+    H0 = qf.fd_log_gradient(np.zeros(grid.n), grid)
     assert np.all(qf.fd_quantum_potential(H0, grid, params) == 0.0)
     state = qf.init_coherent_state(params, grid, 0.0)
-    Q = qf.fd_quantum_potential(qf.fd_log_gradient(state, grid), grid, params)
+    Q = qf.fd_quantum_potential(qf.fd_log_gradient(state.ln_rho, grid), grid, params)
     q_at_center = np.interp(params.a, grid.positions, Q)
     assert q_at_center == pytest.approx(params.D * params.omega, rel=1e-9)
 
@@ -165,8 +165,8 @@ def test_fd_quantum_force_matches_gaussian_fit_on_log_quadratic():
     params = default_params()
     grid = default_grid()
     state = log_quadratic_state(grid, 3.0, 11.0)
-    f_fd = qf.fd_quantum_force(state, grid, params)
-    f_gauss = qf.gaussian_fit_force(state, grid, params)
+    f_fd = qf.fd_quantum_force(state.ln_rho, grid, params)
+    f_gauss = qf.gaussian_fit_force(state.ln_rho, grid, params)
     core = np.abs(grid.positions - 3.0) <= 3 * 11.0
     scale = np.max(np.abs(f_gauss[core]))
     assert np.max(np.abs(f_fd[core] - f_gauss[core])) <= 1e-8 * scale
@@ -175,8 +175,8 @@ def test_fd_quantum_force_matches_gaussian_fit_on_log_quadratic():
 def test_fd_quantum_force_exponential_density_is_zero():
     params = default_params()
     grid = qf.make_grid(-48.0, 1.0, 97)
-    state = FluidState(0.0, -0.15 * grid.positions, np.zeros(97))
-    F = qf.fd_quantum_force(state, grid, params)
+    ln_rho = -0.15 * grid.positions
+    F = qf.fd_quantum_force(ln_rho, grid, params)
     assert np.allclose(F[3:-3], 0.0, atol=1e-12)
     assert np.all(F[:3] == 0.0) and np.all(F[-3:] == 0.0)
 
@@ -184,16 +184,14 @@ def test_fd_quantum_force_exponential_density_is_zero():
 def test_fd_quantum_force_uniform_density_is_zero():
     params = default_params()
     grid = default_grid()
-    F = qf.fd_quantum_force(FluidState(0.0, np.zeros(grid.n), np.zeros(grid.n)), grid, params)
+    F = qf.fd_quantum_force(np.zeros(grid.n), grid, params)
     assert np.all(F == 0.0)
 
 
 def test_fd_quantum_force_needs_seven_points():
     params = default_params()
     with pytest.raises(ValueError):
-        qf.fd_quantum_force(
-            FluidState(0.0, np.zeros(5), np.zeros(5)), qf.SpatialGrid(0.0, 1.0, 5), params
-        )
+        qf.fd_quantum_force(np.zeros(5), qf.SpatialGrid(0.0, 1.0, 5), params)
 
 
 def test_estimator_equivalence_on_random_log_quadratics():
@@ -208,8 +206,8 @@ def test_estimator_equivalence_on_random_log_quadratics():
         center = rng.uniform(-20.0, 20.0)
         amp = rng.uniform(-1.0, 1.0)
         state = log_quadratic_state(grid, center, sigma, amp)
-        f_fd = qf.fd_quantum_force(state, grid, params)
-        f_gauss = qf.gaussian_fit_force(state, grid, params)
+        f_fd = qf.fd_quantum_force(state.ln_rho, grid, params)
+        f_gauss = qf.gaussian_fit_force(state.ln_rho, grid, params)
         core = np.abs(grid.positions - center) <= 3 * sigma
         scale = np.max(np.abs(f_gauss[core]))
         worst = max(worst, np.max(np.abs(f_fd[core] - f_gauss[core])) / scale)
@@ -235,7 +233,7 @@ def test_fd_quantum_force_second_order_convergence():
         grid = qf.make_grid(-100.0, dx, int(round(200 / dx)))
         x = grid.positions
         ln_rho = -((x - center) ** 2) / (2 * sigma**2) + eps * np.cos(q * (x - center))
-        F = qf.fd_quantum_force(FluidState(0.0, ln_rho, np.zeros(grid.n)), grid, params)
+        F = qf.fd_quantum_force(ln_rho, grid, params)
         exact = _cosine_log_density_force(x, center, sigma, eps, q, D)
         core = np.abs(x - center) <= 3 * sigma
         return np.max(np.abs(F[core] - exact[core]))
@@ -248,15 +246,15 @@ def test_pressure_force_zero_without_kp():
     params = default_params()
     grid = default_grid()
     state = qf.init_coherent_state(params, grid, 0.0)
-    assert np.all(qf.pressure_force(state, grid, params) == 0.0)
+    assert np.all(qf.pressure_force(state.ln_rho, grid, params) == 0.0)
 
 
 def test_pressure_force_linear_log_density():
     params = default_params(kp=2.5)
     grid = qf.make_grid(-48.0, 1.0, 97)
     s = 0.4
-    state = FluidState(0.0, s * grid.positions, np.zeros(97))
-    F = qf.pressure_force(state, grid, params)
+    ln_rho = s * grid.positions
+    F = qf.pressure_force(ln_rho, grid, params)
     assert np.allclose(F[1:-1], -params.kp * s, rtol=1e-12)
     assert F[0] == 0.0 and F[-1] == 0.0
 
@@ -265,7 +263,7 @@ def test_pressure_force_spreads_the_packet():
     params = default_params(kp=1.0)
     grid = default_grid()
     state = qf.init_coherent_state(params, grid, 0.0)
-    F = qf.pressure_force(state, grid, params)
+    F = qf.pressure_force(state.ln_rho, grid, params)
     x = grid.positions
     expected = params.kp * (params.omega / params.D) * (x - params.a)
     assert np.allclose(F[1:-1], expected[1:-1], atol=1e-10)
@@ -287,8 +285,8 @@ def test_rigid_transport_identity():
     params = default_params()
     grid = default_grid()
     state = qf.init_coherent_state(params, grid, 0.0)
-    total = qf.external_force(grid, params) + qf.gaussian_fit_force(state, grid, params)
-    m = qf.moments(state, grid)
+    total = qf.external_force(grid, params) + qf.gaussian_fit_force(state.ln_rho, grid, params)
+    m = qf.moments(state.ln_rho, grid)
     assert np.allclose(total, -params.omega**2 * m.mean, atol=1e-6)
 
 

@@ -8,7 +8,7 @@ import pytest
 
 import qfluid as qf
 from qfluid.core import FluidState
-from qfluid.integrator import RHO_FLOOR, sponge_active
+from qfluid.integrator import PRESSURE_GATE_REL, PRESSURE_GATE_SHARPNESS, RHO_FLOOR, sponge_active
 from qfluid.presets import default_grid, default_params
 
 
@@ -256,7 +256,20 @@ def test_build_force_field_unknown_estimator():
     params, grid = default_params(), default_grid()
     state = qf.init_coherent_state(params, grid, 0.0)
     with pytest.raises(ValueError):
-        qf.build_force_field(grid, params, "bogus", state, state, 0.0)
+        qf.build_force_field(grid, params, "bogus", state.ln_rho, state.ln_rho, 0.0)
+
+
+def test_build_force_field_measures_the_quantum_force_and_pushes_with_the_true_density():
+    params, grid = default_params(kp=1.0), default_grid()
+    ln_rho = qf.init_coherent_state(params, grid, 0.0).ln_rho
+    measured = ln_rho + np.random.default_rng(3).uniform(0.0, 1.0, grid.n)
+    forces = qf.build_force_field(grid, params, "gaussian_fit", measured, ln_rho, 0.0)
+    assert np.array_equal(forces.quantum, qf.gaussian_fit_force(measured, grid, params))
+    ln_gate = ln_rho.max() + math.log(PRESSURE_GATE_REL)
+    gate = 1.0 + np.exp(np.clip(-PRESSURE_GATE_SHARPNESS * (ln_rho - ln_gate), -60.0, 60.0))
+    expected = qf.pressure_force(ln_rho, grid, params) / gate
+    assert np.max(np.abs(expected)) > 0.1
+    np.testing.assert_allclose(forces.pressure, expected, rtol=1e-12, atol=0.0)
 
 
 def test_summary_errors_populated():
