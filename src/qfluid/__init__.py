@@ -40,7 +40,7 @@ from .forces import (
 from .integrator import build_force_field, drift_kick_step, run
 from .oracle import OracleWave
 from .presets import default_grid, default_params, preset, preset_names
-from .reference import WaveState, cn_step, fluid_to_wave, run_reference, wave_to_fluid
+from .reference import CNOperator, WaveState, cn_operator, cn_step, fluid_to_wave, run_reference, wave_to_fluid
 
 __version__ = "0.1.0"
 
@@ -77,6 +77,8 @@ __all__ = [
     "preset",
     "preset_names",
     "WaveState",
+    "CNOperator",
+    "cn_operator",
     "cn_step",
     "fluid_to_wave",
     "run_reference",

@@ -16,15 +16,16 @@ step's amplitude), which keeps each step's Hamiltonian Hermitian.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FluidState, PhysicalParams, SpatialGrid, init_coherent_state
+from .core import FluidState, PhysicalParams, RunConfig, SpatialGrid, init_coherent_state
 from .diagnostics import Recorder, RunRecord
 from .forces import moments
 
-__all__ = ["WaveState", "cn_step", "wave_to_fluid", "fluid_to_wave", "run_reference"]
+__all__ = ["WaveState", "CNOperator", "cn_operator", "cn_step", "wave_to_fluid", "fluid_to_wave", "run_reference"]
 
 # densities below this fraction of the peak are treated as vacuum when
 # extracting a velocity or evaluating ln|psi|
@@ -42,69 +43,97 @@ class WaveState:
         return float(np.sum(np.abs(self.psi) ** 2) * grid.dx)
 
 
-def cn_step(wave: WaveState, grid: SpatialGrid, params: PhysicalParams, dt: float) -> WaveState:
-    """Advance psi by one Crank-Nicolson step of
-    i psi_t = -D psi_xx + [(phi + w)/(2D)] psi, Dirichlet ends."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    n = grid.n
-    dx = grid.dx
-    x = grid.positions
-    psi = wave.psi
+@dataclass(eq=False)
+class CNOperator:
+    """The Crank-Nicolson system (I + zH) psi_new = (I - zH) psi of one run,
+    z = i dt/2, over the interior cells (psi = 0 is pinned at the ends), with
 
-    potential = 0.5 * params.omega**2 * x**2
-    if params.kp != 0.0:
-        rho = np.abs(psi) ** 2
-        floor = AMPLITUDE_FLOOR * max(float(np.max(rho)), 1e-300)
-        potential = potential + params.kp * np.log(np.maximum(rho, floor))
+        H psi_j = off (psi_{j+1} + psi_{j-1}) + diag_j psi_j,
+        off = -D/dx^2,   diag = -2 off + (phi + w)/(2D).
 
-    # H psi = -D (psi_{j+1} - 2 psi_j + psi_{j-1})/dx^2 + potential/(2D) psi
-    off = -params.D / dx**2
+    Only w = kp ln|psi|^2 changes between steps.  Without it (kp = 0) the
+    system is constant and `factors` holds zgttrf's LU factors of I + zH,
+    computed once; with it `factors` is None and each step refactors."""
+
+    params: PhysicalParams
+    dt: float
+    z: complex
+    off: float
+    potential: np.ndarray  # phi = omega^2 x^2 / 2
+    diag: np.ndarray  # the diagonal of H for phi alone
+    band: np.ndarray  # z off: the sub- and super-diagonal of I + zH
+    factors: tuple | None
+
+
+def cn_operator(grid: SpatialGrid, params: PhysicalParams, dt: float) -> CNOperator:
+    """Build the Crank-Nicolson operator of
+    i psi_t = -D psi_xx + [(phi + w)/(2D)] psi, Dirichlet ends, for steps of
+    dt; factor it now when it is constant (kp = 0)."""
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be positive and finite, got {dt}")
+    potential = 0.5 * params.omega**2 * grid.positions**2
+    off = -params.D / grid.dx**2
     diag = -2.0 * off + potential / (2.0 * params.D)
-
     z = 0.5j * dt
-    rhs = np.empty(n, dtype=complex)
-    rhs[1:-1] = psi[1:-1] - z * (off * (psi[2:] + psi[:-2]) + diag[1:-1] * psi[1:-1])
-    rhs[0] = 0.0
-    rhs[-1] = 0.0
+    band = np.full(grid.n - 3, z * off)
+    factors = None if params.kp != 0.0 else _factor(band, 1.0 + z * diag[1:-1])
+    return CNOperator(params, dt, z, off, potential, diag, band, factors)
 
-    # banded (I + z H) over interior points; psi = 0 pinned at the ends
-    m = n - 2
-    ab = np.zeros((3, m), dtype=complex)
-    ab[0, 1:] = z * off
-    ab[1, :] = 1.0 + z * diag[1:-1]
-    ab[2, :-1] = z * off
-    # scipy is imported here, on first use, so that the fluid loop and its
-    # CLI commands never pay for loading it
-    from scipy.linalg import solve_banded
 
-    try:
-        interior = solve_banded((1, 1), ab, rhs[1:-1])
-    except np.linalg.LinAlgError as err:
-        raise RuntimeError("Crank-Nicolson tridiagonal solve failed") from err
+def _factor(band: np.ndarray, d: np.ndarray) -> tuple:
+    """zgttrf's LU factors of the tridiagonal matrix (band, d, band)."""
+    # scipy is imported here, when a reference run starts, so that the fluid
+    # loop and its CLI commands never pay for loading it
+    from scipy.linalg.lapack import zgttrf
 
-    new_psi = np.zeros(n, dtype=complex)
+    *factors, info = zgttrf(band, d, band)
+    if info != 0:
+        raise RuntimeError("Crank-Nicolson tridiagonal solve failed")
+    return tuple(factors)
+
+
+def _vacuum_floor(rho: np.ndarray) -> float:
+    return AMPLITUDE_FLOOR * max(float(np.max(rho)), 1e-300)
+
+
+def cn_step(wave: WaveState, op: CNOperator) -> WaveState:
+    """Advance psi by one Crank-Nicolson step of `op`; with pressure, w is
+    lagged: evaluated from this step's amplitude."""
+    from scipy.linalg.lapack import zgttrs
+
+    psi = wave.psi
+    diag, factors = op.diag, op.factors
+    if factors is None:
+        rho = np.abs(psi) ** 2
+        potential = op.potential + op.params.kp * np.log(np.maximum(rho, _vacuum_floor(rho)))
+        diag = -2.0 * op.off + potential / (2.0 * op.params.D)
+        factors = _factor(op.band, 1.0 + op.z * diag[1:-1])
+
+    rhs = psi[1:-1] - op.z * (op.off * (psi[2:] + psi[:-2]) + diag[1:-1] * psi[1:-1])
+    interior, info = zgttrs(*factors, rhs)
+    if info != 0:
+        raise RuntimeError("Crank-Nicolson tridiagonal solve failed")
+    new_psi = np.zeros(psi.size, dtype=complex)
     new_psi[1:-1] = interior
-    return WaveState(wave.t + dt, new_psi)
+    return WaveState(wave.t + op.dt, new_psi)
 
 
 def wave_to_fluid(wave: WaveState, rho: np.ndarray, grid: SpatialGrid, params: PhysicalParams) -> FluidState:
     """Read the fluid fields out of psi, given its density rho = |psi|^2:
-    ln rho and V = 2 D Im(psi_x / psi) by central differences (V = 0 where
-    the amplitude is below floor)."""
-    psi = wave.psi
-    peak = float(np.max(rho))
-    floor = AMPLITUDE_FLOOR * max(peak, 1e-300)
-    ln_rho = np.log(np.maximum(rho, floor))
+    ln rho and V = 2 D Im(psi_x / psi) = 2 D Im(conj(psi) psi_x) / rho by
+    central differences,
 
+        V_j = (D/dx) (Re psi_j Im dpsi_j - Im psi_j Re dpsi_j) / rho_j,
+        dpsi_j = psi_{j+1} - psi_{j-1},
+
+    with V = 0 at both ends and where the density is below floor."""
+    floor = _vacuum_floor(rho)
+    ln_rho = np.log(np.maximum(rho, floor))
+    psi = wave.psi[1:-1]
+    dpsi = wave.psi[2:] - wave.psi[:-2]
+    flux = (params.D / grid.dx) * (psi.real * dpsi.imag - psi.imag * dpsi.real)
     V = np.zeros(grid.n)
-    good = rho > floor
-    dpsi = np.zeros(grid.n, dtype=complex)
-    dpsi[1:-1] = (psi[2:] - psi[:-2]) / (2 * grid.dx)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(good, dpsi / np.where(good, psi, 1.0), 0.0)
-    V[good] = 2.0 * params.D * np.imag(ratio[good])
-    V[[0, -1]] = 0.0
+    np.divide(flux, rho[1:-1], out=V[1:-1], where=rho[1:-1] > floor)
     return FluidState(wave.t, ln_rho, V)
 
 
@@ -129,13 +158,16 @@ def run_reference(
     same diagnostics as the fluid loop (computed from the extracted
     density/velocity), so records from both solvers can be compared like
     for like.  Snapshots hold rho = |psi|^2 itself."""
+    # the fluid loop's own checks of dt, steps and snapshot_every
+    RunConfig(dt=dt, steps=steps, snapshot_every=snapshot_every)
+    op = cn_operator(grid, params, dt)
     wave = fluid_to_wave(init_coherent_state(params, grid, 0.0), grid, params)
     recorder = Recorder(grid, params, snapshot_every)
     final_status = "ok"
     for step in range(steps + 1):
         if step > 0:
             try:
-                wave = cn_step(wave, grid, params, dt)
+                wave = cn_step(wave, op)
             except RuntimeError:
                 final_status = "diverged_nonfinite"
                 break

@@ -1,6 +1,7 @@
 """Crank-Nicolson wave solver and the fluid <-> wave conversions."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 import qfluid as qf
 from qfluid.core import FluidState
 from qfluid.presets import default_grid, default_params
+from qfluid.reference import AMPLITUDE_FLOOR
 
 
 def wide_grid():
@@ -20,7 +22,7 @@ def test_cn_step_uniform_wave_is_stationary():
     params = qf.PhysicalParams(D=1.0, omega=1e-12)
     grid = qf.make_grid(-48.0, 1.0, 97)
     psi = np.ones(97, dtype=complex)
-    out = qf.cn_step(qf.WaveState(0.0, psi), grid, params, 0.5)
+    out = qf.cn_step(qf.WaveState(0.0, psi), qf.cn_operator(grid, params, 0.5))
     assert out.t == 0.5
     # the implicit solve feels the Dirichlet walls with fast spatial
     # decay; twenty cells in, the flat wave is untouched
@@ -28,12 +30,14 @@ def test_cn_step_uniform_wave_is_stationary():
     assert np.max(np.abs(out.psi[interior] - 1.0)) < 1e-10
 
 
-def test_cn_step_rejects_nonpositive_dt():
+def test_cn_operator_rejects_nonpositive_dt():
     params = default_params()
     grid = wide_grid()
-    wave = qf.fluid_to_wave(qf.init_coherent_state(params, grid, 0.0), grid, params)
     with pytest.raises(ValueError):
-        qf.cn_step(wave, grid, params, -1.0)
+        qf.cn_operator(grid, params, -1.0)
+    # LAPACK's tridiagonal solve does not check for NaN; the operator does
+    with pytest.raises(ValueError):
+        qf.cn_operator(grid, params, math.nan)
 
 
 def test_cn_preserves_norm():
@@ -41,9 +45,40 @@ def test_cn_preserves_norm():
     grid = wide_grid()
     wave = qf.fluid_to_wave(qf.init_coherent_state(params, grid, 0.0), grid, params)
     n0 = wave.norm2(grid)
+    op = qf.cn_operator(grid, params, 1.0)
     for _ in range(64):
-        wave = qf.cn_step(wave, grid, params, 1.0)
+        wave = qf.cn_step(wave, op)
     assert abs(wave.norm2(grid) / n0 - 1.0) <= 1e-10
+
+
+def apply_h(psi, lagged, grid, params):
+    """H psi on the interior, written out from the equation; the pressure
+    term w = kp ln|lagged|^2 is taken from the lagged amplitude."""
+    rho = np.abs(lagged) ** 2
+    w = params.kp * np.log(np.maximum(rho, AMPLITUDE_FLOOR * rho.max()))
+    phi = 0.5 * params.omega**2 * grid.positions**2
+    laplacian = (psi[2:] - 2.0 * psi[1:-1] + psi[:-2]) / grid.dx**2
+    return -params.D * laplacian + (phi + w)[1:-1] / (2.0 * params.D) * psi[1:-1]
+
+
+@pytest.mark.parametrize("kp", [0.0, 1.0])
+def test_cn_step_solves_its_own_equation(kp):
+    # each step satisfies (I + zH[psi_k]) psi_{k+1} = (I - zH[psi_k]) psi_k,
+    # z = i dt/2, to round-off; with pressure H changes every step, so a
+    # step solving with an earlier step's operator fails this
+    params = default_params(kp=kp)
+    grid = default_grid()
+    dt = 0.5
+    z = 0.5j * dt
+    op = qf.cn_operator(grid, params, dt)
+    wave = qf.fluid_to_wave(qf.init_coherent_state(params, grid, 0.0), grid, params)
+    for _ in range(4):
+        new = qf.cn_step(wave, op)
+        lhs = new.psi[1:-1] + z * apply_h(new.psi, wave.psi, grid, params)
+        rhs = wave.psi[1:-1] - z * apply_h(wave.psi, wave.psi, grid, params)
+        assert np.linalg.norm(lhs - rhs) <= 1e-12 * np.linalg.norm(wave.psi)
+        assert new.psi[0] == 0.0 and new.psi[-1] == 0.0
+        wave = new
 
 
 def test_cn_center_returns_after_one_period():
@@ -69,8 +104,9 @@ def test_cn_norm_preserved_with_pressure():
     grid = wide_grid()
     wave = qf.fluid_to_wave(qf.init_coherent_state(params, grid, 0.0), grid, params)
     n0 = wave.norm2(grid)
+    op = qf.cn_operator(grid, params, 0.5)
     for _ in range(64):
-        wave = qf.cn_step(wave, grid, params, 0.5)
+        wave = qf.cn_step(wave, op)
     assert abs(wave.norm2(grid) / n0 - 1.0) <= 1e-10
 
 
@@ -86,6 +122,25 @@ def test_cn_pressure_drives_oscillatory_spreading():
     half = int(round(32.0 / 0.25))
     window = np.abs(ratio[half - 12 : half + 13] - 1.0)
     assert window.min() <= 0.15
+
+
+@pytest.mark.parametrize(
+    "bad, field",
+    [
+        ({"steps": -1}, "steps"),
+        ({"steps": 0}, "steps"),
+        ({"steps": 2.5}, "steps"),
+        ({"snapshot_every": -1}, "snapshot_every"),
+        ({"dt": -1.0, "steps": 0}, "dt"),
+        ({"dt": math.nan}, "dt"),
+        ({"dt": math.inf}, "dt"),
+    ],
+)
+def test_run_reference_rejects_bad_inputs(bad, field):
+    params, grid = default_params(), default_grid()
+    kwargs = {"dt": 1.0, "steps": 4, "snapshot_every": 1, **bad}
+    with pytest.raises(ValueError, match=field):
+        qf.run_reference(params, grid, **kwargs)
 
 
 def test_wave_fluid_round_trip():
@@ -118,6 +173,31 @@ def test_real_positive_wave_has_zero_velocity():
     psi = np.exp(-grid.positions**2 / 100.0).astype(complex)
     fluid = qf.wave_to_fluid(qf.WaveState(0.0, psi), np.abs(psi) ** 2, grid, params)
     assert np.allclose(fluid.V, 0.0, atol=1e-12)
+
+
+def test_wave_to_fluid_vacuum_and_ends_have_zero_velocity():
+    # a plane wave with a hole: zeros and amplitudes below the floor.  The
+    # hole and both ends (which are not vacuum) read V = 0 exactly, and
+    # nothing divides by a vanishing density
+    params = default_params()
+    grid = default_grid()
+    psi = np.exp(0.3j * grid.positions)
+    vacuum = np.zeros(grid.n, dtype=bool)
+    vacuum[40:60] = True
+    psi[40:50] = 0.0
+    psi[50:60] = 1e-9 * psi[50:60]  # |psi|^2 = 1e-18, below 1e-14 of the peak
+    rho = np.abs(psi) ** 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fluid = qf.wave_to_fluid(qf.WaveState(0.0, psi), rho, grid, params)
+    assert np.all(fluid.V[vacuum] == 0.0)
+    assert fluid.V[0] == 0.0 and fluid.V[-1] == 0.0
+    # away from the hole and the ends: the central-difference phase gradient
+    far = np.ones(grid.n, dtype=bool)
+    far[[0, -1]] = False
+    far[39:61] = False
+    expected = 2.0 * params.D * math.sin(0.3 * grid.dx) / grid.dx
+    assert np.allclose(fluid.V[far], expected, rtol=1e-12)
 
 
 def test_mass_matches_between_solvers():
