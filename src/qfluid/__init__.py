@@ -21,6 +21,7 @@ from .diagnostics import (
     RunRecord,
     center_energy_estimate,
     center_error,
+    density_distance,
     dispersion_error,
     l2_density_distance,
     smoothness,
@@ -37,10 +38,19 @@ from .forces import (
     moments,
     pressure_force,
 )
-from .integrator import build_force_field, drift_kick_step, run
+from .integrator import build_force_field, drift_kick_step, run, trajectory
 from .oracle import OracleWave
 from .presets import default_grid, default_params, preset, preset_names
-from .reference import CNOperator, WaveState, cn_operator, cn_step, fluid_to_wave, run_reference, wave_to_fluid
+from .reference import (
+    CNOperator,
+    WaveState,
+    cn_operator,
+    cn_step,
+    fluid_to_wave,
+    run_reference,
+    wave_to_fluid,
+    wave_trajectory,
+)
 
 __version__ = "0.1.0"
 
@@ -55,6 +65,7 @@ __all__ = [
     "RunRecord",
     "center_energy_estimate",
     "center_error",
+    "density_distance",
     "dispersion_error",
     "l2_density_distance",
     "smoothness",
@@ -71,6 +82,7 @@ __all__ = [
     "build_force_field",
     "drift_kick_step",
     "run",
+    "trajectory",
     "OracleWave",
     "default_grid",
     "default_params",
@@ -83,4 +95,5 @@ __all__ = [
     "fluid_to_wave",
     "run_reference",
     "wave_to_fluid",
+    "wave_trajectory",
 ]

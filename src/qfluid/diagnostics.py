@@ -18,6 +18,7 @@ __all__ = [
     "dispersion_error",
     "center_energy_estimate",
     "smoothness",
+    "density_distance",
     "l2_density_distance",
 ]
 
@@ -138,20 +139,22 @@ def smoothness(ln_rho: np.ndarray, grid: SpatialGrid) -> float:
     return float((d2[core] ** 2).mean())
 
 
+def density_distance(rho_a: np.ndarray, rho_b: np.ndarray, dx: float) -> float:
+    """Relative L2 distance of two densities on one grid:
+    sqrt(sum (rho_a - rho_b)^2 dx) / sqrt(sum rho_a^2 dx)."""
+    num = np.sqrt(np.sum((rho_a - rho_b) ** 2) * dx)
+    den = np.sqrt(np.sum(rho_a**2) * dx)
+    return float(num / den)
+
+
 def l2_density_distance(record_a: RunRecord, record_b: RunRecord) -> tuple[np.ndarray, np.ndarray]:
-    """Relative L2 distance between density snapshots at matching steps.
+    """Relative L2 distance (``density_distance``) between density snapshots
+    at matching steps.
 
     Returns (steps, distances) with one entry per step index present in both
-    records: sqrt(sum (rho_a - rho_b)^2 dx) / sqrt(sum rho_a^2 dx).
+    records.
     """
     common = sorted(set(record_a.snapshots) & set(record_b.snapshots))
     dx = record_a.grid.dx
-    steps = np.array(common, dtype=int)
-    dist = np.empty(len(common))
-    for i, k in enumerate(common):
-        rho_a = record_a.snapshots[k][0]
-        rho_b = record_b.snapshots[k][0]
-        num = np.sqrt(np.sum((rho_a - rho_b) ** 2) * dx)
-        den = np.sqrt(np.sum(rho_a**2) * dx)
-        dist[i] = num / den
-    return steps, dist
+    dist = [density_distance(record_a.snapshots[k][0], record_b.snapshots[k][0], dx) for k in common]
+    return np.array(common, dtype=int), np.array(dist, dtype=float)

@@ -15,14 +15,16 @@ update instead yields the forward-Euler map whose amplitude grows by
 exp(omega^2 dt^2/2) per step and visibly falsifies the non-spreading packet
 within a period at the default resolution.
 
-``drift_kick_step`` performs steps 1-4 with noise drawn by the caller; ``run``
-calls it once per step and draws every density perturbation, initial or
-per-step, in one place.
+``drift_kick_step`` performs steps 1-4 with noise drawn by the caller;
+``trajectory`` calls it once per step, draws every density perturbation,
+initial or per-step, in one place, and yields each surviving step; ``run``
+records what it yields.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Generator
 from functools import lru_cache
 
 import numpy as np
@@ -32,6 +34,7 @@ from .diagnostics import Recorder, RunRecord
 from .forces import (
     DegenerateDensityError,
     ForceField,
+    Moments,
     external_force,
     fd_quantum_force,
     gaussian_fit_force,
@@ -40,7 +43,7 @@ from .forces import (
 )
 from .oracle import OracleWave
 
-__all__ = ["drift_kick_step", "build_force_field", "sponge_active", "run"]
+__all__ = ["drift_kick_step", "build_force_field", "sponge_active", "trajectory", "run"]
 
 STATUS_OK = "ok"
 STATUS_CFL = "cfl_warning"
@@ -244,19 +247,21 @@ def drift_kick_step(
     return (STATUS_CFL if cfl else STATUS_OK), new_state
 
 
-def run(
+def trajectory(
     config: RunConfig,
     params: PhysicalParams,
     grid: SpatialGrid,
     state: FluidState | None = None,
-) -> RunRecord:
-    """Execute the feedback loop and collect diagnostics.
+) -> Generator[tuple[int, FluidState, Moments, float, str], None, str]:
+    """Execute the feedback loop one step at a time.
 
-    Starts from the exact coherent packet unless a state is supplied.  Stops
-    early (with a partial record and a divergence label) on non-finite
-    fields, variance blow-up, or a single-step mass jump; never raises for a
-    diverging run.  Raises ``DegenerateDensityError`` for an initial state it
-    cannot measure, e.g. a packet narrower than a tenth of a cell.
+    Yields ``(step, state, moments, mass, status)`` for step 0 and for every
+    step that survives, and returns the run's final status ("ok" or a
+    divergence label).  Starts from the exact coherent packet unless a state
+    is supplied.  Stops early on non-finite fields, variance blow-up, or a
+    single-step mass jump; never raises for a diverging run.  Raises
+    ``DegenerateDensityError`` for an initial state it cannot measure, e.g. a
+    packet narrower than a tenth of a cell.
     """
     if state is None:
         state = init_coherent_state(params, grid, 0.0)
@@ -273,11 +278,9 @@ def run(
     if config.noise == "initial":
         state.ln_rho = state.ln_rho + draw_noise()
 
-    recorder = Recorder(grid, params, config.snapshot_every)
-    final_status = STATUS_OK
     m = moments(state.ln_rho, grid)
     prev_mass = mass(state.ln_rho, grid)
-    recorder.add(0, state, m, prev_mass)
+    yield 0, state, m, prev_mass, STATUS_OK
     var0 = m.var
 
     # Leapfrog bootstrap: the loop below drifts the density with the current
@@ -286,32 +289,48 @@ def run(
     # initial velocity by half a kick aligns the recorded density trajectory
     # with node times; without it the whole oscillation lags by dt/2, which
     # at the default resolution already costs a*omega*dt/2 ~ 5% of the
-    # amplitude in apparent center error.
+    # amplitude in apparent center error.  The yielded step-0 state is left
+    # as it was.
     boot = build_force_field(grid, params, config.estimator, state.ln_rho, state.ln_rho, state.t)
-    state.V = state.V + 0.5 * config.dt * boot.total
+    state = FluidState(state.t, state.ln_rho, state.V + 0.5 * config.dt * boot.total)
 
     for step in range(1, config.steps + 1):
         noise = draw_noise() if config.noise in ("per_step", "measurement") else None
         step_status, new_state = drift_kick_step(state, grid, params, config, noise, ln_floor)
         if step_status in (STATUS_DISPERSION, STATUS_NONFINITE):
-            final_status = step_status
-            break
+            return step_status
 
         # a step that blows up the variance or jumps the mass ends the run
         # unrecorded
         try:
             m = moments(new_state.ln_rho, grid)
         except DegenerateDensityError:
-            final_status = STATUS_DISPERSION
-            break
+            return STATUS_DISPERSION
         new_mass = mass(new_state.ln_rho, grid)
         ratio = new_mass / prev_mass
         if m.var > VAR_BLOWUP_FACTOR * var0 or not (
             1.0 / MASS_STEP_JUMP_FACTOR < ratio < MASS_STEP_JUMP_FACTOR
         ):
-            final_status = STATUS_DISPERSION
-            break
+            return STATUS_DISPERSION
         state, prev_mass = new_state, new_mass
-        recorder.add(step, state, m, new_mass, step_status)
+        yield step, state, m, new_mass, step_status
+    return STATUS_OK
 
-    return recorder.finish(final_status)
+
+def run(
+    config: RunConfig,
+    params: PhysicalParams,
+    grid: SpatialGrid,
+    state: FluidState | None = None,
+) -> RunRecord:
+    """Execute the feedback loop and collect diagnostics: the RunRecord of
+    every step ``trajectory`` yields (partial, with its divergence label, if
+    the run stops early).  Raises ``DegenerateDensityError`` for an initial
+    state it cannot measure."""
+    recorder = Recorder(grid, params, config.snapshot_every)
+    steps = trajectory(config, params, grid, state)
+    while True:
+        try:
+            recorder.add(*next(steps))
+        except StopIteration as stop:
+            return recorder.finish(stop.value)

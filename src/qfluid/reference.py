@@ -17,6 +17,7 @@ step's amplitude), which keeps each step's Hamiltonian Hermitian.
 from __future__ import annotations
 
 import math
+from collections.abc import Generator
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +26,10 @@ from .core import FluidState, PhysicalParams, RunConfig, SpatialGrid, init_coher
 from .diagnostics import Recorder, RunRecord
 from .forces import moments
 
-__all__ = ["WaveState", "CNOperator", "cn_operator", "cn_step", "wave_to_fluid", "fluid_to_wave", "run_reference"]
+__all__ = [
+    "WaveState", "CNOperator", "cn_operator", "cn_step", "wave_to_fluid", "fluid_to_wave",
+    "wave_trajectory", "run_reference",
+]
 
 # densities below this fraction of the peak are treated as vacuum when
 # extracting a velocity or evaluating ln|psi|
@@ -96,15 +100,14 @@ def _vacuum_floor(rho: np.ndarray) -> float:
     return AMPLITUDE_FLOOR * max(float(np.max(rho)), 1e-300)
 
 
-def cn_step(wave: WaveState, op: CNOperator) -> WaveState:
-    """Advance psi by one Crank-Nicolson step of `op`; with pressure, w is
-    lagged: evaluated from this step's amplitude."""
+def cn_step(wave: WaveState, op: CNOperator, rho: np.ndarray) -> WaveState:
+    """Advance psi by one Crank-Nicolson step of `op`, given its density
+    rho = |psi|^2; with pressure, w is lagged: evaluated from rho."""
     from scipy.linalg.lapack import zgttrs
 
     psi = wave.psi
     diag, factors = op.diag, op.factors
     if factors is None:
-        rho = np.abs(psi) ** 2
         potential = op.potential + op.params.kp * np.log(np.maximum(rho, _vacuum_floor(rho)))
         diag = -2.0 * op.off + potential / (2.0 * op.params.D)
         factors = _factor(op.band, 1.0 + op.z * diag[1:-1])
@@ -147,6 +150,32 @@ def fluid_to_wave(state: FluidState, grid: SpatialGrid, params: PhysicalParams) 
     return WaveState(state.t, np.sqrt(rho) * np.exp(1j * theta))
 
 
+def wave_trajectory(
+    params: PhysicalParams, grid: SpatialGrid, dt: float, steps: int
+) -> Generator[tuple[int, WaveState, np.ndarray], None, str]:
+    """Integrate the wave equation from the coherent packet one step at a
+    time.  Yields ``(step, wave, rho = |psi|^2)`` for step 0 and every step
+    that stays finite, and returns "ok" or "diverged_nonfinite"."""
+    # the fluid loop's own checks of dt and steps
+    RunConfig(dt=dt, steps=steps)
+    op = cn_operator(grid, params, dt)
+    wave = fluid_to_wave(init_coherent_state(params, grid, 0.0), grid, params)
+    # one |psi|^2 per step: the caller's fields, mass and snapshot, and the
+    # next step's lagged pressure
+    rho = np.abs(wave.psi) ** 2
+    yield 0, wave, rho
+    for step in range(1, steps + 1):
+        try:
+            wave = cn_step(wave, op, rho)
+        except RuntimeError:
+            return "diverged_nonfinite"
+        if not np.all(np.isfinite(wave.psi)):
+            return "diverged_nonfinite"
+        rho = np.abs(wave.psi) ** 2
+        yield step, wave, rho
+    return "ok"
+
+
 def run_reference(
     params: PhysicalParams,
     grid: SpatialGrid,
@@ -160,22 +189,12 @@ def run_reference(
     for like.  Snapshots hold rho = |psi|^2 itself."""
     # the fluid loop's own checks of dt, steps and snapshot_every
     RunConfig(dt=dt, steps=steps, snapshot_every=snapshot_every)
-    op = cn_operator(grid, params, dt)
-    wave = fluid_to_wave(init_coherent_state(params, grid, 0.0), grid, params)
     recorder = Recorder(grid, params, snapshot_every)
-    final_status = "ok"
-    for step in range(steps + 1):
-        if step > 0:
-            try:
-                wave = cn_step(wave, op)
-            except RuntimeError:
-                final_status = "diverged_nonfinite"
-                break
-            if not np.all(np.isfinite(wave.psi)):
-                final_status = "diverged_nonfinite"
-                break
-        # one |psi|^2 per step: the fluid fields, the mass and the snapshot
-        rho = np.abs(wave.psi) ** 2
+    waves = wave_trajectory(params, grid, dt, steps)
+    while True:
+        try:
+            step, wave, rho = next(waves)
+        except StopIteration as stop:
+            return recorder.finish(stop.value)
         fluid = wave_to_fluid(wave, rho, grid, params)
         recorder.add(step, fluid, moments(fluid.ln_rho, grid), float(rho.sum() * grid.dx), rho=rho)
-    return recorder.finish(final_status)

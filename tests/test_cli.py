@@ -3,11 +3,15 @@
 import os
 import subprocess
 import sys
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import qfluid as qf
 from qfluid.cli import main
+from qfluid.presets import default_grid, default_params
 
 
 def read_csv(path):
@@ -96,6 +100,48 @@ def test_compare_fails_at_tiny_tolerance(tmp_path, capsys):
 def test_compare_reports_feedback_divergence(tmp_path):
     code = main(["compare", "--estimator", "none", "--steps", "100", "--out", str(tmp_path)])
     assert code == 2
+
+
+@pytest.mark.parametrize("argv, expected_code", [
+    ([], 0),
+    (["--preset", "fig5"], 3),
+    (["--preset", "fig7"], 3),
+    (["--preset", "fig6", "--dt", "0.1", "--steps", "40"], 2),
+])
+def test_compare_streams_the_distances_the_snapshot_records_give(tmp_path, capsys, argv, expected_code):
+    # compare steps both solvers in lockstep and keeps no snapshot; its
+    # column must equal, bit for bit, the distances between full records
+    assert main(["compare", *argv, "--out", str(tmp_path)]) == expected_code
+    if argv:
+        params, config, grid = qf.preset(argv[1])
+        if len(argv) > 2:
+            config = replace(config, dt=0.1, steps=40)
+    else:  # compare's own base scenario
+        params, grid = default_params(), default_grid()
+        config = qf.RunConfig(estimator="oracle_exact", steps=16)
+    record = qf.run(replace(config, snapshot_every=1), params, grid)
+    steps, dist = qf.l2_density_distance(record, qf.run_reference(params, grid, config.dt, config.steps))
+    _, rows = read_csv(tmp_path / "compare.csv")
+    assert [int(r[0]) for r in rows] == steps.tolist()
+    assert [float(r[2]) for r in rows] == dist.tolist()
+
+
+def test_compare_memory_does_not_grow_with_the_steps(tmp_path):
+    def peak(steps):
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        code = main(["compare", "--n", "2048", "--dx", "0.09375", "--dt", "0.09375", "--steps", str(steps),
+                     "--out", str(tmp_path)])
+        assert code == 0
+        return tracemalloc.get_traced_memory()[1] - base
+
+    tracemalloc.start()
+    try:
+        peak(8)  # imports scipy and fills the caches outside the measurement
+        short, long = peak(8), peak(64)
+    finally:
+        tracemalloc.stop()
+    assert long / short < 1.5
 
 
 def test_sweep_rows_follow_input_order(tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Drift-kick stepper and the feedback loop (`run`): its noise, floor and record."""
+"""Drift-kick stepper and the feedback loop (`trajectory`, `run`): its noise, floor and record."""
 
 import math
 from dataclasses import replace
@@ -210,6 +210,28 @@ def test_run_returns_partial_record_on_divergence():
     assert rec.steps_survived < 200
     assert len(rec.t) == rec.steps_survived + 1
     assert len(rec.status) == rec.steps_survived + 1
+
+
+@pytest.mark.parametrize("dt", [None, 0.1])
+def test_trajectory_yields_what_run_records_and_returns_its_final_status(dt):
+    # fig6 runs 40 steps at its own dt; at dt = 0.1 it diverges at step 9
+    params, config, grid = qf.preset("fig6")
+    config = replace(config, steps=40, snapshot_every=1, dt=dt or config.dt)
+    steps = qf.trajectory(config, params, grid)
+    items = []
+    with pytest.raises(StopIteration) as stop:
+        while True:
+            items.append(next(steps))
+    record = qf.run(config, params, grid)
+    assert stop.value.value == record.final_status == ("ok" if dt is None else "diverged_dispersion")
+    assert len(items) == record.steps_survived + 1
+    # drained to the end, every yielded item still holds what run recorded
+    # at its step: resuming the generator changes no state it yielded
+    for k, (step, state, m, mass, status) in enumerate(items):
+        rho, V = record.snapshots[k]
+        assert (step, state.t, status) == (k, record.t[k], record.status[k])
+        assert (m.mean, m.var, mass) == (record.mean[k], record.var[k], record.mass[k])
+        assert np.array_equal(np.exp(state.ln_rho), rho) and np.array_equal(state.V, V)
 
 
 def test_run_snapshot_cadence():

@@ -22,7 +22,7 @@ def test_cn_step_uniform_wave_is_stationary():
     params = qf.PhysicalParams(D=1.0, omega=1e-12)
     grid = qf.make_grid(-48.0, 1.0, 97)
     psi = np.ones(97, dtype=complex)
-    out = qf.cn_step(qf.WaveState(0.0, psi), qf.cn_operator(grid, params, 0.5))
+    out = qf.cn_step(qf.WaveState(0.0, psi), qf.cn_operator(grid, params, 0.5), np.abs(psi) ** 2)
     assert out.t == 0.5
     # the implicit solve feels the Dirichlet walls with fast spatial
     # decay; twenty cells in, the flat wave is untouched
@@ -47,7 +47,7 @@ def test_cn_preserves_norm():
     n0 = wave.norm2(grid)
     op = qf.cn_operator(grid, params, 1.0)
     for _ in range(64):
-        wave = qf.cn_step(wave, op)
+        wave = qf.cn_step(wave, op, np.abs(wave.psi) ** 2)
     assert abs(wave.norm2(grid) / n0 - 1.0) <= 1e-10
 
 
@@ -73,7 +73,7 @@ def test_cn_step_solves_its_own_equation(kp):
     op = qf.cn_operator(grid, params, dt)
     wave = qf.fluid_to_wave(qf.init_coherent_state(params, grid, 0.0), grid, params)
     for _ in range(4):
-        new = qf.cn_step(wave, op)
+        new = qf.cn_step(wave, op, np.abs(wave.psi) ** 2)
         lhs = new.psi[1:-1] + z * apply_h(new.psi, wave.psi, grid, params)
         rhs = wave.psi[1:-1] - z * apply_h(wave.psi, wave.psi, grid, params)
         assert np.linalg.norm(lhs - rhs) <= 1e-12 * np.linalg.norm(wave.psi)
@@ -98,6 +98,23 @@ def test_run_reference_snapshot_cadence():
         assert rho.shape == (grid.n,) and V.shape == (grid.n,)
 
 
+def test_wave_trajectory_yields_every_step_and_returns_ok():
+    # with pressure, each step's lagged term comes from the rho yielded
+    # before it
+    params, grid = default_params(kp=1.0), default_grid()
+    waves = qf.wave_trajectory(params, grid, 0.5, 10)
+    items = []
+    with pytest.raises(StopIteration) as stop:
+        while True:
+            items.append(next(waves))
+    assert stop.value.value == "ok"
+    assert len(items) == 11
+    record = qf.run_reference(params, grid, dt=0.5, steps=10)
+    for k, (step, wave, rho) in enumerate(items):
+        assert (step, wave.t) == (k, record.t[k])
+        assert np.array_equal(rho, np.abs(wave.psi) ** 2) and np.array_equal(rho, record.snapshots[k][0])
+
+
 def test_cn_norm_preserved_with_pressure():
     # the lagged logarithmic term keeps each step Hermitian
     params = default_params(kp=1.0)
@@ -106,7 +123,7 @@ def test_cn_norm_preserved_with_pressure():
     n0 = wave.norm2(grid)
     op = qf.cn_operator(grid, params, 0.5)
     for _ in range(64):
-        wave = qf.cn_step(wave, op)
+        wave = qf.cn_step(wave, op, np.abs(wave.psi) ** 2)
     assert abs(wave.norm2(grid) / n0 - 1.0) <= 1e-10
 
 
