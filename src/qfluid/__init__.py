@@ -23,7 +23,6 @@ from .diagnostics import (
     center_error,
     density_distance,
     dispersion_error,
-    l2_density_distance,
     smoothness,
 )
 from .forces import (
@@ -46,8 +45,8 @@ from .reference import (
     WaveState,
     cn_operator,
     cn_step,
+    cross_check,
     fluid_to_wave,
-    run_reference,
     wave_to_fluid,
     wave_trajectory,
 )
@@ -67,7 +66,6 @@ __all__ = [
     "center_error",
     "density_distance",
     "dispersion_error",
-    "l2_density_distance",
     "smoothness",
     "DegenerateDensityError",
     "ForceField",
@@ -92,8 +90,8 @@ __all__ = [
     "CNOperator",
     "cn_operator",
     "cn_step",
+    "cross_check",
     "fluid_to_wave",
-    "run_reference",
     "wave_to_fluid",
     "wave_trajectory",
 ]

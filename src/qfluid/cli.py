@@ -16,6 +16,7 @@ QFLUID_OUT environment variable when --out is not given.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from collections import namedtuple
@@ -26,11 +27,10 @@ from pathlib import Path
 import numpy as np
 
 from .core import PhysicalParams, RunConfig, SpatialGrid
-from .diagnostics import density_distance
 from .forces import DegenerateDensityError
-from .integrator import run, sponge_active, trajectory
+from .integrator import run, sponge_active
 from .presets import PRESETS, default_grid, default_params, preset, preset_names
-from .reference import wave_trajectory
+from .reference import cross_check
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -102,7 +102,7 @@ _SETTINGS = (
              f"density noise mode: {', '.join(sorted(_NOISE_FLAGS))}"),
     _Setting("noise_amplitude", "config", _FLOAT),
     _Setting("seed", "config", _INT, "RNG seed"),
-    _Setting("snapshot_every", "config", _INT, "write a density snapshot every k steps (0 = off)"),
+    _Setting("snapshot_every", "config", _INT, "write a density snapshot every k steps (0 = off; run only)"),
     _Setting("boundary_damping", "scenario", _BOOL),
     _Setting("out", "scenario", _TEXT, "output directory (default $QFLUID_OUT or ./out)"),
     _Setting("tol", "scenario", _FLOAT, "comparison tolerance (compare only)"),
@@ -176,9 +176,16 @@ def _build_scenario(args) -> _Scenario:
         config = replace(config, **by_home["config"])
     except ValueError as err:
         raise UsageError(str(err)) from None
+    # compare writes only compare.csv and sweep only sweep.csv
+    if args.command != "run" and config.snapshot_every > 0:
+        raise UsageError(f"snapshot_every = {config.snapshot_every}: {args.command} writes no snapshot; "
+                         "it applies to run only")
+    tol = own.get("tol", 0.05)
+    if not (math.isfinite(tol) and tol >= 0):
+        raise UsageError(f"tol must be finite and non-negative, got {_fmt(tol)}")
 
     out = own.get("out") or os.environ.get("QFLUID_OUT") or "./out"
-    return _Scenario(params, config, grid, preset_name, out, own.get("tol", 0.05))
+    return _Scenario(params, config, grid, preset_name, out, tol)
 
 
 def _print_config(scenario: _Scenario) -> None:
@@ -228,30 +235,15 @@ def _cmd_run(scenario: _Scenario, _args) -> int:
 
 
 def _cmd_compare(scenario: _Scenario, _args) -> int:
-    """Step the feedback loop and the reference in lockstep and keep only
-    each common step's L2 density distance, so memory stays flat in the
-    number of steps."""
-    params, grid, config = scenario.params, scenario.grid, scenario.config
+    """Write the rows of ``cross_check`` and judge the worst distance
+    against the tolerance."""
     out_dir = Path(scenario.out)
-
-    fluid = trajectory(config, params, grid)
-    waves = wave_trajectory(params, grid, config.dt, config.steps)
-    rows = []
-    while True:
-        try:
-            step, state, *_ = next(fluid)
-        except StopIteration as stop:
-            final_status = stop.value
-            break
-        # once the reference has ended, the fluid runs on to its final status
-        wave_step = next(waves, None)
-        if wave_step is not None:
-            rows.append((step, state.t, density_distance(np.exp(state.ln_rho), wave_step[2], grid.dx)))
+    rows, final_status = cross_check(scenario.config, scenario.params, scenario.grid)
     steps, t, dist = zip(*rows)
     _write_csv(out_dir / "compare.csv", "step,t,l2_distance", steps, t, dist)
 
     worst = float(np.max(dist))
-    ok = final_status == "ok" and len(dist) == config.steps + 1 and worst <= scenario.tol
+    ok = final_status == "ok" and len(dist) == scenario.config.steps + 1 and worst <= scenario.tol
     print(f"max_l2_distance={_fmt(worst)} tol={_fmt(scenario.tol)} -> {'PASS' if ok else 'FAIL'}")
     print(f"series written to {out_dir / 'compare.csv'}")
     if final_status != "ok":

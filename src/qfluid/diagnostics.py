@@ -1,5 +1,5 @@
-"""Per-step measurements, the recorder both solvers feed, oracle/reference
-comparison metrics, run summaries."""
+"""Per-step measurements, the recorder the fluid loop feeds, the density
+distance the reference cross-check reports, run summaries."""
 
 from __future__ import annotations
 
@@ -19,13 +19,12 @@ __all__ = [
     "center_energy_estimate",
     "smoothness",
     "density_distance",
-    "l2_density_distance",
 ]
 
 
 @dataclass
 class RunRecord:
-    """Time series of diagnostics for one run (step 0 = initial state).
+    """Time series of diagnostics for one fluid run (step 0 = initial state).
 
     Series all have length steps_survived + 1.  snapshots maps step index to
     (rho, V) arrays at the snapshot cadence.  status holds the per-step
@@ -50,7 +49,7 @@ class RunRecord:
 
 
 class Recorder:
-    """Collects a solver's run one recorded step at a time and turns it into
+    """Collects a fluid run one recorded step at a time and turns it into
     its RunRecord.
 
     Each step becomes one row (t, mean, var, mass, max |V|, center energy,
@@ -66,11 +65,10 @@ class Recorder:
         self._status: list[str] = []
         self._snapshots: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
-    def add(self, step: int, state: FluidState, moments, mass: float, status: str = "ok",
-            rho: np.ndarray | None = None) -> None:
-        """Record ``state``, whose moments and mass the solver has already
-        measured, as step ``step``.  A snapshot stores ``rho`` (by default
-        exp(ln rho)) and a copy of V."""
+    def add(self, step: int, state: FluidState, moments, mass: float, status: str = "ok") -> None:
+        """Record ``state``, whose moments and mass the loop has already
+        measured, as step ``step``.  A snapshot stores exp(ln rho) and a copy
+        of V."""
         self._rows.append((
             state.t, moments.mean, moments.var, mass, float(np.abs(state.V).max()),
             center_energy_estimate(state, self.grid, self.params),
@@ -78,7 +76,7 @@ class Recorder:
         ))
         self._status.append(status)
         if self.snapshot_every > 0 and step % self.snapshot_every == 0:
-            self._snapshots[step] = (np.exp(state.ln_rho) if rho is None else rho, state.V.copy())
+            self._snapshots[step] = (np.exp(state.ln_rho), state.V.copy())
 
     def finish(self, final_status: str) -> RunRecord:
         """The RunRecord of the steps added so far, with its summary errors
@@ -146,15 +144,3 @@ def density_distance(rho_a: np.ndarray, rho_b: np.ndarray, dx: float) -> float:
     den = np.sqrt(np.sum(rho_a**2) * dx)
     return float(num / den)
 
-
-def l2_density_distance(record_a: RunRecord, record_b: RunRecord) -> tuple[np.ndarray, np.ndarray]:
-    """Relative L2 distance (``density_distance``) between density snapshots
-    at matching steps.
-
-    Returns (steps, distances) with one entry per step index present in both
-    records.
-    """
-    common = sorted(set(record_a.snapshots) & set(record_b.snapshots))
-    dx = record_a.grid.dx
-    dist = [density_distance(record_a.snapshots[k][0], record_b.snapshots[k][0], dx) for k in common]
-    return np.array(common, dtype=int), np.array(dist, dtype=float)

@@ -9,9 +9,10 @@ claimed to be equivalent to
 via psi = sqrt(rho) exp(i S / 2D), V = 2 D grad(theta), rho = |psi|^2.
 This module integrates that wave equation directly with a Crank-Nicolson
 (Cayley) scheme -- unconditionally stable and exactly norm-preserving for a
-Hermitian step Hamiltonian -- so the fluid loop can be validated against it.
-The logarithmic pressure nonlinearity is evaluated lagged (from the current
-step's amplitude), which keeps each step's Hamiltonian Hermitian.
+Hermitian step Hamiltonian -- and ``cross_check`` steps it alongside the
+fluid loop to validate the loop against it.  The logarithmic pressure
+nonlinearity is evaluated lagged (from the current step's amplitude), which
+keeps each step's Hamiltonian Hermitian.
 """
 
 from __future__ import annotations
@@ -23,12 +24,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import FluidState, PhysicalParams, RunConfig, SpatialGrid, init_coherent_state
-from .diagnostics import Recorder, RunRecord
-from .forces import moments
+from .diagnostics import density_distance
+from .integrator import trajectory
 
 __all__ = [
     "WaveState", "CNOperator", "cn_operator", "cn_step", "wave_to_fluid", "fluid_to_wave",
-    "wave_trajectory", "run_reference",
+    "wave_trajectory", "cross_check",
 ]
 
 # densities below this fraction of the peak are treated as vacuum when
@@ -176,25 +177,22 @@ def wave_trajectory(
     return "ok"
 
 
-def run_reference(
-    params: PhysicalParams,
-    grid: SpatialGrid,
-    dt: float,
-    steps: int,
-    snapshot_every: int = 1,
-) -> RunRecord:
-    """Integrate the wave equation from the coherent packet and record the
-    same diagnostics as the fluid loop (computed from the extracted
-    density/velocity), so records from both solvers can be compared like
-    for like.  Snapshots hold rho = |psi|^2 itself."""
-    # the fluid loop's own checks of dt, steps and snapshot_every
-    RunConfig(dt=dt, steps=steps, snapshot_every=snapshot_every)
-    recorder = Recorder(grid, params, snapshot_every)
-    waves = wave_trajectory(params, grid, dt, steps)
+def cross_check(
+    config: RunConfig, params: PhysicalParams, grid: SpatialGrid
+) -> tuple[list[tuple[int, float, float]], str]:
+    """Step the feedback loop and the wave equation in lockstep from the
+    same packet.  Returns one ``(step, t, density_distance)`` row for each
+    step both solvers reached, and the fluid's final status.  Only the rows
+    are kept, so memory stays flat in the number of steps."""
+    fluid = trajectory(config, params, grid)
+    waves = wave_trajectory(params, grid, config.dt, config.steps)
+    rows = []
     while True:
         try:
-            step, wave, rho = next(waves)
+            step, state, *_ = next(fluid)
         except StopIteration as stop:
-            return recorder.finish(stop.value)
-        fluid = wave_to_fluid(wave, rho, grid, params)
-        recorder.add(step, fluid, moments(fluid.ln_rho, grid), float(rho.sum() * grid.dx), rho=rho)
+            return rows, stop.value
+        # once the reference has ended, the fluid runs on to its final status
+        wave_step = next(waves, None)
+        if wave_step is not None:
+            rows.append((step, state.t, density_distance(np.exp(state.ln_rho), wave_step[2], grid.dx)))

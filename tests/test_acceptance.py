@@ -145,12 +145,10 @@ def test_criterion_6_stencil_estimator_with_pressure():
 def _compare_l2(dx: float, dt: float, steps: int) -> float:
     params = default_params()
     grid = qf.make_grid(-96.0, dx, int(round(192 / dx)))
-    config = qf.RunConfig(steps=steps, dt=dt, estimator="oracle_exact", snapshot_every=1)
-    rec_fb = qf.run(config, params, grid)
-    assert rec_fb.final_status == "ok"
-    rec_ref = qf.run_reference(params, grid, dt=dt, steps=steps)
-    _, dist = qf.l2_density_distance(rec_fb, rec_ref)
-    return float(np.max(dist))
+    config = qf.RunConfig(steps=steps, dt=dt, estimator="oracle_exact")
+    rows, final_status = qf.cross_check(config, params, grid)
+    assert final_status == "ok"
+    return max(dist for _, _, dist in rows)
 
 
 def test_criterion_7_schrodinger_equivalence():

@@ -97,6 +97,32 @@ def test_compare_fails_at_tiny_tolerance(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("source", ["flag", "config file"])
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_compare_refuses_a_non_finite_or_negative_tolerance_before_any_run(tmp_path, capsys, tol, source):
+    if source == "flag":
+        chosen = ["--tol", tol]
+    else:
+        (tmp_path / "tol.cfg").write_text(f"tol = {tol}\n")
+        chosen = ["--config", str(tmp_path / "tol.cfg")]
+    out = tmp_path / "out"
+    assert main(["compare", *chosen, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: tol ")
+    assert not (out / "compare.csv").exists()
+    assert main(["compare", *chosen, "--print-config"]) == 1
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("command, extra", [("compare", []), ("sweep", ["--param", "kp", "--values", "0,1"])])
+def test_snapshot_every_is_refused_where_no_snapshot_is_written(tmp_path, capsys, command, extra):
+    out = tmp_path / "out"
+    assert main([command, *extra, "--snapshot-every", "1", "--out", str(out)]) == 1
+    assert "snapshot_every" in capsys.readouterr().err
+    assert not out.exists()
+    # 0, which --print-config prints, still reruns
+    assert main([command, *extra, "--snapshot-every", "0", "--print-config"]) == 0
+
+
 def test_compare_reports_feedback_divergence(tmp_path):
     code = main(["compare", "--estimator", "none", "--steps", "100", "--out", str(tmp_path)])
     assert code == 2
@@ -119,11 +145,14 @@ def test_compare_streams_the_distances_the_snapshot_records_give(tmp_path, capsy
     else:  # compare's own base scenario
         params, grid = default_params(), default_grid()
         config = qf.RunConfig(estimator="oracle_exact", steps=16)
-    record = qf.run(replace(config, snapshot_every=1), params, grid)
-    steps, dist = qf.l2_density_distance(record, qf.run_reference(params, grid, config.dt, config.steps))
+    snapshots = qf.run(replace(config, snapshot_every=1), params, grid).snapshots
+    expected = [
+        (step, qf.density_distance(snapshots[step][0], rho, grid.dx))
+        for step, _, rho in qf.wave_trajectory(params, grid, config.dt, config.steps)
+        if step in snapshots
+    ]
     _, rows = read_csv(tmp_path / "compare.csv")
-    assert [int(r[0]) for r in rows] == steps.tolist()
-    assert [float(r[2]) for r in rows] == dist.tolist()
+    assert [(int(r[0]), float(r[2])) for r in rows] == expected
 
 
 def test_compare_memory_does_not_grow_with_the_steps(tmp_path):

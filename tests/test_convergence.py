@@ -23,14 +23,11 @@ def _errors(estimator):
     l2, center = [], []
     for k in KS:
         grid = default_grid(1.0 / k, 192 * k)
-        config = qf.RunConfig(dt=1.0 / k, steps=T * k, estimator=estimator, snapshot_every=1)
-        record = qf.run(config, params, grid)
-        assert record.final_status == "ok" and record.steps_survived == config.steps
-        reference = qf.run_reference(params, grid, dt=config.dt, steps=config.steps)
-        steps, dist = qf.l2_density_distance(record, reference)
-        assert len(steps) == config.steps + 1
-        l2.append(float(dist.max()))
-        center.append(record.max_center_error)
+        config = qf.RunConfig(dt=1.0 / k, steps=T * k, estimator=estimator)
+        rows, final_status = qf.cross_check(config, params, grid)
+        assert final_status == "ok" and len(rows) == config.steps + 1
+        l2.append(max(dist for _, _, dist in rows))
+        center.append(qf.run(config, params, grid).max_center_error)
     return l2, center
 
 

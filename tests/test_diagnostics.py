@@ -1,4 +1,4 @@
-"""Diagnostics: error series, energy estimate, smoothness, L2 comparison."""
+"""Diagnostics: error series, energy estimate, smoothness, L2 density distance."""
 
 import math
 
@@ -10,7 +10,7 @@ from qfluid.diagnostics import RunRecord
 from qfluid.presets import default_grid, default_params
 
 
-def synthetic_record(grid, t, mean, var, snapshots=None):
+def synthetic_record(grid, t, mean, var):
     n = len(t)
     return RunRecord(
         grid=grid,
@@ -22,7 +22,7 @@ def synthetic_record(grid, t, mean, var, snapshots=None):
         center_energy=np.zeros(n),
         smoothness_series=np.zeros(n),
         status=["ok"] * n,
-        snapshots=snapshots or {},
+        snapshots={},
         steps_survived=n - 1,
         final_status="ok",
     )
@@ -142,11 +142,7 @@ def test_smoothness_increases_with_noise():
 def test_l2_distance_identical_records():
     grid = default_grid()
     rho = np.exp(-grid.positions**2 / 512.0)
-    snaps = {k: (rho, np.zeros(grid.n)) for k in range(3)}
-    rec = synthetic_record(grid, [0.0, 1.0, 2.0], [0, 0, 0], [256] * 3, snapshots=snaps)
-    steps, dist = qf.l2_density_distance(rec, rec)
-    assert list(steps) == [0, 1, 2]
-    assert np.all(dist == 0.0)
+    assert qf.density_distance(rho, rho.copy(), grid.dx) == 0.0
 
 
 def test_l2_distance_shifted_gaussian():
@@ -162,22 +158,9 @@ def test_l2_distance_shifted_gaussian():
     analytic = math.sqrt(2.0 * (1.0 - math.exp(-1.0 / (4 * sigma**2))))
     assert oracle == pytest.approx(analytic, rel=1e-12)
 
-    rec_a = synthetic_record(grid, [0.0], [0.0], [16.0], snapshots={0: (g0, np.zeros(grid.n))})
-    rec_b = synthetic_record(grid, [0.0], [1.0], [16.0], snapshots={0: (g1, np.zeros(grid.n))})
-    _, dist = qf.l2_density_distance(rec_a, rec_b)
-    assert dist[0] == pytest.approx(oracle, rel=1e-12)
-    assert dist[0] == pytest.approx(0.176, abs=0.002)
-
-
-def test_l2_distance_uses_common_steps_only():
-    grid = default_grid()
-    rho = np.exp(-grid.positions**2 / 512.0)
-    rec_a = synthetic_record(grid, [0.0, 1.0], [0, 0], [256, 256],
-                             snapshots={0: (rho, np.zeros(grid.n)), 2: (rho, np.zeros(grid.n))})
-    rec_b = synthetic_record(grid, [0.0, 1.0], [0, 0], [256, 256],
-                             snapshots={0: (rho, np.zeros(grid.n)), 3: (rho, np.zeros(grid.n))})
-    steps, dist = qf.l2_density_distance(rec_a, rec_b)
-    assert list(steps) == [0]
+    dist = qf.density_distance(g0, g1, grid.dx)
+    assert dist == pytest.approx(oracle, rel=1e-12)
+    assert dist == pytest.approx(0.176, abs=0.002)
 
 
 def test_diagnostics_are_pure():

@@ -173,6 +173,19 @@ def test_run_oracle_estimator_tracks_center_over_a_period():
     assert np.max(qf.center_error(rec, params)) <= 0.02
 
 
+def test_drift_kick_keeps_the_amplitude_over_ten_periods():
+    # the module docstring's claim: drift with the old velocity, kick with
+    # the force at the new density, and the center map is symplectic; a
+    # forward-Euler map would grow the amplitude by exp(omega^2 dt^2 / 2)
+    # per step, about 21x over these 640 steps
+    params, grid = default_params(), default_grid()
+    period = int(round(2 * math.pi / params.omega))
+    rec = qf.run(qf.RunConfig(steps=10 * period, estimator="gaussian_fit"), params, grid)
+    assert rec.final_status == "ok" and rec.steps_survived == 10 * period
+    amplitude = np.max(np.abs(rec.mean[-period:]))
+    assert amplitude == pytest.approx(params.a, rel=0.01)
+
+
 def test_run_convergence_under_refinement():
     # halving dx and dt cuts the max center error by at least 1.8x
     params = default_params()

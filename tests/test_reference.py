@@ -81,21 +81,25 @@ def test_cn_step_solves_its_own_equation(kp):
         wave = new
 
 
+def wave_moments(params, grid, dt, steps):
+    """The reference's moments at every step, from the fluid fields read
+    out of psi; asserts the run stays finite."""
+    waves = qf.wave_trajectory(params, grid, dt, steps)
+    means, variances = [], []
+    for _, wave, rho in waves:
+        m = qf.moments(qf.wave_to_fluid(wave, rho, grid, params).ln_rho, grid)
+        means.append(m.mean)
+        variances.append(m.var)
+    assert len(means) == steps + 1
+    return np.array(means), np.array(variances)
+
+
 def test_cn_center_returns_after_one_period():
     params = default_params()
     grid = default_grid()
-    rec = qf.run_reference(params, grid, dt=1.0, steps=64, snapshot_every=0)
-    assert rec.steps_survived == 64
-    assert rec.mean[-1] == pytest.approx(params.a, abs=0.01 * params.a)
-    assert rec.var[-1] == pytest.approx(params.equilibrium_sigma2(), rel=0.01)
-
-
-def test_run_reference_snapshot_cadence():
-    params, grid = default_params(), default_grid()
-    rec = qf.run_reference(params, grid, dt=1.0, steps=10, snapshot_every=5)
-    assert sorted(rec.snapshots) == [0, 5, 10]
-    for rho, V in rec.snapshots.values():
-        assert rho.shape == (grid.n,) and V.shape == (grid.n,)
+    mean, var = wave_moments(params, grid, 1.0, 64)
+    assert mean[-1] == pytest.approx(params.a, abs=0.01 * params.a)
+    assert var[-1] == pytest.approx(params.equilibrium_sigma2(), rel=0.01)
 
 
 def test_wave_trajectory_yields_every_step_and_returns_ok():
@@ -109,10 +113,9 @@ def test_wave_trajectory_yields_every_step_and_returns_ok():
             items.append(next(waves))
     assert stop.value.value == "ok"
     assert len(items) == 11
-    record = qf.run_reference(params, grid, dt=0.5, steps=10)
     for k, (step, wave, rho) in enumerate(items):
-        assert (step, wave.t) == (k, record.t[k])
-        assert np.array_equal(rho, np.abs(wave.psi) ** 2) and np.array_equal(rho, record.snapshots[k][0])
+        assert (step, wave.t) == (k, k * 0.5)
+        assert np.array_equal(rho, np.abs(wave.psi) ** 2)
 
 
 def test_cn_norm_preserved_with_pressure():
@@ -132,9 +135,8 @@ def test_cn_pressure_drives_oscillatory_spreading():
     # around half a period
     params = default_params(kp=1.0)
     grid = default_grid()
-    rec = qf.run_reference(params, grid, dt=0.25, steps=160, snapshot_every=0)
-    assert rec.steps_survived == 160
-    ratio = rec.var / rec.var[0]
+    _, var = wave_moments(params, grid, 0.25, 160)
+    ratio = var / var[0]
     assert ratio.max() >= 1.2
     half = int(round(32.0 / 0.25))
     window = np.abs(ratio[half - 12 : half + 13] - 1.0)
@@ -147,17 +149,18 @@ def test_cn_pressure_drives_oscillatory_spreading():
         ({"steps": -1}, "steps"),
         ({"steps": 0}, "steps"),
         ({"steps": 2.5}, "steps"),
-        ({"snapshot_every": -1}, "snapshot_every"),
+        ({"dt": 0.0}, "dt"),
         ({"dt": -1.0, "steps": 0}, "dt"),
         ({"dt": math.nan}, "dt"),
         ({"dt": math.inf}, "dt"),
     ],
 )
 def test_run_reference_rejects_bad_inputs(bad, field):
+    # wave_trajectory checks its inputs before the first step
     params, grid = default_params(), default_grid()
-    kwargs = {"dt": 1.0, "steps": 4, "snapshot_every": 1, **bad}
+    kwargs = {"dt": 1.0, "steps": 4, **bad}
     with pytest.raises(ValueError, match=field):
-        qf.run_reference(params, grid, **kwargs)
+        next(qf.wave_trajectory(params, grid, **kwargs))
 
 
 def test_wave_fluid_round_trip():
