@@ -82,9 +82,11 @@ _BOOL = (None, lambda value: str(value).lower())
 # One table of settings.  `key` is the config-file key and, with "-" for
 # "_", the flag; `home` names where the resolved value lives ("params",
 # "grid", "config" or "scenario"); `kind` is the (parse, show) pair between
-# text and value.  A setting without `help` is resolved but cannot be set:
-# --print-config shows it as a comment.
-_Setting = namedtuple("_Setting", "key home kind help", defaults=(None,))
+# text and value; `commands` are the commands that read it, and the only ones
+# that offer, accept and print it.  A setting without `help` is resolved but
+# cannot be set: --print-config shows it as a comment.
+_Setting = namedtuple("_Setting", "key home kind help commands",
+                      defaults=(None, ("run", "compare", "sweep")))
 _SETTINGS = (
     _Setting("preset", "scenario", _TEXT, "named experiment preset (see `qfluid presets`)"),
     _Setting("D", "params", _FLOAT, "generalized quantum constant"),
@@ -102,12 +104,12 @@ _SETTINGS = (
              f"density noise mode: {', '.join(sorted(_NOISE_FLAGS))}"),
     _Setting("noise_amplitude", "config", _FLOAT),
     _Setting("seed", "config", _INT, "RNG seed"),
-    _Setting("snapshot_every", "config", _INT, "write a density snapshot every k steps (0 = off; run only)"),
+    _Setting("snapshot_every", "config", _INT, "write a density snapshot every k steps (0 = off)", ("run",)),
     _Setting("boundary_damping", "scenario", _BOOL),
     _Setting("out", "scenario", _TEXT, "output directory (default $QFLUID_OUT or ./out)"),
-    _Setting("tol", "scenario", _FLOAT, "comparison tolerance (compare only)"),
+    _Setting("tol", "scenario", _FLOAT, "comparison tolerance", ("compare",)),
 )
-_SETTABLE = {setting.key: setting for setting in _SETTINGS if setting.help}
+_SETTING = {setting.key: setting for setting in _SETTINGS}
 
 
 @dataclass(frozen=True)
@@ -119,15 +121,20 @@ class _Scenario:
     grid: SpatialGrid
     preset: str | None
     out: str
-    tol: float
+    tol: float = 0.05
+
+    def __post_init__(self):
+        if not (math.isfinite(self.tol) and self.tol >= 0):
+            raise ValueError(f"tol must be finite and non-negative, got {_fmt(self.tol)}")
 
     @property
     def boundary_damping(self) -> bool:
         return sponge_active(self.params, self.config)
 
 
-def _read_config_file(path: str) -> dict:
-    """Parsed values of a flat `key = value` file, by key."""
+def _read_config_file(path: str, command: str) -> dict:
+    """Parsed values of a flat `key = value` file, by key; every key must be
+    a setting ``command`` reads."""
     values = {}
     try:
         text = Path(path).read_text()
@@ -140,61 +147,54 @@ def _read_config_file(path: str) -> dict:
         if "=" not in line:
             raise UsageError(f"{path}:{lineno}: expected `key = value`, got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _SETTABLE:
+        setting = _SETTING.get(key)
+        if not (setting and setting.help):
             raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
+        if command not in setting.commands:
+            raise UsageError(f"{path}:{lineno}: {key} is read by {' and '.join(setting.commands)} only, "
+                             f"not by {command}")
         try:
-            values[key] = _SETTABLE[key].kind[0](value)
+            values[key] = setting.kind[0](value)
         except (ValueError, argparse.ArgumentTypeError) as err:
             raise UsageError(f"{path}:{lineno}: {key}: {err}") from None
     return values
 
 
+def _apply(scenario: _Scenario, values: dict) -> _Scenario:
+    """``scenario`` with each setting in ``values`` replaced in its home; a
+    value its home refuses raises ValueError."""
+    homes = {"params": {}, "grid": {}, "config": {}, "scenario": {}}
+    for key, value in values.items():
+        homes[_SETTING[key].home][key] = value
+    params, grid = replace(scenario.params, **homes["params"]), scenario.grid
+    if homes["grid"]:
+        grid = default_grid(**{"dx": grid.dx, "n": grid.n, **homes["grid"]})
+    return replace(scenario, params=params, grid=grid, config=replace(scenario.config, **homes["config"]),
+                   **homes["scenario"])
+
+
 def _build_scenario(args) -> _Scenario:
     """Resolve preset (else the command's default scenario), config file,
     and flags (in increasing precedence)."""
-    values = _read_config_file(args.config) if args.config else {}
-    values.update((key, getattr(args, key)) for key in _SETTABLE if getattr(args, key) is not None)
-    by_home = {"params": {}, "grid": {}, "config": {}, "scenario": {}}
-    for key, value in values.items():
-        by_home[_SETTABLE[key].home][key] = value
-    own = by_home["scenario"]
-
-    preset_name = own.get("preset") or None
-    if preset_name:
-        try:
-            params, config, grid = preset(preset_name)
-        except ValueError as err:
-            raise UsageError(str(err)) from None
-    else:
-        base = _COMPARE_BASE if args.command == "compare" else RunConfig()
-        params, config, grid = default_params(), base, default_grid()
-
+    values = _read_config_file(args.config, args.command) if args.config else {}
+    values.update((key, value) for key, value in vars(args).items() if key in _SETTING and value is not None)
+    name = values.pop("preset", None) or None
+    out = values.pop("out", None) or os.environ.get("QFLUID_OUT") or "./out"
+    base = _COMPARE_BASE if args.command == "compare" else RunConfig()
     try:
-        params = replace(params, **by_home["params"])
-        if by_home["grid"]:
-            grid = default_grid(**{"dx": grid.dx, "n": grid.n, **by_home["grid"]})
-        config = replace(config, **by_home["config"])
+        params, config, grid = preset(name) if name else (default_params(), base, default_grid())
+        return _apply(_Scenario(params, config, grid, name, out), values)
     except ValueError as err:
         raise UsageError(str(err)) from None
-    # compare writes only compare.csv and sweep only sweep.csv
-    if args.command != "run" and config.snapshot_every > 0:
-        raise UsageError(f"snapshot_every = {config.snapshot_every}: {args.command} writes no snapshot; "
-                         "it applies to run only")
-    tol = own.get("tol", 0.05)
-    if not (math.isfinite(tol) and tol >= 0):
-        raise UsageError(f"tol must be finite and non-negative, got {_fmt(tol)}")
-
-    out = own.get("out") or os.environ.get("QFLUID_OUT") or "./out"
-    return _Scenario(params, config, grid, preset_name, out, tol)
 
 
-def _print_config(scenario: _Scenario) -> None:
-    """Print the resolved settings as a config file that reruns them; the
-    values no key can set are comments."""
+def _print_config(scenario: _Scenario, command: str) -> None:
+    """Print the settings ``command`` reads as a config file that reruns
+    them; the values no key can set are comments."""
     for setting in _SETTINGS:
         home = scenario if setting.home == "scenario" else getattr(scenario, setting.home)
         value = getattr(home, setting.key)
-        if value is not None:
+        if value is not None and command in setting.commands:
             comment = "" if setting.help else "# "
             print(f"{comment}{setting.key} = {setting.kind[1](value)}")
 
@@ -254,38 +254,29 @@ def _cmd_compare(scenario: _Scenario, _args) -> int:
 _SWEEPABLE = ("D", "omega", "a", "kp", "dt", "steps", "seed", "noise-amplitude")
 
 
-def _sweep_points(scenario: _Scenario, args) -> tuple[list[float], list[tuple]]:
-    """The swept values and the (config, params) of each; raises UsageError
-    on an unknown parameter, unreadable values or an invalid point."""
-    name, params, config = args.param, scenario.params, scenario.config
-    if name not in _SWEEPABLE:
-        raise UsageError(f"cannot sweep {name!r}; choose from {_SWEEPABLE}")
-    try:
-        values = [float(v) for v in args.values.split(",") if v.strip()]
-    except ValueError as err:
-        raise UsageError(f"bad sweep values: {err}") from None
+def _sweep_points(scenario: _Scenario, args) -> tuple[list, list[_Scenario]]:
+    """The swept values and the scenario of each, each value read and applied
+    as its flag would be; raises UsageError on an unknown parameter, an empty
+    range or a value its setting refuses."""
+    if args.param not in _SWEEPABLE:
+        raise UsageError(f"cannot sweep {args.param!r}; choose from {_SWEEPABLE}")
+    setting = _SETTING[args.param.replace("-", "_")]
+    values, points = [], []
+    for text in filter(None, (v.strip() for v in args.values.split(","))):
+        try:
+            values.append(setting.kind[0](text))
+            points.append(_apply(scenario, {setting.key: values[-1]}))
+        except ValueError as err:
+            raise UsageError(f"sweep point {args.param}={text}: {err}") from None
     if not values:
         raise UsageError("empty sweep range")
-    points = []
-    for value in values:
-        try:
-            if name in ("steps", "seed"):
-                if not value.is_integer():
-                    raise ValueError(f"{name} must be an integer")
-                value = int(value)
-            if name in ("D", "omega", "a", "kp"):
-                points.append((config, replace(params, **{name: value})))
-            else:
-                points.append((replace(config, **{name.replace("-", "_"): value}), params))
-        except ValueError as err:
-            raise UsageError(f"sweep point {name}={value:g}: {err}") from None
     return values, points
 
 
 def _cmd_sweep(scenario: _Scenario, args) -> int:
     values, points = _sweep_points(scenario, args)
-    with ThreadPoolExecutor(max_workers=min(8, len(values))) as pool:
-        records = list(pool.map(lambda point: run(*point, scenario.grid), points))
+    with ThreadPoolExecutor(max_workers=min(8, len(points))) as pool:
+        records = list(pool.map(lambda point: run(point.config, point.params, point.grid), points))
     text = _write_csv(
         Path(scenario.out) / "sweep.csv",
         "param,value,steps_survived,max_center_error,max_var_error,status",
@@ -307,11 +298,12 @@ def _cmd_presets() -> int:
     return EXIT_OK
 
 
-def _add_scenario_flags(sub):
+def _add_scenario_flags(sub, command: str):
     sub.add_argument("--config", help="flat key = value config file; flags override it")
-    for setting in _SETTABLE.values():
-        sub.add_argument(f"--{setting.key.replace('_', '-')}", dest=setting.key,
-                         type=setting.kind[0], help=setting.help)
+    for setting in _SETTINGS:
+        if setting.help and command in setting.commands:
+            sub.add_argument(f"--{setting.key.replace('_', '-')}", dest=setting.key,
+                             type=setting.kind[0], help=setting.help)
     sub.add_argument("--print-config", action="store_true",
                      help="print the resolved settings as a config file and exit")
 
@@ -323,20 +315,16 @@ def build_parser() -> argparse.ArgumentParser:
         "wave-equation cross-checks, and parameter sweeps.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p_run = subs.add_parser("run", help="execute one feedback-loop run")
-    _add_scenario_flags(p_run)
-    p_run.set_defaults(func=_cmd_run)
-
-    p_cmp = subs.add_parser("compare", help="feedback loop vs wave-equation reference")
-    _add_scenario_flags(p_cmp)
-    p_cmp.set_defaults(func=_cmd_compare)
-
-    p_sweep = subs.add_parser("sweep", help="repeat a run across one parameter")
-    _add_scenario_flags(p_sweep)
-    p_sweep.add_argument("--param", required=True, help=f"one of {_SWEEPABLE}")
-    p_sweep.add_argument("--values", required=True, help="comma-separated values")
-    p_sweep.set_defaults(func=_cmd_sweep)
+    for command, func, help_text in (
+        ("run", _cmd_run, "execute one feedback-loop run"),
+        ("compare", _cmd_compare, "feedback loop vs wave-equation reference"),
+        ("sweep", _cmd_sweep, "repeat a run across one parameter"),
+    ):
+        sub = subs.add_parser(command, help=help_text)
+        _add_scenario_flags(sub, command)
+        sub.set_defaults(func=func)
+    subs.choices["sweep"].add_argument("--param", required=True, help=f"one of {_SWEEPABLE}")
+    subs.choices["sweep"].add_argument("--values", required=True, help="comma-separated values")
 
     subs.add_parser("presets", help="list bundled presets")
 
@@ -359,7 +347,7 @@ def main(argv=None) -> int:
         if args.print_config:
             if args.command == "sweep":
                 _sweep_points(scenario, args)
-            _print_config(scenario)
+            _print_config(scenario, args.command)
             return EXIT_OK
         return args.func(scenario, args)
     except UsageError as err:

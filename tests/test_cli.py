@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import qfluid as qf
-from qfluid.cli import main
+from qfluid.cli import _SWEEPABLE, main
 from qfluid.presets import default_grid, default_params
 
 
@@ -115,12 +115,35 @@ def test_compare_refuses_a_non_finite_or_negative_tolerance_before_any_run(tmp_p
 
 @pytest.mark.parametrize("command, extra", [("compare", []), ("sweep", ["--param", "kp", "--values", "0,1"])])
 def test_snapshot_every_is_refused_where_no_snapshot_is_written(tmp_path, capsys, command, extra):
+    # only run writes snapshots, so only run offers the flag, 0 included
     out = tmp_path / "out"
-    assert main([command, *extra, "--snapshot-every", "1", "--out", str(out)]) == 1
-    assert "snapshot_every" in capsys.readouterr().err
+    for every in ("0", "1"):
+        assert main([command, *extra, "--snapshot-every", every, "--out", str(out)]) == 1
+        assert "--snapshot-every" in capsys.readouterr().err
+        assert not out.exists()
+        assert main([command, *extra, "--snapshot-every", every, "--print-config"]) == 1
+        assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("source", ["flag", "config file"])
+@pytest.mark.parametrize("command, key, reader", [
+    ("run", "tol", "compare"),
+    ("compare", "snapshot_every", "run"),
+    ("sweep", "tol", "compare"),
+    ("sweep", "snapshot_every", "run"),
+])
+def test_a_setting_the_command_does_not_read_is_refused(tmp_path, capsys, command, key, reader, source):
+    extra = ["--param", "kp", "--values", "0,1"] if command == "sweep" else []
+    if source == "flag":
+        chosen, named = [f"--{key.replace('_', '-')}", "1"], f"--{key.replace('_', '-')}"
+    else:
+        (tmp_path / "other.cfg").write_text(f"steps = 4\n{key} = 1\n")
+        chosen, named = ["--config", str(tmp_path / "other.cfg")], f"{key} is read by {reader} only"
+    out = tmp_path / "out"
+    assert main([command, *extra, *chosen, "--out", str(out)]) == 1
+    refused = capsys.readouterr()
+    assert refused.out == "" and named in refused.err
     assert not out.exists()
-    # 0, which --print-config prints, still reruns
-    assert main([command, *extra, "--snapshot-every", "0", "--print-config"]) == 0
 
 
 def test_compare_reports_feedback_divergence(tmp_path):
@@ -209,6 +232,35 @@ def test_sweep_over_kp_turns_the_sponge_on_as_fig5_does(tmp_path, capsys):
     assert f"max_center_error={rows[1][3]} " in capsys.readouterr().out
 
 
+# a value for each sweepable name, differing from fig1's (fig2's for the noise)
+_ONE_POINT_SWEEPS = {"D": "20", "omega": "0.09", "a": "6", "kp": "1", "dt": "0.5", "steps": "12",
+                     "seed": "3", "noise-amplitude": "0.5"}
+
+
+@pytest.mark.parametrize("param", _SWEEPABLE)
+def test_a_one_point_sweep_row_is_the_run_with_that_value(tmp_path, param):
+    text = _ONE_POINT_SWEEPS[param]
+    name = "fig2" if param in ("seed", "noise-amplitude") else "fig1"
+    assert main(["sweep", "--preset", name, "--param", param, "--values", text, "--out", str(tmp_path)]) == 0
+    _, rows = read_csv(tmp_path / "sweep.csv")
+    params, config, grid = qf.preset(name)
+    key = param.replace("-", "_")
+    value = int(text) if key in ("steps", "seed") else float(text)
+    base = qf.run(config, params, grid)
+    if hasattr(params, key):
+        params = replace(params, **{key: value})
+    else:
+        config = replace(config, **{key: value})
+    rec = qf.run(config, params, grid)
+
+    def summary(r):
+        return [r.steps_survived, r.max_center_error, r.max_var_error, r.final_status]
+
+    assert summary(rec) != summary(base)  # the value is one the row can tell apart
+    assert [rows[0][0], float(rows[0][1])] == [param, value]
+    assert [int(rows[0][2]), float(rows[0][3]), float(rows[0][4]), rows[0][5]] == summary(rec)
+
+
 def test_sweep_empty_range_is_usage_error(tmp_path):
     assert main(["sweep", "--param", "kp", "--values", "", "--out", str(tmp_path)]) == 1
 
@@ -230,17 +282,19 @@ def test_sweep_rejects_non_integer_steps_and_seed(tmp_path, capsys, param, value
 
 
 def test_sweep_print_config_prints_the_run_settings_and_runs_nothing(tmp_path, capsys):
+    # every setting run reads but the snapshot cadence, which sweep does not read
     scenario = ["--preset", "fig5", "--steps", "2", "--out", str(tmp_path)]
     assert main(["run", *scenario, "--print-config"]) == 0
     printed = capsys.readouterr().out
+    assert "snapshot_every = 0\n" in printed
     assert main(["sweep", "--param", "kp", "--values", "1", *scenario, "--print-config"]) == 0
-    assert capsys.readouterr().out == printed
+    assert capsys.readouterr().out == printed.replace("snapshot_every = 0\n", "")
     assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("sweep, error", [
     (["--param", "M", "--values", "x"], "error: cannot sweep 'M'"),
-    (["--param", "kp", "--values", "1,x"], "error: bad sweep values: "),
+    (["--param", "kp", "--values", "1,x"], "error: sweep point kp=x: "),
     (["--param", "D", "--values", "25,-1"], "error: sweep point D=-1: "),
 ], ids=["param", "values", "point"])
 def test_sweep_print_config_refuses_what_the_sweep_refuses(tmp_path, capsys, sweep, error):
@@ -293,8 +347,10 @@ def test_config_file_and_flag_precedence(tmp_path, capsys):
 
 
 def test_print_config_prints_the_resolved_tolerance(capsys):
-    assert main(["run", "--tol", "0.2", "--print-config"]) == 0
+    assert main(["compare", "--tol", "0.2", "--print-config"]) == 0
     assert "tol = 0.20000000000000001\n" in capsys.readouterr().out
+    assert main(["run", "--print-config"]) == 0
+    assert "tol = " not in capsys.readouterr().out
 
 
 def test_print_config_comments_out_what_no_key_sets(capsys):

@@ -67,18 +67,21 @@ def test_lax_step_flags_nonfinite():
 @pytest.mark.parametrize("name", ["fig1", "fig4", "fig5", "fig6", "fig7"])
 def test_run_is_mirror_symmetric(name):
     # x -> -x on a grid symmetric about 0 maps the loop onto itself: the
-    # mirrored packet's center is the negated center, its variance the same
-    params, config, grid = qf.preset(name)
-    config = replace(config, steps=min(config.steps, 200))
-    grid = qf.make_grid(-(grid.n // 2) * grid.dx, grid.dx, grid.n + 1)
-    assert grid.position(grid.n // 2) == 0.0
+    # mirrored packet's center is the negated center, its variance and mass
+    # the same.  Left out: the noisy fig2 and fig3, and oracle_exact, whose
+    # force is centred on +a cos(omega t).
+    params, config, _ = qf.preset(name)
+    grid = qf.make_grid(-96.0, 1.0, 193)
+    assert grid.position(96) == 0.0
     state = qf.init_coherent_state(params, grid, 0.0)
     mirror = FluidState(state.t, state.ln_rho[::-1].copy(), -state.V[::-1])
     r1 = qf.run(config, params, grid, state=state)
     r2 = qf.run(config, params, grid, state=mirror)
+    assert r1.steps_survived == r2.steps_survived == config.steps
     assert r1.final_status == r2.final_status == "ok"
-    assert np.max(np.abs(r1.mean + r2.mean)) <= 1e-12
-    assert np.max(np.abs(r1.var / r2.var - 1.0)) <= 1e-12
+    assert np.max(np.abs(r1.mean + r2.mean)) <= 1e-13
+    assert np.max(np.abs(r1.var / r2.var - 1.0)) <= 1e-14
+    assert np.max(np.abs(r1.mass / r2.mass - 1.0)) <= 1e-14
 
 
 def record_arrays(rec):
