@@ -132,6 +132,12 @@ class _Scenario:
         return sponge_active(self.params, self.config)
 
 
+def _refuse_unread(setting: _Setting, command: str, where: str) -> None:
+    """Refuse ``setting``, named as ``where``, unless ``command`` reads it."""
+    if command not in setting.commands:
+        raise UsageError(f"{where} is read by {' and '.join(setting.commands)} only, not by {command}")
+
+
 def _read_config_file(path: str, command: str) -> dict:
     """Parsed values of a flat `key = value` file, by key; every key must be
     a setting ``command`` reads."""
@@ -150,9 +156,7 @@ def _read_config_file(path: str, command: str) -> dict:
         setting = _SETTING.get(key)
         if not (setting and setting.help):
             raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
-        if command not in setting.commands:
-            raise UsageError(f"{path}:{lineno}: {key} is read by {' and '.join(setting.commands)} only, "
-                             f"not by {command}")
+        _refuse_unread(setting, command, f"{path}:{lineno}: {key}")
         try:
             values[key] = setting.kind[0](value)
         except (ValueError, argparse.ArgumentTypeError) as err:
@@ -177,7 +181,10 @@ def _build_scenario(args) -> _Scenario:
     """Resolve preset (else the command's default scenario), config file,
     and flags (in increasing precedence)."""
     values = _read_config_file(args.config, args.command) if args.config else {}
-    values.update((key, value) for key, value in vars(args).items() if key in _SETTING and value is not None)
+    for key, value in vars(args).items():
+        if key in _SETTING and value is not None:
+            _refuse_unread(_SETTING[key], args.command, f"--{key.replace('_', '-')}")
+            values[key] = value
     name = values.pop("preset", None) or None
     out = values.pop("out", None) or os.environ.get("QFLUID_OUT") or "./out"
     base = _COMPARE_BASE if args.command == "compare" else RunConfig()
@@ -301,9 +308,9 @@ def _cmd_presets() -> int:
 def _add_scenario_flags(sub, command: str):
     sub.add_argument("--config", help="flat key = value config file; flags override it")
     for setting in _SETTINGS:
-        if setting.help and command in setting.commands:
-            sub.add_argument(f"--{setting.key.replace('_', '-')}", dest=setting.key,
-                             type=setting.kind[0], help=setting.help)
+        if setting.help:  # a flag the command does not read is parsed only to be refused by name
+            sub.add_argument(f"--{setting.key.replace('_', '-')}", dest=setting.key, type=setting.kind[0],
+                             help=setting.help if command in setting.commands else argparse.SUPPRESS)
     sub.add_argument("--print-config", action="store_true",
                      help="print the resolved settings as a config file and exit")
 

@@ -36,11 +36,21 @@ NOISE_MODES = ("none", "initial", "per_step", "measurement")
 
 @dataclass(frozen=True)
 class SpatialGrid:
-    """Uniform 1D grid: positions x0 + j*dx for j in [0, n)."""
+    """Uniform 1D grid: positions x0 + j*dx for j in [0, n).  Rejects a
+    non-integer n, non-finite x0 or dx, dx <= 0 and n < 7 (stencil width)."""
 
     x0: float
     dx: float
     n: int
+
+    def __post_init__(self):
+        _require_integer("n", self.n)
+        if not (math.isfinite(self.x0) and math.isfinite(self.dx)):
+            raise ValueError(f"grid origin and spacing must be finite, got x0={self.x0}, dx={self.dx}")
+        if self.dx <= 0:
+            raise ValueError(f"grid spacing must be positive, got dx={self.dx}")
+        if self.n < MIN_GRID_POINTS:
+            raise ValueError(f"need at least {MIN_GRID_POINTS} grid points, got n={self.n}")
 
     @cached_property
     def positions(self) -> np.ndarray:
@@ -65,16 +75,8 @@ def _require_integer(name: str, value) -> None:
 
 
 def make_grid(x0: float, dx: float, n: int) -> SpatialGrid:
-    """Build a uniform grid; rejects non-finite x0 or dx, dx <= 0, a
-    non-integer n and n < 7 (stencil width)."""
-    _require_integer("n", n)
-    if not (math.isfinite(x0) and math.isfinite(dx)):
-        raise ValueError(f"grid origin and spacing must be finite, got x0={x0}, dx={dx}")
-    if dx <= 0:
-        raise ValueError(f"grid spacing must be positive, got dx={dx}")
-    if n < MIN_GRID_POINTS:
-        raise ValueError(f"need at least {MIN_GRID_POINTS} grid points, got n={n}")
-    return SpatialGrid(float(x0), float(dx), int(n))
+    """Build a uniform grid with a float origin and spacing; the grid checks itself."""
+    return SpatialGrid(float(x0), float(dx), n)
 
 
 @dataclass(frozen=True)

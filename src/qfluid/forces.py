@@ -113,10 +113,8 @@ def fd_quantum_force(ln_rho: np.ndarray, grid: SpatialGrid, params: PhysicalPara
     Q at j+/-1, then the central difference (Q_{j-1} - Q_{j+1})/(2 dx).
 
     The chain consumes ln rho at j-3..j+3, so the outermost 3 points per
-    side carry zero force.
+    side carry zero force; every grid has at least 7 points.
     """
-    if grid.n < 7:
-        raise ValueError("finite-difference force needs at least 7 grid points")
     H = fd_log_gradient(ln_rho, grid)
     Q = fd_quantum_potential(H, grid, params)
     F = np.zeros_like(Q)

@@ -15,10 +15,11 @@ update instead yields the forward-Euler map whose amplitude grows by
 exp(omega^2 dt^2/2) per step and visibly falsifies the non-spreading packet
 within a period at the default resolution.
 
-``drift_kick_step`` performs steps 1-4 with noise drawn by the caller;
-``trajectory`` calls it once per step, draws every density perturbation,
-initial or per-step, in one place, and yields each surviving step; ``run``
-records what it yields.
+``drift_kick_step`` performs steps 2-4 and only advances the fields;
+``trajectory`` draws every density perturbation and puts it on the fluid
+(initial, per-step) or hands it to the step (measurement), calls the step
+once per step, decides how the run ends, and yields each surviving step;
+``run`` records what it yields.
 """
 
 from __future__ import annotations
@@ -128,33 +129,27 @@ def _velocity_update(V: np.ndarray, total_force: np.ndarray, dt: float, dx: floa
     return new
 
 
-def _cfl_exceeded(V: np.ndarray, dt: float, dx: float) -> bool:
-    return bool(np.abs(V).max() * dt / dx > 1.0)
-
-
 def build_force_field(
     grid: SpatialGrid,
     params: PhysicalParams,
-    estimator: str,
+    config: RunConfig,
     measured: np.ndarray,
     ln_rho: np.ndarray,
     t: float,
 ) -> ForceField:
     """Assemble the total applied force at time ``t``: external trap +
-    estimated quantum force + optional pressure (faded out smoothly below
-    the density gate).  The quantum term comes from the ``measured`` ln rho;
-    pressure acts on the true fluid ``ln_rho``."""
+    quantum force by ``config.estimator`` + optional pressure (faded out
+    smoothly below the density gate).  The quantum term comes from the
+    ``measured`` ln rho; pressure acts on the true fluid ``ln_rho``."""
     ext = external_force(grid, params)
-    if estimator == "gaussian_fit":
+    if config.estimator == "gaussian_fit":
         quantum = gaussian_fit_force(measured, grid, params)
-    elif estimator == "finite_difference":
+    elif config.estimator == "finite_difference":
         quantum = _extend_stencil_force(fd_quantum_force(measured, grid, params))
-    elif estimator == "oracle_exact":
+    elif config.estimator == "oracle_exact":
         quantum = OracleWave(params).force(grid.positions, t)
-    elif estimator == "none":
+    else:  # none
         quantum = np.zeros(grid.n)
-    else:
-        raise ValueError(f"unknown estimator {estimator!r}")
     press = pressure_force(ln_rho, grid, params)
     if params.kp != 0.0:
         ln_gate = float(ln_rho.max()) + math.log(PRESSURE_GATE_REL)
@@ -202,49 +197,29 @@ def drift_kick_step(
     grid: SpatialGrid,
     params: PhysicalParams,
     config: RunConfig,
-    noise: np.ndarray | None = None,
+    measurement_noise: np.ndarray | None = None,
     ln_floor: float = -math.inf,
-) -> tuple[str, FluidState]:
-    """One protocol step: drift ln rho with the current V, measure the
-    drifted density, kick V with the force estimated from it.
-
-    ``noise`` is this step's ln rho perturbation; it lands only on the
-    measured copy if ``config.noise`` is "measurement", else on the state
-    before the drift.  ln rho is clamped from below at ``ln_floor``.  Returns
-    (status, new state) without touching ``state``; on a "diverged_*"
-    status the returned state must not be fed back into the loop.
-    """
+) -> FluidState:
+    """One protocol step: drift ln rho with the current V (clamped from below
+    at ``ln_floor``), measure the drifted density plus ``measurement_noise``,
+    kick V with the force estimated from it.  Returns the new state, possibly
+    non-finite, without touching ``state``; raises ``DegenerateDensityError``
+    when the force cannot be measured."""
     dt, dx = config.dt, grid.dx
-    ln_rho = state.ln_rho
-    if noise is not None and config.noise != "measurement":
-        ln_rho = ln_rho + noise
-
-    cfl = _cfl_exceeded(state.V, dt, dx)
-    new_lnr = _continuity_update(ln_rho, state.V, dt, dx)
+    new_lnr = _continuity_update(state.ln_rho, state.V, dt, dx)
     np.maximum(new_lnr, ln_floor, out=new_lnr)
     t_new = state.t + dt
+    measured_lnr = new_lnr if measurement_noise is None else new_lnr + measurement_noise
 
-    measured_lnr = new_lnr
-    if noise is not None and config.noise == "measurement":
-        measured_lnr = new_lnr + noise
-
-    try:
-        # The kick spans [t + dt/2, t + 3dt/2] in staggered-velocity time,
-        # so its center is the post-drift node time: the closed-form force
-        # is evaluated there, consistent with the measured estimators
-        # reading the post-drift density.
-        forces = build_force_field(grid, params, config.estimator, measured_lnr, new_lnr, t_new)
-    except DegenerateDensityError:
-        return STATUS_DISPERSION, state
-
+    # The kick spans [t + dt/2, t + 3dt/2] in staggered-velocity time, so its
+    # center is the post-drift node time: the closed-form force is evaluated
+    # there, consistent with the measured estimators reading the post-drift
+    # density.
+    forces = build_force_field(grid, params, config, measured_lnr, new_lnr, t_new)
     new_V = _velocity_update(state.V, forces.total, dt, dx)
     if sponge_active(params, config):
         new_V *= _damping(grid.n)
-
-    new_state = FluidState(t_new, new_lnr, new_V)
-    if not (np.isfinite(new_lnr).all() and np.isfinite(new_V).all()):
-        return STATUS_NONFINITE, new_state
-    return (STATUS_CFL if cfl else STATUS_OK), new_state
+    return FluidState(t_new, new_lnr, new_V)
 
 
 def trajectory(
@@ -258,8 +233,8 @@ def trajectory(
     Yields ``(step, state, moments, mass, status)`` for step 0 and for every
     step that survives, and returns the run's final status ("ok" or a
     divergence label).  Starts from the exact coherent packet unless a state
-    is supplied.  Stops early on non-finite fields, variance blow-up, or a
-    single-step mass jump; never raises for a diverging run.  Raises
+    is supplied.  Stops early on an unmeasurable density, non-finite fields,
+    variance blow-up or a single-step mass jump; never raises for those.  Raises
     ``DegenerateDensityError`` for an initial state it cannot measure, e.g. a
     packet narrower than a tenth of a cell.
     """
@@ -291,18 +266,21 @@ def trajectory(
     # at the default resolution already costs a*omega*dt/2 ~ 5% of the
     # amplitude in apparent center error.  The yielded step-0 state is left
     # as it was.
-    boot = build_force_field(grid, params, config.estimator, state.ln_rho, state.ln_rho, state.t)
+    boot = build_force_field(grid, params, config, state.ln_rho, state.ln_rho, state.t)
     state = FluidState(state.t, state.ln_rho, state.V + 0.5 * config.dt * boot.total)
 
     for step in range(1, config.steps + 1):
-        noise = draw_noise() if config.noise in ("per_step", "measurement") else None
-        step_status, new_state = drift_kick_step(state, grid, params, config, noise, ln_floor)
-        if step_status in (STATUS_DISPERSION, STATUS_NONFINITE):
-            return step_status
-
-        # a step that blows up the variance or jumps the mass ends the run
-        # unrecorded
+        if config.noise == "per_step":
+            state = FluidState(state.t, state.ln_rho + draw_noise(), state.V)
+        noise = draw_noise() if config.noise == "measurement" else None
+        # the CFL flag reads the pre-step V
+        status = STATUS_CFL if np.abs(state.V).max() * config.dt / grid.dx > 1.0 else STATUS_OK
+        # a step whose force or moments cannot be measured, that goes
+        # non-finite, blows up the variance or jumps the mass ends the run
         try:
+            new_state = drift_kick_step(state, grid, params, config, noise, ln_floor)
+            if not (np.isfinite(new_state.ln_rho).all() and np.isfinite(new_state.V).all()):
+                return STATUS_NONFINITE
             m = moments(new_state.ln_rho, grid)
         except DegenerateDensityError:
             return STATUS_DISPERSION
@@ -313,7 +291,7 @@ def trajectory(
         ):
             return STATUS_DISPERSION
         state, prev_mass = new_state, new_mass
-        yield step, state, m, new_mass, step_status
+        yield step, state, m, new_mass, status
     return STATUS_OK
 
 

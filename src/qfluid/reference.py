@@ -17,7 +17,6 @@ keeps each step's Hamiltonian Hermitian.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Generator
 from dataclasses import dataclass
 
@@ -70,12 +69,11 @@ class CNOperator:
     factors: tuple | None
 
 
-def cn_operator(grid: SpatialGrid, params: PhysicalParams, dt: float) -> CNOperator:
+def cn_operator(config: RunConfig, params: PhysicalParams, grid: SpatialGrid) -> CNOperator:
     """Build the Crank-Nicolson operator of
     i psi_t = -D psi_xx + [(phi + w)/(2D)] psi, Dirichlet ends, for steps of
-    dt; factor it now when it is constant (kp = 0)."""
-    if not (math.isfinite(dt) and dt > 0):
-        raise ValueError(f"dt must be positive and finite, got {dt}")
+    ``config.dt``; factor it now when it is constant (kp = 0)."""
+    dt = config.dt
     potential = 0.5 * params.omega**2 * grid.positions**2
     off = -params.D / grid.dx**2
     diag = -2.0 * off + potential / (2.0 * params.D)
@@ -152,20 +150,19 @@ def fluid_to_wave(state: FluidState, grid: SpatialGrid, params: PhysicalParams) 
 
 
 def wave_trajectory(
-    params: PhysicalParams, grid: SpatialGrid, dt: float, steps: int
+    config: RunConfig, params: PhysicalParams, grid: SpatialGrid
 ) -> Generator[tuple[int, WaveState, np.ndarray], None, str]:
-    """Integrate the wave equation from the coherent packet one step at a
-    time.  Yields ``(step, wave, rho = |psi|^2)`` for step 0 and every step
-    that stays finite, and returns "ok" or "diverged_nonfinite"."""
-    # the fluid loop's own checks of dt and steps
-    RunConfig(dt=dt, steps=steps)
-    op = cn_operator(grid, params, dt)
+    """Integrate the wave equation from the coherent packet for
+    ``config.steps`` steps of ``config.dt``, one step at a time.  Yields
+    ``(step, wave, rho = |psi|^2)`` for step 0 and every step that stays
+    finite, and returns "ok" or "diverged_nonfinite"."""
+    op = cn_operator(config, params, grid)
     wave = fluid_to_wave(init_coherent_state(params, grid, 0.0), grid, params)
     # one |psi|^2 per step: the caller's fields, mass and snapshot, and the
     # next step's lagged pressure
     rho = np.abs(wave.psi) ** 2
     yield 0, wave, rho
-    for step in range(1, steps + 1):
+    for step in range(1, config.steps + 1):
         try:
             wave = cn_step(wave, op, rho)
         except RuntimeError:
@@ -185,7 +182,7 @@ def cross_check(
     step both solvers reached, and the fluid's final status.  Only the rows
     are kept, so memory stays flat in the number of steps."""
     fluid = trajectory(config, params, grid)
-    waves = wave_trajectory(params, grid, config.dt, config.steps)
+    waves = wave_trajectory(config, params, grid)
     rows = []
     while True:
         try:

@@ -125,7 +125,7 @@ def test_snapshot_every_is_refused_where_no_snapshot_is_written(tmp_path, capsys
         assert capsys.readouterr().out == ""
 
 
-@pytest.mark.parametrize("source", ["flag", "config file"])
+@pytest.mark.parametrize("source", ["flag", "flag=value", "config file"])
 @pytest.mark.parametrize("command, key, reader", [
     ("run", "tol", "compare"),
     ("compare", "snapshot_every", "run"),
@@ -134,8 +134,10 @@ def test_snapshot_every_is_refused_where_no_snapshot_is_written(tmp_path, capsys
 ])
 def test_a_setting_the_command_does_not_read_is_refused(tmp_path, capsys, command, key, reader, source):
     extra = ["--param", "kp", "--values", "0,1"] if command == "sweep" else []
-    if source == "flag":
-        chosen, named = [f"--{key.replace('_', '-')}", "1"], f"--{key.replace('_', '-')}"
+    flag = f"--{key.replace('_', '-')}"
+    if source.startswith("flag"):
+        chosen = [flag, "1"] if source == "flag" else [f"{flag}=1"]
+        named = f"error: {flag} is read by {reader} only, not by {command}\n"
     else:
         (tmp_path / "other.cfg").write_text(f"steps = 4\n{key} = 1\n")
         chosen, named = ["--config", str(tmp_path / "other.cfg")], f"{key} is read by {reader} only"
@@ -144,6 +146,13 @@ def test_a_setting_the_command_does_not_read_is_refused(tmp_path, capsys, comman
     refused = capsys.readouterr()
     assert refused.out == "" and named in refused.err
     assert not out.exists()
+
+
+def test_an_unknown_flag_is_refused_and_an_unread_one_is_not_offered(capsys):
+    assert main(["run", "--bogus", "1"]) == 1
+    assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+    assert main(["run", "--help"]) == 0
+    assert "--tol" not in capsys.readouterr().out
 
 
 def test_compare_reports_feedback_divergence(tmp_path):
@@ -171,7 +180,7 @@ def test_compare_streams_the_distances_the_snapshot_records_give(tmp_path, capsy
     snapshots = qf.run(replace(config, snapshot_every=1), params, grid).snapshots
     expected = [
         (step, qf.density_distance(snapshots[step][0], rho, grid.dx))
-        for step, _, rho in qf.wave_trajectory(params, grid, config.dt, config.steps)
+        for step, _, rho in qf.wave_trajectory(config, params, grid)
         if step in snapshots
     ]
     _, rows = read_csv(tmp_path / "compare.csv")

@@ -22,19 +22,34 @@ def test_make_grid_positions():
 
 
 def test_make_grid_rejects_bad_arguments():
-    with pytest.raises(ValueError):
-        qf.make_grid(0.0, -1.0, 10)
-    with pytest.raises(ValueError):
-        qf.make_grid(0.0, 0.0, 10)
-    with pytest.raises(ValueError):
-        qf.make_grid(0.0, 1.0, 6)
-    for x0, dx in ((0.0, math.inf), (0.0, math.nan), (math.nan, 1.0), (-math.inf, 1.0)):
+    # the grid checks itself, so building it directly is refused alike
+    for build in (qf.make_grid, qf.SpatialGrid):
         with pytest.raises(ValueError):
-            qf.make_grid(x0, dx, 10)
-    for n in (10.7, 10.0, True):
-        with pytest.raises(ValueError, match="n must be an integer"):
-            qf.make_grid(0.0, 1.0, n)
-    assert qf.make_grid(0.0, 1.0, np.int64(10)).n == 10
+            build(0.0, -1.0, 10)
+        with pytest.raises(ValueError):
+            build(0.0, 0.0, 10)
+        with pytest.raises(ValueError):
+            build(0.0, 1.0, 6)
+        for x0, dx in ((0.0, math.inf), (0.0, math.nan), (math.nan, 1.0), (-math.inf, 1.0)):
+            with pytest.raises(ValueError):
+                build(x0, dx, 10)
+        for n in (10.7, 10.0, True):
+            with pytest.raises(ValueError, match="n must be an integer"):
+                build(0.0, 1.0, n)
+        assert build(0.0, 1.0, np.int64(10)).n == 10
+
+
+@pytest.mark.parametrize("x0, dx, n, reason", [
+    (96.0, -1.0, 192, "spacing must be positive"),
+    (-1.0, 1.0, 3, "at least 7 grid points"),
+    (-96.0, math.nan, 192, "must be finite"),
+])
+def test_a_grid_built_directly_is_checked(x0, dx, n, reason):
+    # unchecked, a reversed grid runs to "ok" with nonsense moments, a
+    # 3-point grid crashes inside the solvers, and dx = nan reads as a
+    # degenerate density
+    with pytest.raises(ValueError, match=reason):
+        qf.SpatialGrid(x0, dx, n)
 
 
 def test_grid_positions_are_cached_and_read_only():

@@ -12,20 +12,23 @@ from qfluid.integrator import PRESSURE_GATE_REL, PRESSURE_GATE_SHARPNESS, RHO_FL
 from qfluid.presets import default_grid, default_params
 
 
-def step(state, dt, a=0.0, omega=0.1):
-    """One drift-kick step on a 21-point grid with the closed-form force.
+def oracle_setup(dt, a=0.0, omega=0.1, steps=64):
+    """(config, params, grid) of a 21-point grid with the closed-form force.
     With a = 0 it cancels the trap exactly; with a > 0 the net force is the
     uniform -omega^2 a cos(omega t) at the post-drift time."""
-    grid = qf.make_grid(-10.0, 1.0, 21)
-    params = qf.PhysicalParams(D=1.0, omega=omega, a=a)
-    config = qf.RunConfig(dt=dt, estimator="oracle_exact")
+    config = qf.RunConfig(dt=dt, steps=steps, estimator="oracle_exact")
+    return config, qf.PhysicalParams(D=1.0, omega=omega, a=a), qf.make_grid(-10.0, 1.0, 21)
+
+
+def step(state, dt, a=0.0, omega=0.1):
+    """One drift-kick step on the grid of ``oracle_setup``."""
+    config, params, grid = oracle_setup(dt, a, omega)
     return qf.drift_kick_step(state, grid, params, config)
 
 
 def test_lax_step_uniform_state_is_stationary():
     state = FluidState(0.0, np.full(21, -1.3), np.zeros(21))
-    status, new = step(state, 0.5)
-    assert status == "ok"
+    new = step(state, 0.5)
     assert new.t == 0.5
     assert np.allclose(new.ln_rho, -1.3)
     assert np.allclose(new.V, 0.0)
@@ -36,7 +39,7 @@ def test_lax_step_uniform_force_kicks_velocity():
     state = FluidState(0.0, np.full(21, 0.7), np.zeros(21))
     a, omega, dt = 2.0, 0.3, 2.0
     f = -omega**2 * a * math.cos(omega * dt)
-    _, new = step(state, dt, a=a, omega=omega)
+    new = step(state, dt, a=a, omega=omega)
     assert np.allclose(new.V, 2.0 * f)
     assert np.allclose(new.ln_rho, 0.7)
 
@@ -46,22 +49,34 @@ def test_lax_step_pure_advection():
     x = qf.make_grid(-10.0, 1.0, 21).positions
     v0, s, dt = 0.4, 0.11, 0.5
     state = FluidState(0.0, s * x, np.full(21, v0))
-    _, new = step(state, dt)
+    new = step(state, dt)
     assert np.allclose(new.ln_rho[1:-1], s * x[1:-1] - v0 * s * dt, atol=1e-14)
     assert np.allclose(new.V, v0)
 
 
 def test_lax_step_flags_cfl():
+    # the loop flags a step whose pre-step V exceeds dx/dt, and runs on
     state = FluidState(0.0, np.zeros(21), np.full(21, 1.5))
-    status, _ = step(state, 1.0)
-    assert status == "cfl_warning"
+    rec = qf.run(*oracle_setup(1.0, steps=3), state=state)
+    assert rec.status == ["ok", "cfl_warning", "cfl_warning", "cfl_warning"]
+    assert (rec.final_status, rec.steps_survived) == ("ok", 3)
 
 
 def test_lax_step_flags_nonfinite():
+    # NaN in V ends the run at its first step, leaving step 0 recorded
     state = FluidState(0.0, np.zeros(21), np.zeros(21))
     state.V[5] = np.nan
-    status, _ = step(state, 1.0)
-    assert status == "diverged_nonfinite"
+    rec = qf.run(*oracle_setup(1.0, steps=3), state=state)
+    assert (rec.final_status, rec.steps_survived, rec.status) == ("diverged_nonfinite", 0, ["ok"])
+
+
+def test_drift_kick_step_returns_a_nonfinite_state_without_raising():
+    # deciding how a run ends is the loop's job, not the step's
+    state = FluidState(0.0, np.zeros(21), np.zeros(21))
+    state.V[5] = np.nan
+    new = step(state, 1.0)
+    assert np.isnan(new.ln_rho[4:7]).all() and np.isnan(new.V[4:7]).all()
+    assert np.isfinite(new.ln_rho[:4]).all() and np.isfinite(new.V[:4]).all()
 
 
 @pytest.mark.parametrize("name", ["fig1", "fig4", "fig5", "fig6", "fig7"])
@@ -291,17 +306,18 @@ def test_run_cfl_warning_recorded():
 
 
 def test_build_force_field_unknown_estimator():
+    # the config refuses an estimator before any force is built
     params, grid = default_params(), default_grid()
     state = qf.init_coherent_state(params, grid, 0.0)
-    with pytest.raises(ValueError):
-        qf.build_force_field(grid, params, "bogus", state.ln_rho, state.ln_rho, 0.0)
+    with pytest.raises(ValueError, match="unknown estimator"):
+        qf.build_force_field(grid, params, qf.RunConfig(estimator="bogus"), state.ln_rho, state.ln_rho, 0.0)
 
 
 def test_build_force_field_measures_the_quantum_force_and_pushes_with_the_true_density():
     params, grid = default_params(kp=1.0), default_grid()
     ln_rho = qf.init_coherent_state(params, grid, 0.0).ln_rho
     measured = ln_rho + np.random.default_rng(3).uniform(0.0, 1.0, grid.n)
-    forces = qf.build_force_field(grid, params, "gaussian_fit", measured, ln_rho, 0.0)
+    forces = qf.build_force_field(grid, params, qf.RunConfig(estimator="gaussian_fit"), measured, ln_rho, 0.0)
     assert np.array_equal(forces.quantum, qf.gaussian_fit_force(measured, grid, params))
     ln_gate = ln_rho.max() + math.log(PRESSURE_GATE_REL)
     gate = 1.0 + np.exp(np.clip(-PRESSURE_GATE_SHARPNESS * (ln_rho - ln_gate), -60.0, 60.0))

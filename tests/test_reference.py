@@ -22,7 +22,8 @@ def test_cn_step_uniform_wave_is_stationary():
     params = qf.PhysicalParams(D=1.0, omega=1e-12)
     grid = qf.make_grid(-48.0, 1.0, 97)
     psi = np.ones(97, dtype=complex)
-    out = qf.cn_step(qf.WaveState(0.0, psi), qf.cn_operator(grid, params, 0.5), np.abs(psi) ** 2)
+    op = qf.cn_operator(qf.RunConfig(dt=0.5), params, grid)
+    out = qf.cn_step(qf.WaveState(0.0, psi), op, np.abs(psi) ** 2)
     assert out.t == 0.5
     # the implicit solve feels the Dirichlet walls with fast spatial
     # decay; twenty cells in, the flat wave is untouched
@@ -33,11 +34,12 @@ def test_cn_step_uniform_wave_is_stationary():
 def test_cn_operator_rejects_nonpositive_dt():
     params = default_params()
     grid = wide_grid()
-    with pytest.raises(ValueError):
-        qf.cn_operator(grid, params, -1.0)
-    # LAPACK's tridiagonal solve does not check for NaN; the operator does
-    with pytest.raises(ValueError):
-        qf.cn_operator(grid, params, math.nan)
+    # the config refuses the step before an operator is built
+    with pytest.raises(ValueError, match="dt must be positive"):
+        qf.cn_operator(qf.RunConfig(dt=-1.0), params, grid)
+    # LAPACK's tridiagonal solve does not check for NaN; the config does
+    with pytest.raises(ValueError, match="dt must be finite"):
+        qf.cn_operator(qf.RunConfig(dt=math.nan), params, grid)
 
 
 def test_cn_preserves_norm():
@@ -45,7 +47,7 @@ def test_cn_preserves_norm():
     grid = wide_grid()
     wave = qf.fluid_to_wave(qf.init_coherent_state(params, grid, 0.0), grid, params)
     n0 = wave.norm2(grid)
-    op = qf.cn_operator(grid, params, 1.0)
+    op = qf.cn_operator(qf.RunConfig(dt=1.0), params, grid)
     for _ in range(64):
         wave = qf.cn_step(wave, op, np.abs(wave.psi) ** 2)
     assert abs(wave.norm2(grid) / n0 - 1.0) <= 1e-10
@@ -70,7 +72,7 @@ def test_cn_step_solves_its_own_equation(kp):
     grid = default_grid()
     dt = 0.5
     z = 0.5j * dt
-    op = qf.cn_operator(grid, params, dt)
+    op = qf.cn_operator(qf.RunConfig(dt=dt), params, grid)
     wave = qf.fluid_to_wave(qf.init_coherent_state(params, grid, 0.0), grid, params)
     for _ in range(4):
         new = qf.cn_step(wave, op, np.abs(wave.psi) ** 2)
@@ -84,7 +86,7 @@ def test_cn_step_solves_its_own_equation(kp):
 def wave_moments(params, grid, dt, steps):
     """The reference's moments at every step, from the fluid fields read
     out of psi; asserts the run stays finite."""
-    waves = qf.wave_trajectory(params, grid, dt, steps)
+    waves = qf.wave_trajectory(qf.RunConfig(dt=dt, steps=steps), params, grid)
     means, variances = [], []
     for _, wave, rho in waves:
         m = qf.moments(qf.wave_to_fluid(wave, rho, grid, params).ln_rho, grid)
@@ -106,7 +108,7 @@ def test_wave_trajectory_yields_every_step_and_returns_ok():
     # with pressure, each step's lagged term comes from the rho yielded
     # before it
     params, grid = default_params(kp=1.0), default_grid()
-    waves = qf.wave_trajectory(params, grid, 0.5, 10)
+    waves = qf.wave_trajectory(qf.RunConfig(dt=0.5, steps=10), params, grid)
     items = []
     with pytest.raises(StopIteration) as stop:
         while True:
@@ -124,7 +126,7 @@ def test_cn_norm_preserved_with_pressure():
     grid = wide_grid()
     wave = qf.fluid_to_wave(qf.init_coherent_state(params, grid, 0.0), grid, params)
     n0 = wave.norm2(grid)
-    op = qf.cn_operator(grid, params, 0.5)
+    op = qf.cn_operator(qf.RunConfig(dt=0.5), params, grid)
     for _ in range(64):
         wave = qf.cn_step(wave, op, np.abs(wave.psi) ** 2)
     assert abs(wave.norm2(grid) / n0 - 1.0) <= 1e-10
@@ -156,11 +158,11 @@ def test_cn_pressure_drives_oscillatory_spreading():
     ],
 )
 def test_run_reference_rejects_bad_inputs(bad, field):
-    # wave_trajectory checks its inputs before the first step
+    # the config wave_trajectory takes refuses them before the first step
     params, grid = default_params(), default_grid()
     kwargs = {"dt": 1.0, "steps": 4, **bad}
     with pytest.raises(ValueError, match=field):
-        next(qf.wave_trajectory(params, grid, **kwargs))
+        next(qf.wave_trajectory(qf.RunConfig(**kwargs), params, grid))
 
 
 def test_wave_fluid_round_trip():
