@@ -42,7 +42,6 @@ from .oracle import OracleWave
 from .presets import default_grid, default_params, preset, preset_names
 from .reference import (
     CNOperator,
-    WaveState,
     cn_operator,
     cn_step,
     cross_check,
@@ -86,7 +85,6 @@ __all__ = [
     "default_params",
     "preset",
     "preset_names",
-    "WaveState",
     "CNOperator",
     "cn_operator",
     "cn_step",

@@ -308,9 +308,11 @@ def _cmd_presets() -> int:
 def _add_scenario_flags(sub, command: str):
     sub.add_argument("--config", help="flat key = value config file; flags override it")
     for setting in _SETTINGS:
-        if setting.help:  # a flag the command does not read is parsed only to be refused by name
-            sub.add_argument(f"--{setting.key.replace('_', '-')}", dest=setting.key, type=setting.kind[0],
-                             help=setting.help if command in setting.commands else argparse.SUPPRESS)
+        if setting.help:  # a flag the command does not read is kept as text, only to be refused by name
+            reads = command in setting.commands
+            sub.add_argument(f"--{setting.key.replace('_', '-')}", dest=setting.key,
+                             type=setting.kind[0] if reads else str,
+                             help=setting.help if reads else argparse.SUPPRESS)
     sub.add_argument("--print-config", action="store_true",
                      help="print the resolved settings as a config file and exit")
 

@@ -37,7 +37,7 @@ NOISE_MODES = ("none", "initial", "per_step", "measurement")
 @dataclass(frozen=True)
 class SpatialGrid:
     """Uniform 1D grid: positions x0 + j*dx for j in [0, n).  Rejects a
-    non-integer n, non-finite x0 or dx, dx <= 0 and n < 7 (stencil width)."""
+    non-integer n, non-finite x0, dx or dx^2, dx <= 0 and n < 7 (stencil width)."""
 
     x0: float
     dx: float
@@ -45,8 +45,8 @@ class SpatialGrid:
 
     def __post_init__(self):
         _require_integer("n", self.n)
-        if not (math.isfinite(self.x0) and math.isfinite(self.dx)):
-            raise ValueError(f"grid origin and spacing must be finite, got x0={self.x0}, dx={self.dx}")
+        if not (math.isfinite(self.x0) and math.isfinite(self.dx * self.dx)):
+            raise ValueError(f"grid x0, dx and dx^2 must be finite, got x0={self.x0}, dx={self.dx}")
         if self.dx <= 0:
             raise ValueError(f"grid spacing must be positive, got dx={self.dx}")
         if self.n < MIN_GRID_POINTS:
@@ -101,6 +101,9 @@ class PhysicalParams:
         for name in ("D", "omega", "a", "kp"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        for name in ("D", "omega"):  # the forces square them, and float ** 2 raises on overflow
+            if not math.isfinite(getattr(self, name) * getattr(self, name)):
+                raise ValueError(f"{name} is too large to square, got {getattr(self, name)}")
         if self.D <= 0:
             raise ValueError(f"D must be positive, got {self.D}")
         if self.omega <= 0:
@@ -118,16 +121,15 @@ class PhysicalParams:
         return math.sqrt(self.equilibrium_sigma2())
 
 
-@dataclass
+@dataclass(frozen=True)
 class FluidState:
-    """Time-stamped (ln rho, V) field pair; mutated only by the integrator."""
+    """Time-stamped (ln rho, V) field pair, a value: no qfluid code writes
+    into a state's arrays, so a step or a noise draw builds a new state and
+    nothing needs to copy one."""
 
     t: float
     ln_rho: np.ndarray
     V: np.ndarray
-
-    def copy(self) -> "FluidState":
-        return FluidState(self.t, self.ln_rho.copy(), self.V.copy())
 
 
 @dataclass(frozen=True)

@@ -68,7 +68,7 @@ class Recorder:
     def add(self, step: int, state: FluidState, moments, mass: float, status: str = "ok") -> None:
         """Record ``state``, whose moments and mass the loop has already
         measured, as step ``step``.  A snapshot stores exp(ln rho) and a copy
-        of V."""
+        of V, since the step-0 state may hold the caller's own arrays."""
         self._rows.append((
             state.t, moments.mean, moments.var, mass, float(np.abs(state.V).max()),
             center_energy_estimate(state, self.grid, self.params),

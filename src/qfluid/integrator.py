@@ -240,8 +240,6 @@ def trajectory(
     """
     if state is None:
         state = init_coherent_state(params, grid, 0.0)
-    else:
-        state = state.copy()
     rng = np.random.default_rng(config.seed)
     ln_floor = float(state.ln_rho.max()) + math.log(RHO_FLOOR)
 
@@ -251,7 +249,7 @@ def trajectory(
         return rng.uniform(0.0, config.noise_amplitude, size=grid.n)
 
     if config.noise == "initial":
-        state.ln_rho = state.ln_rho + draw_noise()
+        state = FluidState(state.t, state.ln_rho + draw_noise(), state.V)
 
     m = moments(state.ln_rho, grid)
     prev_mass = mass(state.ln_rho, grid)

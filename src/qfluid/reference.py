@@ -27,24 +27,13 @@ from .diagnostics import density_distance
 from .integrator import trajectory
 
 __all__ = [
-    "WaveState", "CNOperator", "cn_operator", "cn_step", "wave_to_fluid", "fluid_to_wave",
-    "wave_trajectory", "cross_check",
+    "CNOperator", "cn_operator", "cn_step", "wave_to_fluid", "fluid_to_wave", "wave_trajectory",
+    "cross_check",
 ]
 
 # densities below this fraction of the peak are treated as vacuum when
 # extracting a velocity or evaluating ln|psi|
 AMPLITUDE_FLOOR = 1e-14
-
-
-@dataclass
-class WaveState:
-    """Complex wave amplitude on the grid at time t."""
-
-    t: float
-    psi: np.ndarray
-
-    def norm2(self, grid: SpatialGrid) -> float:
-        return float(np.sum(np.abs(self.psi) ** 2) * grid.dx)
 
 
 @dataclass(eq=False)
@@ -60,7 +49,6 @@ class CNOperator:
     computed once; with it `factors` is None and each step refactors."""
 
     params: PhysicalParams
-    dt: float
     z: complex
     off: float
     potential: np.ndarray  # phi = omega^2 x^2 / 2
@@ -73,14 +61,13 @@ def cn_operator(config: RunConfig, params: PhysicalParams, grid: SpatialGrid) ->
     """Build the Crank-Nicolson operator of
     i psi_t = -D psi_xx + [(phi + w)/(2D)] psi, Dirichlet ends, for steps of
     ``config.dt``; factor it now when it is constant (kp = 0)."""
-    dt = config.dt
     potential = 0.5 * params.omega**2 * grid.positions**2
     off = -params.D / grid.dx**2
     diag = -2.0 * off + potential / (2.0 * params.D)
-    z = 0.5j * dt
+    z = 0.5j * config.dt
     band = np.full(grid.n - 3, z * off)
     factors = None if params.kp != 0.0 else _factor(band, 1.0 + z * diag[1:-1])
-    return CNOperator(params, dt, z, off, potential, diag, band, factors)
+    return CNOperator(params, z, off, potential, diag, band, factors)
 
 
 def _factor(band: np.ndarray, d: np.ndarray) -> tuple:
@@ -99,12 +86,11 @@ def _vacuum_floor(rho: np.ndarray) -> float:
     return AMPLITUDE_FLOOR * max(float(np.max(rho)), 1e-300)
 
 
-def cn_step(wave: WaveState, op: CNOperator, rho: np.ndarray) -> WaveState:
-    """Advance psi by one Crank-Nicolson step of `op`, given its density
-    rho = |psi|^2; with pressure, w is lagged: evaluated from rho."""
+def cn_step(psi: np.ndarray, op: CNOperator, rho: np.ndarray) -> np.ndarray:
+    """The new psi after one Crank-Nicolson step of `op` from ``psi``, given
+    its density rho = |psi|^2; with pressure, w is lagged: evaluated from rho."""
     from scipy.linalg.lapack import zgttrs
 
-    psi = wave.psi
     diag, factors = op.diag, op.factors
     if factors is None:
         potential = op.potential + op.params.kp * np.log(np.maximum(rho, _vacuum_floor(rho)))
@@ -117,13 +103,15 @@ def cn_step(wave: WaveState, op: CNOperator, rho: np.ndarray) -> WaveState:
         raise RuntimeError("Crank-Nicolson tridiagonal solve failed")
     new_psi = np.zeros(psi.size, dtype=complex)
     new_psi[1:-1] = interior
-    return WaveState(wave.t + op.dt, new_psi)
+    return new_psi
 
 
-def wave_to_fluid(wave: WaveState, rho: np.ndarray, grid: SpatialGrid, params: PhysicalParams) -> FluidState:
-    """Read the fluid fields out of psi, given its density rho = |psi|^2:
-    ln rho and V = 2 D Im(psi_x / psi) = 2 D Im(conj(psi) psi_x) / rho by
-    central differences,
+def wave_to_fluid(
+    psi: np.ndarray, rho: np.ndarray, grid: SpatialGrid, params: PhysicalParams
+) -> tuple[np.ndarray, np.ndarray]:
+    """The fluid fields ``(ln_rho, V)`` read out of psi, given its density
+    rho = |psi|^2, with V = 2 D Im(psi_x / psi) = 2 D Im(conj(psi) psi_x) / rho
+    by central differences,
 
         V_j = (D/dx) (Re psi_j Im dpsi_j - Im psi_j Re dpsi_j) / rho_j,
         dpsi_j = psi_{j+1} - psi_{j-1},
@@ -131,46 +119,45 @@ def wave_to_fluid(wave: WaveState, rho: np.ndarray, grid: SpatialGrid, params: P
     with V = 0 at both ends and where the density is below floor."""
     floor = _vacuum_floor(rho)
     ln_rho = np.log(np.maximum(rho, floor))
-    psi = wave.psi[1:-1]
-    dpsi = wave.psi[2:] - wave.psi[:-2]
-    flux = (params.D / grid.dx) * (psi.real * dpsi.imag - psi.imag * dpsi.real)
+    dpsi = psi[2:] - psi[:-2]
+    flux = (params.D / grid.dx) * (psi[1:-1].real * dpsi.imag - psi[1:-1].imag * dpsi.real)
     V = np.zeros(grid.n)
     np.divide(flux, rho[1:-1], out=V[1:-1], where=rho[1:-1] > floor)
-    return FluidState(wave.t, ln_rho, V)
+    return ln_rho, V
 
 
-def fluid_to_wave(state: FluidState, grid: SpatialGrid, params: PhysicalParams) -> WaveState:
+def fluid_to_wave(state: FluidState, grid: SpatialGrid, params: PhysicalParams) -> np.ndarray:
     """Build psi = sqrt(rho) exp(i theta) with theta(x) = (1/2D) int V dx
     (trapezoid cumulative sum, phase 0 at the left boundary)."""
     rho = np.exp(state.ln_rho)
     theta = np.concatenate(
         ([0.0], np.cumsum(0.5 * (state.V[1:] + state.V[:-1]) * grid.dx))
     ) / (2.0 * params.D)
-    return WaveState(state.t, np.sqrt(rho) * np.exp(1j * theta))
+    return np.sqrt(rho) * np.exp(1j * theta)
 
 
 def wave_trajectory(
     config: RunConfig, params: PhysicalParams, grid: SpatialGrid
-) -> Generator[tuple[int, WaveState, np.ndarray], None, str]:
+) -> Generator[tuple[int, np.ndarray, np.ndarray], None, str]:
     """Integrate the wave equation from the coherent packet for
     ``config.steps`` steps of ``config.dt``, one step at a time.  Yields
-    ``(step, wave, rho = |psi|^2)`` for step 0 and every step that stays
+    ``(step, psi, rho = |psi|^2)`` for step 0 and every step that stays
     finite, and returns "ok" or "diverged_nonfinite"."""
     op = cn_operator(config, params, grid)
-    wave = fluid_to_wave(init_coherent_state(params, grid, 0.0), grid, params)
+    psi = fluid_to_wave(init_coherent_state(params, grid, 0.0), grid, params)
     # one |psi|^2 per step: the caller's fields, mass and snapshot, and the
     # next step's lagged pressure
-    rho = np.abs(wave.psi) ** 2
-    yield 0, wave, rho
+    rho = np.abs(psi) ** 2
+    yield 0, psi, rho
     for step in range(1, config.steps + 1):
         try:
-            wave = cn_step(wave, op, rho)
+            psi = cn_step(psi, op, rho)
         except RuntimeError:
             return "diverged_nonfinite"
-        if not np.all(np.isfinite(wave.psi)):
+        if not np.all(np.isfinite(psi)):
             return "diverged_nonfinite"
-        rho = np.abs(wave.psi) ** 2
-        yield step, wave, rho
+        rho = np.abs(psi) ** 2
+        yield step, psi, rho
     return "ok"
 
 

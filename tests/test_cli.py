@@ -135,17 +135,20 @@ def test_snapshot_every_is_refused_where_no_snapshot_is_written(tmp_path, capsys
 def test_a_setting_the_command_does_not_read_is_refused(tmp_path, capsys, command, key, reader, source):
     extra = ["--param", "kp", "--values", "0,1"] if command == "sweep" else []
     flag = f"--{key.replace('_', '-')}"
-    if source.startswith("flag"):
-        chosen = [flag, "1"] if source == "flag" else [f"{flag}=1"]
-        named = f"error: {flag} is read by {reader} only, not by {command}\n"
-    else:
-        (tmp_path / "other.cfg").write_text(f"steps = 4\n{key} = 1\n")
-        chosen, named = ["--config", str(tmp_path / "other.cfg")], f"{key} is read by {reader} only"
-    out = tmp_path / "out"
-    assert main([command, *extra, *chosen, "--out", str(out)]) == 1
-    refused = capsys.readouterr()
-    assert refused.out == "" and named in refused.err
-    assert not out.exists()
+    # a value the reading command could not parse is refused by name too,
+    # not by a parse error of a setting the command never reads
+    for value in ("1", "x"):
+        if source.startswith("flag"):
+            chosen = [flag, value] if source == "flag" else [f"{flag}={value}"]
+            named = f"error: {flag} is read by {reader} only, not by {command}\n"
+        else:
+            (tmp_path / "other.cfg").write_text(f"steps = 4\n{key} = {value}\n")
+            chosen, named = ["--config", str(tmp_path / "other.cfg")], f"{key} is read by {reader} only"
+        out = tmp_path / "out"
+        assert main([command, *extra, *chosen, "--out", str(out)]) == 1
+        refused = capsys.readouterr()
+        assert refused.out == "" and named in refused.err
+        assert not out.exists()
 
 
 def test_an_unknown_flag_is_refused_and_an_unread_one_is_not_offered(capsys):
@@ -313,6 +316,20 @@ def test_sweep_print_config_refuses_what_the_sweep_refuses(tmp_path, capsys, swe
     assert refused.out == "" and refused.err.startswith(error)
     assert main(["sweep", *sweep, *out, "--print-config"]) == 1
     assert capsys.readouterr() == refused
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["run", "--D", "1e155"], "error: D is too large to square"),
+    (["sweep", "--param", "D", "--values", "1e155"], "error: sweep point D=1e155: D is too large to square"),
+    (["run", "--omega", "1e200", "--dx", "1e-300"], "error: omega is too large to square"),
+    (["run", "--dx", "1e160"], "error: grid x0, dx and dx^2 must be finite"),
+], ids=["run-D", "sweep-D", "run-omega", "run-dx"])
+def test_a_finite_value_whose_square_overflows_is_refused(tmp_path, capsys, argv, error):
+    # the forces square D, omega and dx, and a Python float's x ** 2 raises
+    # OverflowError where numpy would give inf
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith(error)
+    assert not (tmp_path / "out").exists()
 
 
 # sigma = sqrt(D/omega) ~ 0.07 cells: the initial density is one spike

@@ -2,10 +2,11 @@
 window must shrink each error by the scheme's order, whatever its size.
 
 The Lax-Friedrichs fluid is first order in its density (its L2 distance to
-the Crank-Nicolson reference halves with dx = dt), while the packet center,
-a symmetric moment of that density, converges at second order.  That first
-order is almost all mass loss: the shape of the density, normalised by its
-mass, converges to the exact packet at second order, with no floor.
+the Crank-Nicolson reference, and to the exact packet, halves with dx = dt),
+while the packet center, a symmetric moment of that density, converges at
+second order.  That first order is almost all mass loss: the shape of the
+density, normalised by its mass, converges to the exact packet at second
+order, with no floor.
 """
 
 import math
@@ -48,26 +49,31 @@ def test_density_is_first_order_and_center_second_order(estimator):
         assert 1.9 <= order <= 2.1, (center, _orders(center))
 
 
-def _shape_errors(estimator):
-    """Max over steps of the L2 distance of the fluid's density, divided by
-    its mass, to the exact packet, at each k in 1, 2, 4, 8."""
+def _oracle_errors(estimator):
+    """Max over steps of the L2 distance of the fluid's density to the exact
+    packet, as it is and divided by its mass, at each k in 1, 2, 4, 8."""
     params = default_params()
     oracle = qf.OracleWave(params)
     errors = []
     for k in (1, 2, 4, 8):
         grid = default_grid(1.0 / k, 192 * k)
         config = qf.RunConfig(dt=1.0 / k, steps=T * k, estimator=estimator)
-        distances = [
-            qf.density_distance(oracle.density(grid.positions, state.t), np.exp(state.ln_rho) / m, grid.dx)
-            for _, state, _, m, _ in qf.trajectory(config, params, grid)
-        ]
+        distances = []
+        for _, state, _, m, _ in qf.trajectory(config, params, grid):
+            exact, rho = oracle.density(grid.positions, state.t), np.exp(state.ln_rho)
+            distances.append([qf.density_distance(exact, d, grid.dx) for d in (rho, rho / m)])
         assert len(distances) == config.steps + 1
-        errors.append(max(distances))
-    return errors
+        errors.append(np.max(distances, axis=0))
+    raw, shape = zip(*errors)
+    return raw, shape
 
 
 @pytest.mark.parametrize("estimator", ["oracle_exact", "gaussian_fit"])
 def test_density_shape_is_second_order_against_the_exact_packet(estimator):
-    shape = _shape_errors(estimator)
+    # the density itself is first order against the exact packet, as it is
+    # against the CN reference; divided by its mass it is second order
+    raw, shape = _oracle_errors(estimator)
+    for order in _orders(raw):
+        assert 0.9 <= order <= 1.1, (raw, _orders(raw))
     for order in _orders(shape):
         assert 1.9 <= order <= 2.1, (shape, _orders(shape))

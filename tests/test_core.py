@@ -33,6 +33,10 @@ def test_make_grid_rejects_bad_arguments():
         for x0, dx in ((0.0, math.inf), (0.0, math.nan), (math.nan, 1.0), (-math.inf, 1.0)):
             with pytest.raises(ValueError):
                 build(x0, dx, 10)
+        # a finite dx whose square overflows: the forces divide by dx^2
+        with pytest.raises(ValueError, match=r"dx\^2 must be finite"):
+            build(0.0, 1e160, 10)
+        assert build(0.0, 1e150, 10).dx == 1e150
         for n in (10.7, 10.0, True):
             with pytest.raises(ValueError, match="n must be an integer"):
                 build(0.0, 1.0, n)
@@ -79,6 +83,12 @@ def test_params_validation():
         for bad in (math.nan, math.inf):
             with pytest.raises(ValueError):
                 qf.PhysicalParams(**{"D": 1.0, "omega": 1.0, field: bad})
+    # finite, but the forces square D and omega: a Python float's x ** 2
+    # raises OverflowError instead of returning inf
+    for field in ("D", "omega"):
+        with pytest.raises(ValueError, match=f"{field} is too large to square"):
+            qf.PhysicalParams(**{"D": 1.0, "omega": 1.0, field: 1e155})
+    assert qf.PhysicalParams(D=1e150, omega=1e150).D == 1e150
     p = qf.PhysicalParams(D=2.0, omega=0.5)
     assert p.equilibrium_sigma2() == pytest.approx(4.0)
 

@@ -135,8 +135,8 @@ def test_smoothness_increases_with_noise():
     grid = default_grid()
     state = qf.init_coherent_state(params, grid, 0.0)
     before = qf.smoothness(state.ln_rho, grid)
-    state.ln_rho = state.ln_rho + np.random.default_rng(1).uniform(0.0, 1.0, size=grid.n)
-    assert qf.smoothness(state.ln_rho, grid) > 100 * before
+    noisy = state.ln_rho + np.random.default_rng(1).uniform(0.0, 1.0, size=grid.n)
+    assert qf.smoothness(noisy, grid) > 100 * before
 
 
 def test_l2_distance_identical_records():

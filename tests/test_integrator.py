@@ -1,7 +1,7 @@
 """Drift-kick stepper and the feedback loop (`trajectory`, `run`): its noise, floor and record."""
 
 import math
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -144,6 +144,21 @@ def test_run_is_deterministic(noise):
     assert r1.status == r2.status
 
 
+@pytest.mark.parametrize("noise", ["initial", "per_step"])
+def test_run_leaves_a_supplied_state_untouched(noise):
+    # a state is a value: noise and steps build new states, so the caller's
+    # arrays come back bit-identical although the run never copies them;
+    # the step-0 snapshot holds its own V, not the caller's array
+    params, grid = default_params(), default_grid()
+    state = qf.init_coherent_state(params, grid, 0.0)
+    ln_rho, V = state.ln_rho.tobytes(), state.V.tobytes()
+    rec = qf.run(qf.RunConfig(steps=10, noise=noise, seed=2, snapshot_every=1), params, grid, state=state)
+    assert (state.ln_rho.tobytes(), state.V.tobytes()) == (ln_rho, V)
+    assert not np.shares_memory(rec.snapshots[0][1], state.V)
+    with pytest.raises(FrozenInstanceError):
+        state.ln_rho = state.ln_rho + 1.0
+
+
 def test_run_clamps_ln_rho_at_the_density_floor():
     # a hole 60 e-folds deep at the center cell: the first drift averages it
     # into the neighbors, which would land 3.6 below the floor unclamped
@@ -174,8 +189,7 @@ def test_run_trajectory_scale_invariance(name):
     # sponge are scale-free
     params, cfg, grid = scale_invariance_case(name)
     base = qf.init_coherent_state(params, grid, 0.0)
-    scaled = base.copy()
-    scaled.ln_rho = scaled.ln_rho + math.log(3.0)
+    scaled = replace(base, ln_rho=base.ln_rho + math.log(3.0))
     r1 = qf.run(cfg, params, grid, state=base)
     r2 = qf.run(cfg, params, grid, state=scaled)
     assert (r1.final_status, r1.steps_survived) == (r2.final_status, r2.steps_survived)
@@ -299,8 +313,7 @@ def test_sponge_is_on_for_the_fitted_pressure_presets_only(name):
 
 def test_run_cfl_warning_recorded():
     params, grid = default_params(), default_grid()
-    state = qf.init_coherent_state(params, grid, 0.0)
-    state.V = np.full(grid.n, 1.2)  # above dx/dt
+    state = replace(qf.init_coherent_state(params, grid, 0.0), V=np.full(grid.n, 1.2))  # above dx/dt
     rec = qf.run(qf.RunConfig(steps=3), params, grid, state=state)
     assert "cfl_warning" in rec.status
 

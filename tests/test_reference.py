@@ -17,18 +17,21 @@ def wide_grid():
     return qf.make_grid(-128.0, 1.0, 256)
 
 
+def norm2(psi, grid):
+    return float(np.sum(np.abs(psi) ** 2) * grid.dx)
+
+
 def test_cn_step_uniform_wave_is_stationary():
     # vanishing potential and flat psi: nothing moves away from the walls
     params = qf.PhysicalParams(D=1.0, omega=1e-12)
     grid = qf.make_grid(-48.0, 1.0, 97)
     psi = np.ones(97, dtype=complex)
     op = qf.cn_operator(qf.RunConfig(dt=0.5), params, grid)
-    out = qf.cn_step(qf.WaveState(0.0, psi), op, np.abs(psi) ** 2)
-    assert out.t == 0.5
+    out = qf.cn_step(psi, op, np.abs(psi) ** 2)
     # the implicit solve feels the Dirichlet walls with fast spatial
     # decay; twenty cells in, the flat wave is untouched
     interior = slice(20, -20)
-    assert np.max(np.abs(out.psi[interior] - 1.0)) < 1e-10
+    assert np.max(np.abs(out[interior] - 1.0)) < 1e-10
 
 
 def test_cn_operator_rejects_nonpositive_dt():
@@ -45,12 +48,12 @@ def test_cn_operator_rejects_nonpositive_dt():
 def test_cn_preserves_norm():
     params = default_params()
     grid = wide_grid()
-    wave = qf.fluid_to_wave(qf.init_coherent_state(params, grid, 0.0), grid, params)
-    n0 = wave.norm2(grid)
+    psi = qf.fluid_to_wave(qf.init_coherent_state(params, grid, 0.0), grid, params)
+    n0 = norm2(psi, grid)
     op = qf.cn_operator(qf.RunConfig(dt=1.0), params, grid)
     for _ in range(64):
-        wave = qf.cn_step(wave, op, np.abs(wave.psi) ** 2)
-    assert abs(wave.norm2(grid) / n0 - 1.0) <= 1e-10
+        psi = qf.cn_step(psi, op, np.abs(psi) ** 2)
+    assert abs(norm2(psi, grid) / n0 - 1.0) <= 1e-10
 
 
 def apply_h(psi, lagged, grid, params):
@@ -73,14 +76,14 @@ def test_cn_step_solves_its_own_equation(kp):
     dt = 0.5
     z = 0.5j * dt
     op = qf.cn_operator(qf.RunConfig(dt=dt), params, grid)
-    wave = qf.fluid_to_wave(qf.init_coherent_state(params, grid, 0.0), grid, params)
+    psi = qf.fluid_to_wave(qf.init_coherent_state(params, grid, 0.0), grid, params)
     for _ in range(4):
-        new = qf.cn_step(wave, op, np.abs(wave.psi) ** 2)
-        lhs = new.psi[1:-1] + z * apply_h(new.psi, wave.psi, grid, params)
-        rhs = wave.psi[1:-1] - z * apply_h(wave.psi, wave.psi, grid, params)
-        assert np.linalg.norm(lhs - rhs) <= 1e-12 * np.linalg.norm(wave.psi)
-        assert new.psi[0] == 0.0 and new.psi[-1] == 0.0
-        wave = new
+        new = qf.cn_step(psi, op, np.abs(psi) ** 2)
+        lhs = new[1:-1] + z * apply_h(new, psi, grid, params)
+        rhs = psi[1:-1] - z * apply_h(psi, psi, grid, params)
+        assert np.linalg.norm(lhs - rhs) <= 1e-12 * np.linalg.norm(psi)
+        assert new[0] == 0.0 and new[-1] == 0.0
+        psi = new
 
 
 def wave_moments(params, grid, dt, steps):
@@ -88,8 +91,9 @@ def wave_moments(params, grid, dt, steps):
     out of psi; asserts the run stays finite."""
     waves = qf.wave_trajectory(qf.RunConfig(dt=dt, steps=steps), params, grid)
     means, variances = [], []
-    for _, wave, rho in waves:
-        m = qf.moments(qf.wave_to_fluid(wave, rho, grid, params).ln_rho, grid)
+    for _, psi, rho in waves:
+        ln_rho, _ = qf.wave_to_fluid(psi, rho, grid, params)
+        m = qf.moments(ln_rho, grid)
         means.append(m.mean)
         variances.append(m.var)
     assert len(means) == steps + 1
@@ -115,21 +119,21 @@ def test_wave_trajectory_yields_every_step_and_returns_ok():
             items.append(next(waves))
     assert stop.value.value == "ok"
     assert len(items) == 11
-    for k, (step, wave, rho) in enumerate(items):
-        assert (step, wave.t) == (k, k * 0.5)
-        assert np.array_equal(rho, np.abs(wave.psi) ** 2)
+    for k, (step, psi, rho) in enumerate(items):
+        assert step == k
+        assert np.array_equal(rho, np.abs(psi) ** 2)
 
 
 def test_cn_norm_preserved_with_pressure():
     # the lagged logarithmic term keeps each step Hermitian
     params = default_params(kp=1.0)
     grid = wide_grid()
-    wave = qf.fluid_to_wave(qf.init_coherent_state(params, grid, 0.0), grid, params)
-    n0 = wave.norm2(grid)
+    psi = qf.fluid_to_wave(qf.init_coherent_state(params, grid, 0.0), grid, params)
+    n0 = norm2(psi, grid)
     op = qf.cn_operator(qf.RunConfig(dt=0.5), params, grid)
     for _ in range(64):
-        wave = qf.cn_step(wave, op, np.abs(wave.psi) ** 2)
-    assert abs(wave.norm2(grid) / n0 - 1.0) <= 1e-10
+        psi = qf.cn_step(psi, op, np.abs(psi) ** 2)
+    assert abs(norm2(psi, grid) / n0 - 1.0) <= 1e-10
 
 
 def test_cn_pressure_drives_oscillatory_spreading():
@@ -172,29 +176,29 @@ def test_wave_fluid_round_trip():
     ln_rho = -((x - 5.0) ** 2) / (2 * 14.0**2)
     V = 0.3 * np.sin(2 * math.pi * x / 100.0)
     state = FluidState(0.0, ln_rho, V)
-    wave = qf.fluid_to_wave(state, grid, params)
-    back = qf.wave_to_fluid(wave, np.abs(wave.psi) ** 2, grid, params)
+    psi = qf.fluid_to_wave(state, grid, params)
+    back_ln_rho, back_V = qf.wave_to_fluid(psi, np.abs(psi) ** 2, grid, params)
     core = np.abs(x - 5.0) <= 3 * 14.0
-    assert np.allclose(back.ln_rho[core], ln_rho[core], atol=1e-10)
-    assert np.max(np.abs(back.V[core] - V[core])) <= 5e-3  # O(dx^2) phase gradient
+    assert np.allclose(back_ln_rho[core], ln_rho[core], atol=1e-10)
+    assert np.max(np.abs(back_V[core] - V[core])) <= 5e-3  # O(dx^2) phase gradient
 
 
 def test_wave_to_fluid_extracts_uniform_velocity():
     params = default_params()
     grid = default_grid()
     t = 0.5 * math.pi / params.omega
-    wave = qf.WaveState(t, qf.OracleWave(params).psi(grid.positions, t))
-    fluid = qf.wave_to_fluid(wave, np.abs(wave.psi) ** 2, grid, params)
+    psi = qf.OracleWave(params).psi(grid.positions, t)
+    _, V = qf.wave_to_fluid(psi, np.abs(psi) ** 2, grid, params)
     core = np.abs(grid.positions - 0.0) <= 3 * params.sigma()
-    assert np.allclose(fluid.V[core], -params.a * params.omega, rtol=5e-3)
+    assert np.allclose(V[core], -params.a * params.omega, rtol=5e-3)
 
 
 def test_real_positive_wave_has_zero_velocity():
     params = default_params()
     grid = default_grid()
     psi = np.exp(-grid.positions**2 / 100.0).astype(complex)
-    fluid = qf.wave_to_fluid(qf.WaveState(0.0, psi), np.abs(psi) ** 2, grid, params)
-    assert np.allclose(fluid.V, 0.0, atol=1e-12)
+    _, V = qf.wave_to_fluid(psi, np.abs(psi) ** 2, grid, params)
+    assert np.allclose(V, 0.0, atol=1e-12)
 
 
 def test_wave_to_fluid_vacuum_and_ends_have_zero_velocity():
@@ -211,20 +215,20 @@ def test_wave_to_fluid_vacuum_and_ends_have_zero_velocity():
     rho = np.abs(psi) ** 2
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        fluid = qf.wave_to_fluid(qf.WaveState(0.0, psi), rho, grid, params)
-    assert np.all(fluid.V[vacuum] == 0.0)
-    assert fluid.V[0] == 0.0 and fluid.V[-1] == 0.0
+        _, V = qf.wave_to_fluid(psi, rho, grid, params)
+    assert np.all(V[vacuum] == 0.0)
+    assert V[0] == 0.0 and V[-1] == 0.0
     # away from the hole and the ends: the central-difference phase gradient
     far = np.ones(grid.n, dtype=bool)
     far[[0, -1]] = False
     far[39:61] = False
     expected = 2.0 * params.D * math.sin(0.3 * grid.dx) / grid.dx
-    assert np.allclose(fluid.V[far], expected, rtol=1e-12)
+    assert np.allclose(V[far], expected, rtol=1e-12)
 
 
 def test_mass_matches_between_solvers():
     params = default_params()
     grid = default_grid()
     state = qf.init_coherent_state(params, grid, 0.0)
-    wave = qf.fluid_to_wave(state, grid, params)
-    assert wave.norm2(grid) == pytest.approx(qf.mass(state.ln_rho, grid), rel=1e-12)
+    psi = qf.fluid_to_wave(state, grid, params)
+    assert norm2(psi, grid) == pytest.approx(qf.mass(state.ln_rho, grid), rel=1e-12)
