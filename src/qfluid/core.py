@@ -37,7 +37,8 @@ NOISE_MODES = ("none", "initial", "per_step", "measurement")
 @dataclass(frozen=True)
 class SpatialGrid:
     """Uniform 1D grid: positions x0 + j*dx for j in [0, n).  Rejects a
-    non-integer n, non-finite x0, dx or dx^2, dx <= 0 and n < 7 (stencil width)."""
+    non-integer n, non-finite x0, dx or dx^2, dx <= 0, a dx^2 that underflows
+    to 0 (the solvers divide by it) and n < 7 (stencil width)."""
 
     x0: float
     dx: float
@@ -49,6 +50,8 @@ class SpatialGrid:
             raise ValueError(f"grid x0, dx and dx^2 must be finite, got x0={self.x0}, dx={self.dx}")
         if self.dx <= 0:
             raise ValueError(f"grid spacing must be positive, got dx={self.dx}")
+        if self.dx * self.dx == 0.0:
+            raise ValueError(f"grid spacing is too small to square, got dx={self.dx}")
         if self.n < MIN_GRID_POINTS:
             raise ValueError(f"need at least {MIN_GRID_POINTS} grid points, got n={self.n}")
 
@@ -203,4 +206,4 @@ def init_coherent_state(params: PhysicalParams, grid: SpatialGrid, t0: float = 0
 
 def mass(ln_rho: np.ndarray, grid: SpatialGrid) -> float:
     """Total mass sum_j rho_j dx of the density exp(ln_rho)."""
-    return float(np.exp(ln_rho).sum() * grid.dx)
+    return float(np.add.reduce(np.exp(ln_rho))) * grid.dx

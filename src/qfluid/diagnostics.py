@@ -70,7 +70,7 @@ class Recorder:
         measured, as step ``step``.  A snapshot stores exp(ln rho) and a copy
         of V, since the step-0 state may hold the caller's own arrays."""
         self._rows.append((
-            state.t, moments.mean, moments.var, mass, float(np.abs(state.V).max()),
+            state.t, moments.mean, moments.var, mass, float(np.maximum.reduce(np.abs(state.V))),
             center_energy_estimate(state, self.grid, self.params),
             smoothness(state.ln_rho, self.grid),
         ))
@@ -112,29 +112,82 @@ def center_energy_estimate(state: FluidState, grid: SpatialGrid, params: Physica
     Q comes from the log-derivative stencil chain, linearly interpolated at
     the (generically off-grid) measured mean inside the stencil-valid band
     x[2:-2] (held at the band's end value beyond it).  Interpolation reads
-    Q only at the two band nodes j, j+1 that bracket the mean, so the chain
-    runs on the six ln rho cells j-2..j+3 they need; the values are the same
-    bits the full-grid chain gives there.
+    Q only at the two band nodes j, j+1 that bracket the mean, so both are
+    evaluated in scalar arithmetic from the six ln rho cells j-2..j+3 they
+    need, with the operations of ``fd_log_gradient`` and
+    ``fd_quantum_potential`` in their order (``h * h`` is numpy's square).
+    Both interpolations repeat ``np.interp``'s scalar formula, so the result
+    is the same bits the full-grid chain and ``np.interp`` give.
     """
     m = moments(state.ln_rho, grid)
+    mean = m.mean
     x = grid.positions
-    j = min(max(int(x.searchsorted(m.mean, "right")) - 1, 2), grid.n - 4)
-    Q = fd_quantum_potential(fd_log_gradient(state.ln_rho[j - 2 : j + 4], grid), grid, params)
-    q_at_mean = float(np.interp(m.mean, x[j : j + 2], Q[2:4]))
-    v_at_mean = float(np.interp(m.mean, x, state.V))
-    return 0.5 * v_at_mean**2 + 0.5 * params.omega**2 * m.mean**2 + q_at_mean
+    # x[i] <= mean < x[i + 1]: j clamps i into the stencil band, k into the grid
+    i = int(x.searchsorted(mean, "right")) - 1
+    j = min(max(i, 2), grid.n - 4)
+    l0, l1, l2, l3, l4, l5 = state.ln_rho[j - 2 : j + 4].tolist()
+    two_dx = 2 * grid.dx
+    h1, h2, h3, h4 = (l2 - l0) / two_dx, (l3 - l1) / two_dx, (l4 - l2) / two_dx, (l5 - l3) / two_dx
+    minus_D2 = -params.D**2
+    q_j = minus_D2 * ((h3 - h1) / two_dx + 0.5 * (h2 * h2))
+    q_j1 = minus_D2 * ((h4 - h2) / two_dx + 0.5 * (h3 * h3))
+    x_j, x_j1 = x[j : j + 2].tolist()
+    q_at_mean = _interp(mean, x_j, x_j1, q_j, q_j1)
+    k = min(max(i, 0), grid.n - 2)
+    x_k, x_k1 = x[k : k + 2].tolist()
+    v_k, v_k1 = state.V[k : k + 2].tolist()
+    v_at_mean = _interp(mean, x_k, x_k1, v_k, v_k1)
+    return 0.5 * v_at_mean**2 + 0.5 * params.omega**2 * mean**2 + q_at_mean
+
+
+def _interp(x: float, x0: float, x1: float, y0: float, y1: float) -> float:
+    """``np.interp`` at x on its table's segment (x0, y0)-(x1, y1) that
+    brackets x, or whose end node x lies beyond, in numpy's own scalar
+    steps and so bit for bit: the node value at or beyond either node, else
+    the slope form from the left node, retried from the right one on NaN."""
+    if x <= x0:
+        return y0
+    if x >= x1:
+        return y1
+    slope = (y1 - y0) / (x1 - x0)
+    y = slope * (x - x0) + y0
+    if y != y:
+        if x != x:
+            return x
+        y = slope * (x - x1) + y1
+        if y != y and y0 == y1:
+            y = y0
+    return y
 
 
 def smoothness(ln_rho: np.ndarray, grid: SpatialGrid) -> float:
     """Mean squared second difference of ln rho over the packet core
-    (|x - mean| <= 3 sigma)."""
+    (|x - mean| <= 3 sigma).
+
+    The grid is sorted, so the core is one contiguous run [lo, hi) of the
+    interior nodes: two ``searchsorted`` calls find its ends, which are then
+    moved onto the exact test |x - mean| <= 3 sigma, and the second
+    difference is taken on that slice alone.  Its sum of squares divided by
+    the count is the same bits a boolean core mask and ``.mean()`` give.
+    """
     m = moments(ln_rho, grid)
+    mean, r = m.mean, 3.0 * math.sqrt(m.var)
     x = grid.positions
-    d2 = ln_rho[2:] - 2 * ln_rho[1:-1] + ln_rho[:-2]
-    core = np.abs(x[1:-1] - m.mean) <= 3.0 * math.sqrt(m.var)
-    if not core.any():
+    last = grid.n - 1
+    lo = min(max(int(x.searchsorted(mean - r, "left")), 1), last)
+    hi = min(max(int(x.searchsorted(mean + r, "right")), 1), last)
+    while lo > 1 and x[lo - 1] - mean >= -r:
+        lo -= 1
+    while lo < last and x[lo] - mean < -r:
+        lo += 1
+    while hi < last and x[hi] - mean <= r:
+        hi += 1
+    while hi > 1 and x[hi - 1] - mean > r:
+        hi -= 1
+    if hi <= lo:
         return float("nan")
-    return float((d2[core] ** 2).mean())
+    d2 = ln_rho[lo + 1 : hi + 1] - 2 * ln_rho[lo:hi] + ln_rho[lo - 1 : hi - 1]
+    return float(np.add.reduce(d2 * d2)) / (hi - lo)
 
 
 def density_distance(rho_a: np.ndarray, rho_b: np.ndarray, dx: float) -> float:

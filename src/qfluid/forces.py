@@ -65,13 +65,13 @@ def moments(ln_rho: np.ndarray, grid: SpatialGrid) -> Moments:
     Weights are exponentiated relative to the running peak so that a uniform
     shift of ln rho (a global density rescaling) cancels exactly.
     """
-    w = np.exp(ln_rho - ln_rho.max())
-    total = float(w.sum())
+    w = np.exp(ln_rho - np.maximum.reduce(ln_rho))
+    total = float(np.add.reduce(w))
     if not math.isfinite(total) or total <= 0:
         raise DegenerateDensityError("density weights are not summable")
     x = grid.positions
-    mean = float((w * x).sum() / total)
-    var = float((w * (x - mean) ** 2).sum() / total)
+    mean = float(np.add.reduce(w * x)) / total
+    var = float(np.add.reduce(w * (x - mean) ** 2)) / total
     if var < (grid.dx / 10.0) ** 2:
         raise DegenerateDensityError(
             f"density variance {var:g} below ({grid.dx}/10)^2; distribution is delta-like"
@@ -93,7 +93,7 @@ def gaussian_fit_force(ln_rho: np.ndarray, grid: SpatialGrid, params: PhysicalPa
 
 def fd_log_gradient(ln_rho: np.ndarray, grid: SpatialGrid) -> np.ndarray:
     """H = grad ln rho by central differences; boundary entries are 0."""
-    H = np.zeros_like(ln_rho)
+    H = np.zeros(ln_rho.shape)
     H[1:-1] = (ln_rho[2:] - ln_rho[:-2]) / (2 * grid.dx)
     return H
 
@@ -101,7 +101,7 @@ def fd_log_gradient(ln_rho: np.ndarray, grid: SpatialGrid) -> np.ndarray:
 def fd_quantum_potential(H: np.ndarray, grid: SpatialGrid, params: PhysicalParams) -> np.ndarray:
     """Q = -D^2 (grad.H + H^2/2) from a log-gradient field; zero where the
     stencil would touch the H boundary entries."""
-    Q = np.zeros_like(H)
+    Q = np.zeros(H.shape)
     Q[2:-2] = -params.D**2 * (
         (H[3:-1] - H[1:-3]) / (2 * grid.dx) + 0.5 * H[2:-2] ** 2
     )
@@ -117,14 +117,14 @@ def fd_quantum_force(ln_rho: np.ndarray, grid: SpatialGrid, params: PhysicalPara
     """
     H = fd_log_gradient(ln_rho, grid)
     Q = fd_quantum_potential(H, grid, params)
-    F = np.zeros_like(Q)
+    F = np.zeros(Q.shape)
     F[3:-3] = (Q[2:-4] - Q[4:-2]) / (2 * grid.dx)
     return F
 
 
 def pressure_force(ln_rho: np.ndarray, grid: SpatialGrid, params: PhysicalParams) -> np.ndarray:
     """Isentropic pressure force -kp * grad ln rho (central differences)."""
-    F = np.zeros_like(ln_rho)
+    F = np.zeros(ln_rho.shape)
     if params.kp == 0.0:
         return F
     F[1:-1] = -params.kp * (ln_rho[2:] - ln_rho[:-2]) / (2 * grid.dx)

@@ -152,8 +152,8 @@ def build_force_field(
         quantum = np.zeros(grid.n)
     press = pressure_force(ln_rho, grid, params)
     if params.kp != 0.0:
-        ln_gate = float(ln_rho.max()) + math.log(PRESSURE_GATE_REL)
-        arg = np.clip(-PRESSURE_GATE_SHARPNESS * (ln_rho - ln_gate), -60.0, 60.0)
+        ln_gate = float(np.maximum.reduce(ln_rho)) + math.log(PRESSURE_GATE_REL)
+        arg = np.minimum(np.maximum(-PRESSURE_GATE_SHARPNESS * (ln_rho - ln_gate), -60.0), 60.0)
         press = press / (1.0 + np.exp(arg))
     return ForceField(external=ext, quantum=quantum, pressure=press)
 
@@ -272,7 +272,7 @@ def trajectory(
             state = FluidState(state.t, state.ln_rho + draw_noise(), state.V)
         noise = draw_noise() if config.noise == "measurement" else None
         # the CFL flag reads the pre-step V
-        status = STATUS_CFL if np.abs(state.V).max() * config.dt / grid.dx > 1.0 else STATUS_OK
+        status = STATUS_CFL if np.maximum.reduce(np.abs(state.V)) * config.dt / grid.dx > 1.0 else STATUS_OK
         # a step whose force or moments cannot be measured, that goes
         # non-finite, blows up the variance or jumps the mass ends the run
         try:

@@ -332,6 +332,16 @@ def test_a_finite_value_whose_square_overflows_is_refused(tmp_path, capsys, argv
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_a_dx_whose_square_underflows_is_refused(tmp_path, capsys, command):
+    # the solvers divide by dx^2: compare used to raise ZeroDivisionError and
+    # run to stop at step 0 as a divergence
+    assert main([command, "--dx", "1e-300", "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: grid spacing is too small to square, got dx=1e-300")
+    assert not (tmp_path / "out").exists()
+
+
 # sigma = sqrt(D/omega) ~ 0.07 cells: the initial density is one spike
 _SUB_CELL_D = "0.0005"
 

@@ -37,6 +37,10 @@ def test_make_grid_rejects_bad_arguments():
         with pytest.raises(ValueError, match=r"dx\^2 must be finite"):
             build(0.0, 1e160, 10)
         assert build(0.0, 1e150, 10).dx == 1e150
+        # ... and one whose square underflows to 0
+        with pytest.raises(ValueError, match="too small to square, got dx=1e-300"):
+            build(0.0, 1e-300, 10)
+        assert build(0.0, 1e-150, 10).dx == 1e-150
         for n in (10.7, 10.0, True):
             with pytest.raises(ValueError, match="n must be an integer"):
                 build(0.0, 1.0, n)

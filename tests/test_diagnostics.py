@@ -121,6 +121,88 @@ def test_center_energy_estimate_matches_the_full_grid_stencil_bit_for_bit(n):
     assert min(seen.values()) > 0, seen
 
 
+def _boolean_core_smoothness(ln_rho, grid):
+    """smoothness's formula with the core picked by a boolean mask over the
+    whole interior."""
+    m = qf.moments(ln_rho, grid)
+    x = grid.positions
+    d2 = ln_rho[2:] - 2 * ln_rho[1:-1] + ln_rho[:-2]
+    core = np.abs(x[1:-1] - m.mean) <= 3.0 * math.sqrt(m.var)
+    if not core.any():
+        return float("nan")
+    return float((d2[core] ** 2).mean())
+
+
+@pytest.mark.parametrize("n", [7, 8, 192])
+def test_smoothness_matches_the_boolean_core_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    grid = qf.make_grid(-float(n // 2), 1.0, n)
+    x = grid.positions
+    # seeded noisy packets centered on every node, between nodes, and off
+    # both ends of the grid (0.6 cells off, a packet of width 0.6 leaves its
+    # core between the end node and the first interior node: empty); plus
+    # two-cell plateaus, whose core ends fall exactly on nodes
+    packets = []
+    ends = [x[0] - 0.6, x[-1] + 0.6]
+    centers = np.concatenate((x, x + 0.37, ends, rng.uniform(x[0] - 3.0, x[-1] + 3.0, 60)))
+    for center in centers:
+        for width in (0.6, 1.5, n / 4.0):
+            for noise in (0.0, 0.05):
+                packets.append(-((x - center) ** 2) / (2 * width**2) + noise * rng.standard_normal(n))
+    for k in range(n - 1):
+        plateau = np.full(n, -1000.0)
+        plateau[k : k + 2] = 0.0
+        packets.append(plateau)
+    seen = {"clipped_left": 0, "clipped_right": 0, "inside": 0, "empty": 0}
+    for ln_rho in packets:
+        try:
+            expected = _boolean_core_smoothness(ln_rho, grid)
+        except qf.DegenerateDensityError:
+            continue
+        got = qf.smoothness(ln_rho, grid)
+        if math.isnan(expected):
+            assert math.isnan(got)
+            seen["empty"] += 1
+            continue
+        assert got == expected
+        m = qf.moments(ln_rho, grid)
+        r = 3.0 * math.sqrt(m.var)
+        if m.mean - r < x[1]:
+            seen["clipped_left"] += 1
+        if m.mean + r > x[-2]:
+            seen["clipped_right"] += 1
+        if x[1] <= m.mean - r and m.mean + r <= x[-2]:
+            seen["inside"] += 1
+    assert min(seen.values()) > 0, seen
+
+
+def test_smoothness_core_ends_follow_the_mask_where_rounding_moves_them(monkeypatch):
+    # 3 sigma set to a node's distance from the mean, give or take an ulp:
+    # mean -/+ 3 sigma then often rounds to the other side of that node
+    # than |x - mean| <= 3 sigma puts it, and the slice ends must follow
+    # the mask
+    rng = np.random.default_rng(3)
+    moved = 0
+    for _ in range(2000):
+        n = int(rng.integers(7, 40))
+        grid = qf.make_grid(rng.uniform(-100.0, 100.0), rng.uniform(0.01, 3.0), n)
+        x = grid.positions
+        mean = rng.uniform(x[0] - 2 * grid.dx, x[-1] + 2 * grid.dx)
+        r = abs(x[rng.integers(0, n)] - mean) * (1.0 + rng.choice([-1, 0, 1]) * 2.0**-52)
+        m = qf.Moments(mean, (r / 3.0) ** 2)
+        monkeypatch.setattr("qfluid.diagnostics.moments", lambda ln_rho, grid: m)
+        monkeypatch.setattr(qf, "moments", lambda ln_rho, grid: m)
+        ln_rho = rng.standard_normal(n)
+        expected = _boolean_core_smoothness(ln_rho, grid)
+        got = qf.smoothness(ln_rho, grid)
+        assert got == expected or (math.isnan(got) and math.isnan(expected))
+        r = 3.0 * math.sqrt(m.var)
+        mask = np.flatnonzero(np.abs(x - mean) <= r)
+        if len(mask) and (x.searchsorted(mean - r) != mask[0] or x.searchsorted(mean + r, "right") != mask[-1] + 1):
+            moved += 1
+    assert moved > 100
+
+
 def test_smoothness_of_exact_packet():
     # second difference of the quadratic ln rho is the constant -dx^2/sigma^2
     params = default_params()
