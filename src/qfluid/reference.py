@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FluidState, PhysicalParams, RunConfig, SpatialGrid, init_coherent_state
+from .core import FluidState, PhysicalParams, RunConfig, SpatialGrid
 from .diagnostics import density_distance
 from .integrator import trajectory
 
@@ -137,14 +137,13 @@ def fluid_to_wave(state: FluidState, grid: SpatialGrid, params: PhysicalParams) 
 
 
 def wave_trajectory(
-    config: RunConfig, params: PhysicalParams, grid: SpatialGrid
+    config: RunConfig, params: PhysicalParams, grid: SpatialGrid, psi: np.ndarray
 ) -> Generator[tuple[int, np.ndarray, np.ndarray], None, str]:
-    """Integrate the wave equation from the coherent packet for
-    ``config.steps`` steps of ``config.dt``, one step at a time.  Yields
-    ``(step, psi, rho = |psi|^2)`` for step 0 and every step that stays
-    finite, and returns "ok" or "diverged_nonfinite"."""
+    """Integrate the wave equation from ``psi`` for ``config.steps`` steps
+    of ``config.dt``, one step at a time.  Yields ``(step, psi, rho =
+    |psi|^2)`` for step 0 (the given ``psi`` itself) and every step that
+    stays finite, and returns "ok" or "diverged_nonfinite"."""
     op = cn_operator(config, params, grid)
-    psi = fluid_to_wave(init_coherent_state(params, grid, 0.0), grid, params)
     # one |psi|^2 per step: the caller's fields, mass and snapshot, and the
     # next step's lagged pressure
     rho = np.abs(psi) ** 2
@@ -164,19 +163,26 @@ def wave_trajectory(
 def cross_check(
     config: RunConfig, params: PhysicalParams, grid: SpatialGrid
 ) -> tuple[list[tuple[int, float, float]], str]:
-    """Step the feedback loop and the wave equation in lockstep from the
-    same packet.  Returns one ``(step, t, density_distance)`` row for each
-    step both solvers reached, and the fluid's final status.  Only the rows
-    are kept, so memory stays flat in the number of steps."""
+    """Step the feedback loop and the wave equation in lockstep, the wave
+    from the fluid's step-0 state (initial noise included), until the first
+    solver ends.  Returns one ``(step, t, density_distance)`` row for each
+    step both solvers reached, and the status of the solver that ended
+    first: the fluid's, or the reference's prefixed "reference_".  Only the
+    rows are kept, so memory stays flat in the number of steps.  Raises
+    ValueError for per-step noise, which only the fluid would carry."""
+    if config.noise == "per_step":
+        raise ValueError("cannot cross-check noise = per_step: the wave equation carries no noise")
     fluid = trajectory(config, params, grid)
-    waves = wave_trajectory(config, params, grid)
+    _, state, *_ = next(fluid)
+    waves = wave_trajectory(config, params, grid, fluid_to_wave(state, grid, params))
     rows = []
     while True:
         try:
-            step, state, *_ = next(fluid)
+            step, _, rho = next(waves)
+        except StopIteration as stop:
+            return rows, "reference_" + stop.value
+        rows.append((step, state.t, density_distance(np.exp(state.ln_rho), rho, grid.dx)))
+        try:
+            _, state, *_ = next(fluid)
         except StopIteration as stop:
             return rows, stop.value
-        # once the reference has ended, the fluid runs on to its final status
-        wave_step = next(waves, None)
-        if wave_step is not None:
-            rows.append((step, state.t, density_distance(np.exp(state.ln_rho), wave_step[2], grid.dx)))

@@ -79,7 +79,7 @@ def test_compare_passes_at_default_tolerance(tmp_path, capsys):
 def test_bare_compare_runs_the_16_step_window_and_passes(tmp_path, capsys):
     code = main(["compare", "--out", str(tmp_path)])
     assert code == 0
-    assert "PASS" in capsys.readouterr().out
+    assert capsys.readouterr().out.splitlines()[0].endswith(" -> PASS")  # an ok compare names no status
     _, rows = read_csv(tmp_path / "compare.csv")
     assert len(rows) == 17
 
@@ -158,9 +158,10 @@ def test_an_unknown_flag_is_refused_and_an_unread_one_is_not_offered(capsys):
     assert "--tol" not in capsys.readouterr().out
 
 
-def test_compare_reports_feedback_divergence(tmp_path):
+def test_compare_reports_feedback_divergence(tmp_path, capsys):
     code = main(["compare", "--estimator", "none", "--steps", "100", "--out", str(tmp_path)])
     assert code == 2
+    assert capsys.readouterr().out.splitlines()[0].endswith(" -> FAIL status=diverged_dispersion")
 
 
 @pytest.mark.parametrize("argv, expected_code", [
@@ -183,11 +184,53 @@ def test_compare_streams_the_distances_the_snapshot_records_give(tmp_path, capsy
     snapshots = qf.run(replace(config, snapshot_every=1), params, grid).snapshots
     expected = [
         (step, qf.density_distance(snapshots[step][0], rho, grid.dx))
-        for step, _, rho in qf.wave_trajectory(config, params, grid)
+        for step, _, rho in qf.wave_trajectory(
+            config, params, grid, qf.fluid_to_wave(qf.init_coherent_state(params, grid), grid, params)
+        )
         if step in snapshots
     ]
     _, rows = read_csv(tmp_path / "compare.csv")
     assert [(int(r[0]), float(r[2])) for r in rows] == expected
+
+
+def test_compare_fig2_starts_both_solvers_from_the_noisy_state(tmp_path, capsys):
+    # the loop smooths the initial noise away in one step and the wave
+    # equation does not, so the rows after step 0 still exceed the tolerance
+    assert main(["compare", "--preset", "fig2", "--out", str(tmp_path)]) == 3
+    assert capsys.readouterr().out.splitlines()[0].endswith(" -> FAIL")
+    _, rows = read_csv(tmp_path / "compare.csv")
+    assert len(rows) == 65
+    assert float(rows[0][2]) <= 1e-15
+
+
+# dx^2 is subnormal, so D/dx^2 overflows in the CN operator: the reference
+# goes non-finite at step 1 while the closed-form-force fluid runs on
+@pytest.mark.filterwarnings("ignore::RuntimeWarning", "ignore:coherent packet:UserWarning")
+def test_compare_ends_with_the_reference_and_names_its_status(tmp_path, capsys):
+    assert main(["compare", "--dx", "1e-160", "--out", str(tmp_path)]) == 2
+    summary = capsys.readouterr().out.splitlines()[0]
+    assert summary.endswith(" -> FAIL status=reference_diverged_nonfinite")
+    _, rows = read_csv(tmp_path / "compare.csv")
+    assert [row[0] for row in rows] == ["0"]
+
+
+@pytest.mark.parametrize("source", ["flag", "config file"])
+def test_compare_refuses_per_step_noise(tmp_path, capsys, source):
+    # only the fluid would carry it, so the solvers would not compare like
+    # with like; the config is still printable
+    if source == "flag":
+        chosen = ["--noise", "per-step"]
+    else:
+        (tmp_path / "noise.cfg").write_text("noise = per-step\n")
+        chosen = ["--config", str(tmp_path / "noise.cfg")]
+    out = tmp_path / "out"
+    assert main(["compare", "--preset", "fig2", *chosen, "--out", str(out)]) == 1
+    refused = capsys.readouterr()
+    assert refused.out == ""
+    assert refused.err.startswith("error: ") and "per_step" in refused.err
+    assert not out.exists()
+    assert main(["compare", "--preset", "fig2", *chosen, "--print-config"]) == 0
+    assert "noise = per-step\n" in capsys.readouterr().out
 
 
 def test_compare_memory_does_not_grow_with_the_steps(tmp_path):

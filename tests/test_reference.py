@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,6 +16,11 @@ from qfluid.reference import AMPLITUDE_FLOOR
 def wide_grid():
     # tails clear the Dirichlet walls so norm checks see only the scheme
     return qf.make_grid(-128.0, 1.0, 256)
+
+
+def packet_psi(params, grid):
+    """psi of the exact coherent packet at t = 0."""
+    return qf.fluid_to_wave(qf.init_coherent_state(params, grid), grid, params)
 
 
 def norm2(psi, grid):
@@ -89,7 +95,7 @@ def test_cn_step_solves_its_own_equation(kp):
 def wave_moments(params, grid, dt, steps):
     """The reference's moments at every step, from the fluid fields read
     out of psi; asserts the run stays finite."""
-    waves = qf.wave_trajectory(qf.RunConfig(dt=dt, steps=steps), params, grid)
+    waves = qf.wave_trajectory(qf.RunConfig(dt=dt, steps=steps), params, grid, packet_psi(params, grid))
     means, variances = [], []
     for _, psi, rho in waves:
         ln_rho, _ = qf.wave_to_fluid(psi, rho, grid, params)
@@ -112,7 +118,7 @@ def test_wave_trajectory_yields_every_step_and_returns_ok():
     # with pressure, each step's lagged term comes from the rho yielded
     # before it
     params, grid = default_params(kp=1.0), default_grid()
-    waves = qf.wave_trajectory(qf.RunConfig(dt=0.5, steps=10), params, grid)
+    waves = qf.wave_trajectory(qf.RunConfig(dt=0.5, steps=10), params, grid, packet_psi(params, grid))
     items = []
     with pytest.raises(StopIteration) as stop:
         while True:
@@ -166,7 +172,7 @@ def test_run_reference_rejects_bad_inputs(bad, field):
     params, grid = default_params(), default_grid()
     kwargs = {"dt": 1.0, "steps": 4, **bad}
     with pytest.raises(ValueError, match=field):
-        next(qf.wave_trajectory(qf.RunConfig(**kwargs), params, grid))
+        next(qf.wave_trajectory(qf.RunConfig(**kwargs), params, grid, packet_psi(params, grid)))
 
 
 def test_wave_fluid_round_trip():
@@ -232,3 +238,51 @@ def test_mass_matches_between_solvers():
     state = qf.init_coherent_state(params, grid, 0.0)
     psi = qf.fluid_to_wave(state, grid, params)
     assert norm2(psi, grid) == pytest.approx(qf.mass(state.ln_rho, grid), rel=1e-12)
+
+
+def test_wave_trajectory_starts_from_the_psi_it_is_given():
+    # a displaced, narrower packet with a phase ramp: not the coherent state
+    params, grid = default_params(), default_grid()
+    x = grid.positions
+    psi0 = np.exp(-((x + 20.0) ** 2) / (2 * 6.0**2) + 0.2j * x)
+    step, psi, rho = next(qf.wave_trajectory(qf.RunConfig(dt=1.0, steps=4), params, grid, psi0))
+    assert step == 0
+    assert np.array_equal(psi, psi0)
+    assert np.array_equal(rho, np.abs(psi0) ** 2)
+
+
+@pytest.mark.parametrize("name, noise", [("fig1", "none"), ("fig2", "initial"), ("fig3", "measurement")])
+def test_cross_check_starts_the_reference_from_the_fluids_step_0(name, noise):
+    # every noise mode compare accepts, fig2's noisy start included: the
+    # step-0 row compares a state with itself
+    params, config, grid = qf.preset(name)
+    assert config.noise == noise
+    rows, _ = qf.cross_check(replace(config, steps=1), params, grid)
+    assert rows[0][:2] == (0, 0.0)
+    assert rows[0][2] <= 1e-15
+
+
+# dx^2 is subnormal, so D/dx^2 overflows in the CN operator: the reference
+# goes non-finite at step 1 while the closed-form-force fluid runs on
+@pytest.mark.filterwarnings("ignore::RuntimeWarning", "ignore:coherent packet:UserWarning")
+def test_cross_check_ends_with_the_reference_and_returns_its_status():
+    params, grid = default_params(), default_grid(dx=1e-160)
+    rows, status = qf.cross_check(qf.RunConfig(estimator="oracle_exact", steps=16), params, grid)
+    assert status == "reference_diverged_nonfinite"
+    assert [row[0] for row in rows] == [0]
+
+
+def test_cross_check_refuses_per_step_noise_before_any_step():
+    # only the fluid would carry the noise.  The packet is narrower than a
+    # cell, so a started fluid would raise DegenerateDensityError instead
+    params = replace(default_params(), D=0.0005)
+    with pytest.raises(ValueError, match="per_step"):
+        qf.cross_check(qf.RunConfig(noise="per_step"), params, default_grid())
+
+
+def test_cross_check_warns_once_of_a_packet_the_grid_does_not_hold():
+    # only the fluid builds the start state, so only it warns
+    params, grid = default_params(), default_grid(n=100)
+    with pytest.warns(UserWarning) as record:
+        qf.cross_check(qf.RunConfig(estimator="oracle_exact", steps=16), params, grid)
+    assert sum("does not fit" in str(w.message) for w in record) == 1
