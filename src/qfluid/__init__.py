@@ -8,88 +8,20 @@ isentropic pressure term, and cross-validation against a direct solver of
 the equivalent generalized Schrodinger equation.
 """
 
-from .core import (
-    FluidState,
-    PhysicalParams,
-    RunConfig,
-    SpatialGrid,
-    init_coherent_state,
-    make_grid,
-    mass,
-)
-from .diagnostics import (
-    RunRecord,
-    center_energy_estimate,
-    center_error,
-    density_distance,
-    dispersion_error,
-    smoothness,
-)
-from .forces import (
-    DegenerateDensityError,
-    ForceField,
-    Moments,
-    external_force,
-    fd_log_gradient,
-    fd_quantum_force,
-    fd_quantum_potential,
-    gaussian_fit_force,
-    moments,
-    pressure_force,
-)
-from .integrator import build_force_field, drift_kick_step, run, trajectory
-from .oracle import OracleWave
-from .presets import default_grid, default_params, preset, preset_names
-from .reference import (
-    CNOperator,
-    cn_operator,
-    cn_step,
-    cross_check,
-    fluid_to_wave,
-    wave_to_fluid,
-    wave_trajectory,
-)
+from . import core, diagnostics, forces, integrator, oracle, presets, reference
+from .core import *
+from .diagnostics import *
+from .forces import *
+from .integrator import *
+from .oracle import *
+from .presets import *
+from .reference import *
 
 __version__ = "0.1.0"
 
+# each module lists its own public names; the package exports them all
 __all__ = [
-    "FluidState",
-    "PhysicalParams",
-    "RunConfig",
-    "SpatialGrid",
-    "init_coherent_state",
-    "make_grid",
-    "mass",
-    "RunRecord",
-    "center_energy_estimate",
-    "center_error",
-    "density_distance",
-    "dispersion_error",
-    "smoothness",
-    "DegenerateDensityError",
-    "ForceField",
-    "Moments",
-    "external_force",
-    "fd_log_gradient",
-    "fd_quantum_force",
-    "fd_quantum_potential",
-    "gaussian_fit_force",
-    "moments",
-    "pressure_force",
-    "build_force_field",
-    "drift_kick_step",
-    "run",
-    "trajectory",
-    "OracleWave",
-    "default_grid",
-    "default_params",
-    "preset",
-    "preset_names",
-    "CNOperator",
-    "cn_operator",
-    "cn_step",
-    "cross_check",
-    "fluid_to_wave",
-    "wave_to_fluid",
-    "wave_trajectory",
+    name
+    for module in (core, diagnostics, forces, integrator, oracle, presets, reference)
+    for name in module.__all__
 ]

@@ -1,4 +1,4 @@
-"""Grids, physical parameters, fluid state, and coherent-packet initial conditions.
+"""Grids, physical parameters, fluid state and run configuration.
 
 The simulated system is a 1D compressible fluid on a uniform grid, stored as
 (ln rho, V).  Log-density is the native variable: both update equations and
@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -22,7 +21,6 @@ __all__ = [
     "FluidState",
     "RunConfig",
     "make_grid",
-    "init_coherent_state",
     "mass",
 ]
 
@@ -181,27 +179,6 @@ class RunConfig:
             raise ValueError("noise_amplitude must be non-negative")
         if self.snapshot_every < 0:
             raise ValueError("snapshot_every must be >= 0")
-
-
-def init_coherent_state(params: PhysicalParams, grid: SpatialGrid, t0: float = 0.0) -> FluidState:
-    """Initialize the fluid on the exact oscillating-packet solution at time t0.
-
-    ln rho_j = ln sqrt(omega/2 pi D) - (omega/2D)(x_j - a cos(omega t0))^2
-    V_j      = -a omega sin(omega t0)   (uniform)
-    """
-    x = grid.positions
-    center = params.a * math.cos(params.omega * t0)
-    sigma = params.sigma()
-    if center - 5 * sigma < grid.x0 or center + 5 * sigma > grid.x_end:
-        warnings.warn(
-            f"coherent packet (center {center:g}, sigma {sigma:g}) does not fit "
-            f"within +/-5 sigma of the grid [{grid.x0:g}, {grid.x_end:g}]",
-            stacklevel=2,
-        )
-    ln_peak = math.log(math.sqrt(params.omega / (2 * math.pi * params.D)))
-    ln_rho = ln_peak - (params.omega / (2 * params.D)) * (x - center) ** 2
-    V = np.full(grid.n, -params.a * params.omega * math.sin(params.omega * t0))
-    return FluidState(float(t0), ln_rho, V)
 
 
 def mass(ln_rho: np.ndarray, grid: SpatialGrid) -> float:

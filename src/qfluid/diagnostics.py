@@ -9,11 +9,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import FluidState, PhysicalParams, SpatialGrid
-from .forces import fd_log_gradient, fd_quantum_potential, moments
+from .forces import moments
+from .oracle import OracleWave
 
 __all__ = [
     "RunRecord",
-    "Recorder",
     "center_error",
     "dispersion_error",
     "center_energy_estimate",
@@ -93,9 +93,9 @@ class Recorder:
 
 
 def center_error(record: RunRecord, params: PhysicalParams) -> np.ndarray:
-    """|mean(t) - a cos(omega t)| / a per step (absolute error if a = 0)."""
-    expected = params.a * np.cos(params.omega * record.t)
-    err = np.abs(record.mean - expected)
+    """|mean(t) - center(t)| / a per step, against the exact packet's
+    ``OracleWave.center`` (absolute error if a = 0)."""
+    err = np.abs(record.mean - OracleWave(params).center(record.t))
     if params.a > 0:
         err = err / params.a
     return err
@@ -164,26 +164,18 @@ def smoothness(ln_rho: np.ndarray, grid: SpatialGrid) -> float:
     """Mean squared second difference of ln rho over the packet core
     (|x - mean| <= 3 sigma).
 
-    The grid is sorted, so the core is one contiguous run [lo, hi) of the
-    interior nodes: two ``searchsorted`` calls find its ends, which are then
-    moved onto the exact test |x - mean| <= 3 sigma, and the second
-    difference is taken on that slice alone.  Its sum of squares divided by
-    the count is the same bits a boolean core mask and ``.mean()`` give.
+    The grid is sorted, so d = x - mean is too, and the core -r <= d <= r is
+    one contiguous run [lo, hi) of the interior nodes: two ``searchsorted``
+    calls on d find its ends exactly, and the second difference is taken on
+    that slice alone.  Its sum of squares divided by the count is the same
+    bits a boolean core mask and ``.mean()`` give.
     """
     m = moments(ln_rho, grid)
-    mean, r = m.mean, 3.0 * math.sqrt(m.var)
-    x = grid.positions
+    r = 3.0 * math.sqrt(m.var)
+    d = grid.positions - m.mean
     last = grid.n - 1
-    lo = min(max(int(x.searchsorted(mean - r, "left")), 1), last)
-    hi = min(max(int(x.searchsorted(mean + r, "right")), 1), last)
-    while lo > 1 and x[lo - 1] - mean >= -r:
-        lo -= 1
-    while lo < last and x[lo] - mean < -r:
-        lo += 1
-    while hi < last and x[hi] - mean <= r:
-        hi += 1
-    while hi > 1 and x[hi - 1] - mean > r:
-        hi -= 1
+    lo = min(max(int(d.searchsorted(-r, "left")), 1), last)
+    hi = min(max(int(d.searchsorted(r, "right")), 1), last)
     if hi <= lo:
         return float("nan")
     d2 = ln_rho[lo + 1 : hi + 1] - 2 * ln_rho[lo:hi] + ln_rho[lo - 1 : hi - 1]

@@ -30,7 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import FluidState, PhysicalParams, RunConfig, SpatialGrid, init_coherent_state, mass
+from .core import FluidState, PhysicalParams, RunConfig, SpatialGrid, mass
 from .diagnostics import Recorder, RunRecord
 from .forces import (
     DegenerateDensityError,
@@ -42,9 +42,9 @@ from .forces import (
     moments,
     pressure_force,
 )
-from .oracle import OracleWave
+from .oracle import OracleWave, init_coherent_state
 
-__all__ = ["drift_kick_step", "build_force_field", "sponge_active", "trajectory", "run"]
+__all__ = ["drift_kick_step", "build_force_field", "trajectory", "run"]
 
 STATUS_OK = "ok"
 STATUS_CFL = "cfl_warning"

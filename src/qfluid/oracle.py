@@ -1,5 +1,6 @@
 """Closed-form oscillating wave packet: the exact coherent solution used as
-ground truth for tests, diagnostics, and the oracle_exact force estimator.
+ground truth for tests, diagnostics, and the oracle_exact force estimator,
+and the fluid's start state read from it.
 
 All quantities follow from the wave function
 
@@ -15,13 +16,18 @@ whose velocity field V = 2D grad(theta) is uniform in space.
 from __future__ import annotations
 
 import math
+import os
+import sys
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PhysicalParams
+from .core import FluidState, PhysicalParams, SpatialGrid
 
-__all__ = ["OracleWave"]
+__all__ = ["OracleWave", "init_coherent_state"]
+
+_PACKAGE_DIR = os.path.dirname(__file__) + os.sep
 
 
 @dataclass(frozen=True)
@@ -49,13 +55,16 @@ class OracleWave:
         )
         return envelope * np.exp(1j * phase)
 
-    def density(self, x, t):
-        """Probability density sqrt(omega/2 pi D) exp[-(omega/2D)(x - center)^2]."""
+    def ln_density(self, x, t):
+        """Log-density ln sqrt(omega/2 pi D) - (omega/2D)(x - center)^2."""
         p = self.params
         x = np.asarray(x, dtype=float)
-        return np.sqrt(p.omega / (2 * math.pi * p.D)) * np.exp(
-            -(p.omega / (2 * p.D)) * (x - self.center(t)) ** 2
-        )
+        ln_peak = math.log(math.sqrt(p.omega / (2 * math.pi * p.D)))
+        return ln_peak - (p.omega / (2 * p.D)) * (x - self.center(t)) ** 2
+
+    def density(self, x, t):
+        """Probability density exp(ln_density)."""
+        return np.exp(self.ln_density(x, t))
 
     def velocity(self, t):
         """Uniform velocity -a omega sin(omega t)."""
@@ -90,3 +99,28 @@ class OracleWave:
         """Energy at the packet center: zero-point term plus pendulum term."""
         p = self.params
         return p.D * p.omega + 0.5 * p.a**2 * p.omega**2
+
+
+def init_coherent_state(params: PhysicalParams, grid: SpatialGrid, t0: float = 0.0) -> FluidState:
+    """Initialize the fluid on the exact oscillating packet at time t0: ln rho
+    is ``OracleWave.ln_density`` on the grid and V its uniform ``velocity``.
+    Warns when the packet's +/-5 sigma does not fit on the grid, naming the
+    first caller outside qfluid."""
+    wave = OracleWave(params)
+    center, sigma = wave.center(t0), params.sigma()
+    if center - 5 * sigma < grid.x0 or center + 5 * sigma > grid.x_end:
+        warnings.warn(
+            f"coherent packet (center {center:g}, sigma {sigma:g}) does not fit "
+            f"within +/-5 sigma of the grid [{grid.x0:g}, {grid.x_end:g}]",
+            stacklevel=_outside_stacklevel(),
+        )
+    return FluidState(float(t0), wave.ln_density(grid.positions, t0), np.full(grid.n, wave.velocity(t0)))
+
+
+def _outside_stacklevel() -> int:
+    """The ``warnings.warn`` stacklevel, for a warning raised by this
+    function's caller, of the first frame outside the qfluid package."""
+    frame, level = sys._getframe(1), 1
+    while frame is not None and frame.f_code.co_filename.startswith(_PACKAGE_DIR):
+        frame, level = frame.f_back, level + 1
+    return level

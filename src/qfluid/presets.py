@@ -28,7 +28,6 @@ from .core import PhysicalParams, RunConfig, SpatialGrid, make_grid
 __all__ = [
     "default_params",
     "default_grid",
-    "PRESETS",
     "preset",
     "preset_names",
 ]

@@ -158,6 +158,22 @@ def test_coherent_state_warns_if_packet_does_not_fit():
         qf.init_coherent_state(params, qf.make_grid(-30.0, 1.0, 60), 0.0)
 
 
+@pytest.mark.parametrize("caller", ["init_coherent_state", "run", "cross_check"])
+def test_packet_fit_warning_names_the_first_line_outside_qfluid(caller):
+    # however deep inside the package the packet is built, the warning
+    # points at the code that called into it
+    params, grid = default_params(), default_grid(n=100)
+    config = RunConfig(estimator="oracle_exact", steps=4)
+    calls = {
+        "init_coherent_state": lambda: qf.init_coherent_state(params, grid),
+        "run": lambda: qf.run(config, params, grid),
+        "cross_check": lambda: qf.cross_check(config, params, grid),
+    }
+    with pytest.warns(UserWarning) as record:
+        calls[caller]()
+    assert [w.filename for w in record if "does not fit" in str(w.message)] == [__file__]
+
+
 def test_mass_uniform_density():
     grid = qf.make_grid(0.0, 1.0, 100)
     assert qf.mass(np.zeros(100), grid) == pytest.approx(100.0)

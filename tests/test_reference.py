@@ -51,15 +51,26 @@ def test_cn_operator_rejects_nonpositive_dt():
         qf.cn_operator(qf.RunConfig(dt=math.nan), params, grid)
 
 
-def test_cn_preserves_norm():
-    params = default_params()
+@pytest.mark.parametrize(
+    "kp, dt",
+    [
+        pytest.param(0.0, 1.0, id="without-pressure"),
+        # the lagged logarithmic term keeps each step Hermitian
+        pytest.param(1.0, 0.5, id="with-pressure"),
+    ],
+)
+def test_cn_preserves_norm(kp, dt):
+    params = default_params(kp=kp)
     grid = wide_grid()
-    psi = qf.fluid_to_wave(qf.init_coherent_state(params, grid, 0.0), grid, params)
-    n0 = norm2(psi, grid)
-    op = qf.cn_operator(qf.RunConfig(dt=1.0), params, grid)
-    for _ in range(64):
-        psi = qf.cn_step(psi, op, np.abs(psi) ** 2)
-    assert abs(norm2(psi, grid) / n0 - 1.0) <= 1e-10
+    waves = qf.wave_trajectory(qf.RunConfig(dt=dt, steps=64), params, grid, packet_psi(params, grid))
+    norms = []
+    with pytest.raises(StopIteration) as stop:
+        while True:
+            _, psi, _ = next(waves)
+            norms.append(norm2(psi, grid))
+    assert stop.value.value == "ok"
+    assert len(norms) == 65
+    assert np.max(np.abs(np.array(norms) / norms[0] - 1.0)) <= 1e-10
 
 
 def apply_h(psi, lagged, grid, params):
@@ -128,18 +139,6 @@ def test_wave_trajectory_yields_every_step_and_returns_ok():
     for k, (step, psi, rho) in enumerate(items):
         assert step == k
         assert np.array_equal(rho, np.abs(psi) ** 2)
-
-
-def test_cn_norm_preserved_with_pressure():
-    # the lagged logarithmic term keeps each step Hermitian
-    params = default_params(kp=1.0)
-    grid = wide_grid()
-    psi = qf.fluid_to_wave(qf.init_coherent_state(params, grid, 0.0), grid, params)
-    n0 = norm2(psi, grid)
-    op = qf.cn_operator(qf.RunConfig(dt=0.5), params, grid)
-    for _ in range(64):
-        psi = qf.cn_step(psi, op, np.abs(psi) ** 2)
-    assert abs(norm2(psi, grid) / n0 - 1.0) <= 1e-10
 
 
 def test_cn_pressure_drives_oscillatory_spreading():
