@@ -22,6 +22,7 @@ import sys
 from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -318,7 +319,10 @@ def _add_scenario_flags(sub, command: str):
                      help="print the resolved settings as a config file and exit")
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing reads it
+    and never changes it."""
     parser = argparse.ArgumentParser(
         prog="qfluid",
         description="Quantum-like fluid laboratory: feedback-loop runs, "

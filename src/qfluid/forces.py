@@ -48,15 +48,17 @@ class Moments:
 
 @dataclass
 class ForceField:
-    """Total force decomposition over the grid (acceleration units)."""
+    """Total force decomposition over the grid (acceleration units);
+    ``pressure`` is None where there is none (kp = 0)."""
 
     external: np.ndarray
     quantum: np.ndarray
-    pressure: np.ndarray
+    pressure: np.ndarray | None
 
     @property
     def total(self) -> np.ndarray:
-        return self.external + self.quantum + self.pressure
+        total = self.external + self.quantum
+        return total if self.pressure is None else total + self.pressure
 
 
 def moments(ln_rho: np.ndarray, grid: SpatialGrid) -> Moments:

@@ -138,9 +138,10 @@ def build_force_field(
     t: float,
 ) -> ForceField:
     """Assemble the total applied force at time ``t``: external trap +
-    quantum force by ``config.estimator`` + optional pressure (faded out
-    smoothly below the density gate).  The quantum term comes from the
-    ``measured`` ln rho; pressure acts on the true fluid ``ln_rho``."""
+    quantum force by ``config.estimator`` + pressure (faded out smoothly
+    below the density gate) when kp != 0; at kp = 0 the field has no
+    pressure part.  The quantum term comes from the ``measured`` ln rho;
+    pressure acts on the true fluid ``ln_rho``."""
     ext = external_force(grid, params)
     if config.estimator == "gaussian_fit":
         quantum = gaussian_fit_force(measured, grid, params)
@@ -150,11 +151,11 @@ def build_force_field(
         quantum = OracleWave(params).force(grid.positions, t)
     else:  # none
         quantum = np.zeros(grid.n)
-    press = pressure_force(ln_rho, grid, params)
+    press = None
     if params.kp != 0.0:
         ln_gate = float(np.maximum.reduce(ln_rho)) + math.log(PRESSURE_GATE_REL)
         arg = np.minimum(np.maximum(-PRESSURE_GATE_SHARPNESS * (ln_rho - ln_gate), -60.0), 60.0)
-        press = press / (1.0 + np.exp(arg))
+        press = pressure_force(ln_rho, grid, params) / (1.0 + np.exp(arg))
     return ForceField(external=ext, quantum=quantum, pressure=press)
 
 

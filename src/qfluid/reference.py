@@ -8,15 +8,19 @@ claimed to be equivalent to
 
 via psi = sqrt(rho) exp(i S / 2D), V = 2 D grad(theta), rho = |psi|^2.
 This module integrates that wave equation directly with a Crank-Nicolson
-(Cayley) scheme -- unconditionally stable and exactly norm-preserving for a
+scheme -- unconditionally stable and exactly norm-preserving for a
 Hermitian step Hamiltonian -- and ``cross_check`` steps it alongside the
-fluid loop to validate the loop against it.  The logarithmic pressure
-nonlinearity is evaluated lagged (from the current step's amplitude), which
-keeps each step's Hamiltonian Hermitian.
+fluid loop to validate the loop against it.  Each step is taken in Cayley
+form, psi_new = 2 (I + zH)^-1 psi - psi, so it costs one tridiagonal solve
+and no product with I - zH.  The logarithmic pressure nonlinearity is
+evaluated lagged (from the current step's amplitude), which keeps each
+step's Hamiltonian Hermitian.  A run ends as non-finite when a step's
+|psi|^2, which each step computes anyway, is.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Generator
 from dataclasses import dataclass
 
@@ -46,13 +50,13 @@ class CNOperator:
 
     Only w = kp ln|psi|^2 changes between steps.  Without it (kp = 0) the
     system is constant and `factors` holds zgttrf's LU factors of I + zH,
-    computed once; with it `factors` is None and each step refactors."""
+    computed once; with it `factors` is None and each step builds the
+    diagonal from `potential` and the lagged w and refactors."""
 
     params: PhysicalParams
     z: complex
     off: float
     potential: np.ndarray  # phi = omega^2 x^2 / 2
-    diag: np.ndarray  # the diagonal of H for phi alone
     band: np.ndarray  # z off: the sub- and super-diagonal of I + zH
     factors: tuple | None
 
@@ -63,19 +67,20 @@ def cn_operator(config: RunConfig, params: PhysicalParams, grid: SpatialGrid) ->
     ``config.dt``; factor it now when it is constant (kp = 0)."""
     potential = 0.5 * params.omega**2 * grid.positions**2
     off = -params.D / grid.dx**2
-    diag = -2.0 * off + potential / (2.0 * params.D)
     z = 0.5j * config.dt
     band = np.full(grid.n - 3, z * off)
-    factors = None if params.kp != 0.0 else _factor(band, 1.0 + z * diag[1:-1])
-    return CNOperator(params, z, off, potential, diag, band, factors)
+    factors = _factor(band, z, off, params.D, potential[1:-1]) if params.kp == 0.0 else None
+    return CNOperator(params, z, off, potential, band, factors)
 
 
-def _factor(band: np.ndarray, d: np.ndarray) -> tuple:
-    """zgttrf's LU factors of the tridiagonal matrix (band, d, band)."""
+def _factor(band: np.ndarray, z: complex, off: float, D: float, potential: np.ndarray) -> tuple:
+    """zgttrf's LU factors of I + zH over the interior cells, where H's
+    diagonal is -2 off + potential/(2D) and ``potential`` is phi + w there."""
     # scipy is imported here, when a reference run starts, so that the fluid
     # loop and its CLI commands never pay for loading it
     from scipy.linalg.lapack import zgttrf
 
+    d = 1.0 + z * (-2.0 * off + potential / (2.0 * D))
     *factors, info = zgttrf(band, d, band)
     if info != 0:
         raise RuntimeError("Crank-Nicolson tridiagonal solve failed")
@@ -88,21 +93,30 @@ def _vacuum_floor(rho: np.ndarray) -> float:
 
 def cn_step(psi: np.ndarray, op: CNOperator, rho: np.ndarray) -> np.ndarray:
     """The new psi after one Crank-Nicolson step of `op` from ``psi``, given
-    its density rho = |psi|^2; with pressure, w is lagged: evaluated from rho."""
+    its density rho = |psi|^2; with pressure, w is lagged: evaluated from rho.
+
+    The step is taken in Cayley form, (I + zH)^-1 (I - zH) = 2 (I + zH)^-1 - I:
+    one solve (I + zH) chi = psi_int - (z off/2)(psi_0 e_1 + psi_{n-1} e_m),
+    the second term carrying the end cells' coupling into the first and
+    last interior cells, and then psi_int_new = 2 chi - psi_int."""
     from scipy.linalg.lapack import zgttrs
 
-    diag, factors = op.diag, op.factors
+    factors = op.factors
     if factors is None:
-        potential = op.potential + op.params.kp * np.log(np.maximum(rho, _vacuum_floor(rho)))
-        diag = -2.0 * op.off + potential / (2.0 * op.params.D)
-        factors = _factor(op.band, 1.0 + op.z * diag[1:-1])
+        w = op.params.kp * np.log(np.maximum(rho[1:-1], _vacuum_floor(rho)))
+        factors = _factor(op.band, op.z, op.off, op.params.D, op.potential[1:-1] + w)
 
-    rhs = psi[1:-1] - op.z * (op.off * (psi[2:] + psi[:-2]) + diag[1:-1] * psi[1:-1])
-    interior, info = zgttrs(*factors, rhs)
+    new_psi = np.zeros(psi.size, dtype=complex)
+    b = new_psi[1:-1]  # the right-hand side, overwritten by the solve
+    b[:] = psi[1:-1]
+    half = 0.5 * op.z * op.off
+    b[0] -= half * psi[0]
+    b[-1] -= half * psi[-1]
+    chi, info = zgttrs(*factors, b, overwrite_b=1)
     if info != 0:
         raise RuntimeError("Crank-Nicolson tridiagonal solve failed")
-    new_psi = np.zeros(psi.size, dtype=complex)
-    new_psi[1:-1] = interior
+    np.multiply(chi, 2.0, out=b)
+    b -= psi[1:-1]
     return new_psi
 
 
@@ -153,9 +167,11 @@ def wave_trajectory(
             psi = cn_step(psi, op, rho)
         except RuntimeError:
             return "diverged_nonfinite"
-        if not np.all(np.isfinite(psi)):
-            return "diverged_nonfinite"
         rho = np.abs(psi) ** 2
+        # |psi|^2 is non-finite wherever psi is, and its maximum wherever
+        # any cell is: np.maximum propagates NaN
+        if not math.isfinite(np.maximum.reduce(rho)):
+            return "diverged_nonfinite"
         yield step, psi, rho
     return "ok"
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import qfluid as qf
-from qfluid.cli import _SWEEPABLE, main
+from qfluid.cli import _SWEEPABLE, build_parser, main
 from qfluid.presets import default_grid, default_params
 
 
@@ -156,6 +156,15 @@ def test_an_unknown_flag_is_refused_and_an_unread_one_is_not_offered(capsys):
     assert "unrecognized arguments: --bogus" in capsys.readouterr().err
     assert main(["run", "--help"]) == 0
     assert "--tol" not in capsys.readouterr().out
+
+
+def test_the_parser_is_built_once_and_answers_alike_every_time(capsys):
+    assert build_parser() is build_parser()
+    helps = []
+    for argv in (["--help"], ["run", "--help"], ["run", "--bogus", "1"], ["--help"], ["run", "--help"]):
+        main(argv)
+        helps.append(capsys.readouterr())
+    assert helps[3:] == helps[:2]
 
 
 def test_compare_reports_feedback_divergence(tmp_path, capsys):

@@ -297,3 +297,6 @@ def test_force_field_total():
     press = np.array([0.0, 0.25])
     field = qf.ForceField(external=ext, quantum=quantum, pressure=press)
     assert np.allclose(field.total, [1.5, 1.25])
+    # without pressure the total is the other two parts alone
+    field = qf.ForceField(external=ext, quantum=quantum, pressure=None)
+    assert np.array_equal(field.total, [1.5, 1.0])

@@ -339,6 +339,14 @@ def test_build_force_field_measures_the_quantum_force_and_pushes_with_the_true_d
     np.testing.assert_allclose(forces.pressure, expected, rtol=1e-12, atol=0.0)
 
 
+def test_build_force_field_without_pressure_has_no_pressure_part():
+    params, grid = default_params(), default_grid()
+    ln_rho = qf.init_coherent_state(params, grid, 0.0).ln_rho
+    forces = qf.build_force_field(grid, params, qf.RunConfig(), ln_rho, ln_rho, 0.0)
+    assert forces.pressure is None
+    assert forces.total.tobytes() == (forces.external + forces.quantum).tobytes()
+
+
 def test_summary_errors_populated():
     params, grid = default_params(), default_grid()
     rec = qf.run(qf.RunConfig(steps=16), params, grid)

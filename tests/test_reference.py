@@ -103,6 +103,26 @@ def test_cn_step_solves_its_own_equation(kp):
         psi = new
 
 
+@pytest.mark.parametrize("kp", [pytest.param(0.0, id="kp=0"), pytest.param(1.0, id="kp=1")])
+def test_cn_step_couples_the_pinned_end_cells(kp):
+    # a random wave with O(1) end cells: the step's right-hand side reads
+    # psi_0 and psi_{n-1} through the first and last interior rows of
+    # (I - zH) psi, and the new ends are pinned at 0
+    params = default_params(kp=kp)
+    grid = qf.make_grid(-8.0, 1.0, 17)
+    dt = 0.5
+    z = 0.5j * dt
+    op = qf.cn_operator(qf.RunConfig(dt=dt), params, grid)
+    rng = np.random.default_rng(5)
+    psi = rng.normal(size=grid.n) + 1j * rng.normal(size=grid.n)
+    psi[0], psi[-1] = 1.0 - 0.5j, -0.75 + 1.0j
+    new = qf.cn_step(psi, op, np.abs(psi) ** 2)
+    lhs = new[1:-1] + z * apply_h(new, psi, grid, params)
+    rhs = psi[1:-1] - z * apply_h(psi, psi, grid, params)
+    assert np.linalg.norm(lhs - rhs) <= 1e-12 * np.linalg.norm(psi)
+    assert new[0] == 0.0 and new[-1] == 0.0
+
+
 def wave_moments(params, grid, dt, steps):
     """The reference's moments at every step, from the fluid fields read
     out of psi; asserts the run stays finite."""
@@ -139,6 +159,21 @@ def test_wave_trajectory_yields_every_step_and_returns_ok():
     for k, (step, psi, rho) in enumerate(items):
         assert step == k
         assert np.array_equal(rho, np.abs(psi) ** 2)
+
+
+@pytest.mark.parametrize("kp", [0.0, 1.0])
+def test_wave_trajectory_ends_at_the_first_nonfinite_step(kp):
+    # one NaN interior cell spreads over the whole wave in the first solve
+    params, grid = default_params(kp=kp), default_grid()
+    psi0 = packet_psi(params, grid)
+    psi0[grid.n // 3] = np.nan
+    waves = qf.wave_trajectory(qf.RunConfig(dt=1.0, steps=4), params, grid, psi0)
+    steps = []
+    with pytest.raises(StopIteration) as stop:
+        while True:
+            steps.append(next(waves)[0])
+    assert steps == [0]
+    assert stop.value.value == "diverged_nonfinite"
 
 
 def test_cn_pressure_drives_oscillatory_spreading():
