@@ -27,9 +27,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import PhysicalParams, RunConfig, SpatialGrid
+from .core import NOISE_MODES, PhysicalParams, RunConfig, SpatialGrid
 from .forces import DegenerateDensityError
-from .integrator import run, sponge_active
+from .integrator import STATUS_OK, run, sponge_active
 from .presets import PRESETS, default_grid, default_params, preset, preset_names
 from .reference import cross_check
 
@@ -44,19 +44,13 @@ _ESTIMATOR_FLAGS = {
     "oracle": "oracle_exact",
     "none": "none",
 }
-_NOISE_FLAGS = {
-    "none": "none", "initial": "initial", "per-step": "per_step", "measurement": "measurement",
-}
+_NOISE_FLAGS = {mode.replace("_", "-"): mode for mode in NOISE_MODES}
 
 
 # `compare` without a preset runs the closed-form force for the 16 steps its
 # 5% tolerance is set for; over 64 steps the first-order Lax-Friedrichs
 # error at dx = dt = 1 exceeds it.
 _COMPARE_BASE = RunConfig(estimator="oracle_exact", steps=16)
-
-
-class UsageError(Exception):
-    pass
 
 
 def _fmt(value: float) -> str:
@@ -136,7 +130,7 @@ class _Scenario:
 def _refuse_unread(setting: _Setting, command: str, where: str) -> None:
     """Refuse ``setting``, named as ``where``, unless ``command`` reads it."""
     if command not in setting.commands:
-        raise UsageError(f"{where} is read by {' and '.join(setting.commands)} only, not by {command}")
+        raise ValueError(f"{where} is read by {' and '.join(setting.commands)} only, not by {command}")
 
 
 def _read_config_file(path: str, command: str) -> dict:
@@ -146,22 +140,22 @@ def _read_config_file(path: str, command: str) -> dict:
     try:
         text = Path(path).read_text()
     except OSError as err:
-        raise UsageError(f"cannot read config file {path}: {err}") from err
+        raise ValueError(f"cannot read config file {path}: {err}") from err
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise UsageError(f"{path}:{lineno}: expected `key = value`, got {raw!r}")
+            raise ValueError(f"{path}:{lineno}: expected `key = value`, got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         setting = _SETTING.get(key)
         if not (setting and setting.help):
-            raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
+            raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
         _refuse_unread(setting, command, f"{path}:{lineno}: {key}")
         try:
             values[key] = setting.kind[0](value)
         except (ValueError, argparse.ArgumentTypeError) as err:
-            raise UsageError(f"{path}:{lineno}: {key}: {err}") from None
+            raise ValueError(f"{path}:{lineno}: {key}: {err}") from None
     return values
 
 
@@ -189,11 +183,8 @@ def _build_scenario(args) -> _Scenario:
     name = values.pop("preset", None) or None
     out = values.pop("out", None) or os.environ.get("QFLUID_OUT") or "./out"
     base = _COMPARE_BASE if args.command == "compare" else RunConfig()
-    try:
-        params, config, grid = preset(name) if name else (default_params(), base, default_grid())
-        return _apply(_Scenario(params, config, grid, name, out), values)
-    except ValueError as err:
-        raise UsageError(str(err)) from None
+    params, config, grid = preset(name) if name else (default_params(), base, default_grid())
+    return _apply(_Scenario(params, config, grid, name, out), values)
 
 
 def _print_config(scenario: _Scenario, command: str) -> None:
@@ -237,7 +228,7 @@ def _cmd_run(scenario: _Scenario, _args) -> int:
         f"max_dispersion_error={_fmt(record.max_var_error)}"
     )
     print(f"diagnostics written to {out_dir / 'diagnostics.csv'}")
-    if record.final_status != "ok":
+    if record.final_status != STATUS_OK:
         return EXIT_DIVERGED
     return EXIT_OK
 
@@ -251,11 +242,11 @@ def _cmd_compare(scenario: _Scenario, _args) -> int:
     _write_csv(out_dir / "compare.csv", "step,t,l2_distance", steps, t, dist)
 
     worst = float(np.max(dist))
-    ok = final_status == "ok" and worst <= scenario.tol
-    status = "" if final_status == "ok" else f" status={final_status}"
+    ok = final_status == STATUS_OK and worst <= scenario.tol
+    status = "" if final_status == STATUS_OK else f" status={final_status}"
     print(f"max_l2_distance={_fmt(worst)} tol={_fmt(scenario.tol)} -> {'PASS' if ok else 'FAIL'}{status}")
     print(f"series written to {out_dir / 'compare.csv'}")
-    if final_status != "ok":
+    if final_status != STATUS_OK:
         return EXIT_DIVERGED
     return EXIT_OK if ok else EXIT_COMPARISON
 
@@ -265,10 +256,10 @@ _SWEEPABLE = ("D", "omega", "a", "kp", "dt", "steps", "seed", "noise-amplitude")
 
 def _sweep_points(scenario: _Scenario, args) -> tuple[list, list[_Scenario]]:
     """The swept values and the scenario of each, each value read and applied
-    as its flag would be; raises UsageError on an unknown parameter, an empty
+    as its flag would be; raises ValueError on an unknown parameter, an empty
     range or a value its setting refuses."""
     if args.param not in _SWEEPABLE:
-        raise UsageError(f"cannot sweep {args.param!r}; choose from {_SWEEPABLE}")
+        raise ValueError(f"cannot sweep {args.param!r}; choose from {_SWEEPABLE}")
     setting = _SETTING[args.param.replace("-", "_")]
     values, points = [], []
     for text in filter(None, (v.strip() for v in args.values.split(","))):
@@ -276,9 +267,9 @@ def _sweep_points(scenario: _Scenario, args) -> tuple[list, list[_Scenario]]:
             values.append(setting.kind[0](text))
             points.append(_apply(scenario, {setting.key: values[-1]}))
         except ValueError as err:
-            raise UsageError(f"sweep point {args.param}={text}: {err}") from None
+            raise ValueError(f"sweep point {args.param}={text}: {err}") from None
     if not values:
-        raise UsageError("empty sweep range")
+        raise ValueError("empty sweep range")
     return values, points
 
 
@@ -366,7 +357,7 @@ def main(argv=None) -> int:
         return args.func(scenario, args)
     except DegenerateDensityError as err:
         print(f"error: degenerate initial density: {err}", file=sys.stderr)
-    except (UsageError, ValueError) as err:  # a ValueError here is a scenario the command refuses
+    except ValueError as err:  # every refusal, of a setting or of the scenario it builds
         print(f"error: {err}", file=sys.stderr)
     return EXIT_USAGE
 

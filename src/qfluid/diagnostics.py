@@ -65,7 +65,7 @@ class Recorder:
         self._status: list[str] = []
         self._snapshots: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
-    def add(self, step: int, state: FluidState, moments, mass: float, status: str = "ok") -> None:
+    def add(self, step: int, state: FluidState, moments, mass: float, status: str) -> None:
         """Record ``state``, whose moments and mass the loop has already
         measured, as step ``step``.  A snapshot stores exp(ln rho) and a copy
         of V, since the step-0 state may hold the caller's own arrays."""

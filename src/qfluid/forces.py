@@ -127,8 +127,6 @@ def fd_quantum_force(ln_rho: np.ndarray, grid: SpatialGrid, params: PhysicalPara
 def pressure_force(ln_rho: np.ndarray, grid: SpatialGrid, params: PhysicalParams) -> np.ndarray:
     """Isentropic pressure force -kp * grad ln rho (central differences)."""
     F = np.zeros(ln_rho.shape)
-    if params.kp == 0.0:
-        return F
     F[1:-1] = -params.kp * (ln_rho[2:] - ln_rho[:-2]) / (2 * grid.dx)
     return F
 

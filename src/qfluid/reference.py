@@ -28,7 +28,7 @@ import numpy as np
 
 from .core import FluidState, PhysicalParams, RunConfig, SpatialGrid
 from .diagnostics import density_distance
-from .integrator import trajectory
+from .integrator import STATUS_NONFINITE, STATUS_OK, trajectory
 
 __all__ = [
     "CNOperator", "cn_operator", "cn_step", "wave_to_fluid", "fluid_to_wave", "wave_trajectory",
@@ -156,7 +156,7 @@ def wave_trajectory(
     """Integrate the wave equation from ``psi`` for ``config.steps`` steps
     of ``config.dt``, one step at a time.  Yields ``(step, psi, rho =
     |psi|^2)`` for step 0 (the given ``psi`` itself) and every step that
-    stays finite, and returns "ok" or "diverged_nonfinite"."""
+    stays finite, and returns STATUS_OK or STATUS_NONFINITE."""
     op = cn_operator(config, params, grid)
     # one |psi|^2 per step: the caller's fields, mass and snapshot, and the
     # next step's lagged pressure
@@ -166,14 +166,14 @@ def wave_trajectory(
         try:
             psi = cn_step(psi, op, rho)
         except RuntimeError:
-            return "diverged_nonfinite"
+            return STATUS_NONFINITE
         rho = np.abs(psi) ** 2
         # |psi|^2 is non-finite wherever psi is, and its maximum wherever
         # any cell is: np.maximum propagates NaN
         if not math.isfinite(np.maximum.reduce(rho)):
-            return "diverged_nonfinite"
+            return STATUS_NONFINITE
         yield step, psi, rho
-    return "ok"
+    return STATUS_OK
 
 
 def cross_check(

@@ -480,6 +480,38 @@ def test_config_file_rejects_unknown_key(tmp_path):
     assert main(["run", "--config", str(cfg)]) == 1
 
 
+_ESTIMATOR_WORDS = "['fd', 'gauss', 'none', 'oracle']"
+_NOISE_WORDS = "['initial', 'measurement', 'none', 'per-step']"
+
+
+@pytest.mark.parametrize("text, error", [
+    (None, "cannot read config file {cfg}: [Errno 2] No such file or directory: '{cfg}'"),
+    ("steps 4\n", "{cfg}:1: expected `key = value`, got 'steps 4'"),
+    ("# a comment\nsteps = x\n", "{cfg}:2: steps: invalid literal for int() with base 10: 'x'"),
+    ("estimator = bogus\n", f"{{cfg}}:1: estimator: unknown value 'bogus'; choose from {_ESTIMATOR_WORDS}"),
+    ("noise = bogus\n", f"{{cfg}}:1: noise: unknown value 'bogus'; choose from {_NOISE_WORDS}"),
+], ids=["missing", "no-equals", "unparseable", "estimator", "noise"])
+def test_a_config_file_it_cannot_read_is_refused_by_line(tmp_path, capsys, text, error):
+    cfg, out = tmp_path / "run.cfg", tmp_path / "out"
+    if text is not None:
+        cfg.write_text(text)
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+    refused = capsys.readouterr()
+    assert refused.out == "" and refused.err == f"error: {error.format(cfg=cfg)}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, words", [("--estimator", _ESTIMATOR_WORDS), ("--noise", _NOISE_WORDS)],
+                         ids=["estimator", "noise"])
+def test_an_unknown_estimator_or_noise_word_is_refused_by_the_parser(tmp_path, capsys, flag, words):
+    out = tmp_path / "out"
+    assert main(["run", flag, "bogus", "--out", str(out)]) == 1
+    refused = capsys.readouterr()
+    assert refused.out == ""
+    assert refused.err.splitlines()[-1] == f"qfluid run: error: argument {flag}: unknown value 'bogus'; choose from {words}"
+    assert not out.exists()
+
+
 def test_outputs_are_byte_identical(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     for out in (out1, out2):

@@ -108,6 +108,8 @@ def test_run_config_validation():
         RunConfig(noise="sometimes")
     with pytest.raises(ValueError):
         RunConfig(snapshot_every=-1)
+    with pytest.raises(ValueError, match="^noise_amplitude must be non-negative$"):
+        RunConfig(noise_amplitude=-1)
     for field in ("dt", "noise_amplitude"):
         for bad in (math.nan, math.inf):
             with pytest.raises(ValueError):

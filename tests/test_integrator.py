@@ -159,6 +159,19 @@ def test_run_leaves_a_supplied_state_untouched(noise):
         state.ln_rho = state.ln_rho + 1.0
 
 
+def test_run_refuses_a_supplied_state_it_cannot_weigh():
+    # a NaN in ln rho makes the step-0 weights unsummable: nothing is yielded
+    params, grid = default_params(), default_grid()
+    state = qf.init_coherent_state(params, grid, 0.0)
+    ln_rho = state.ln_rho.copy()
+    ln_rho[grid.n // 2] = np.nan
+    nan_state = FluidState(state.t, ln_rho, state.V)
+    with pytest.raises(qf.DegenerateDensityError, match="^density weights are not summable$"):
+        qf.run(qf.RunConfig(steps=4), params, grid, state=nan_state)
+    with pytest.raises(qf.DegenerateDensityError):
+        next(qf.trajectory(qf.RunConfig(steps=4), params, grid, nan_state))
+
+
 def test_run_clamps_ln_rho_at_the_density_floor():
     # a hole 60 e-folds deep at the center cell: the first drift averages it
     # into the neighbors, which would land 3.6 below the floor unclamped

@@ -306,6 +306,40 @@ def test_cross_check_ends_with_the_reference_and_returns_its_status():
     assert [row[0] for row in rows] == [0]
 
 
+@pytest.fixture
+def solve_fails_from_the_third_step(monkeypatch):
+    """zgttrs reports info = 1 from its 3rd call on: steps 1 and 2 solve,
+    step 3 does not."""
+    import scipy.linalg.lapack as lapack
+
+    real, calls = lapack.zgttrs, []
+
+    def zgttrs(*args, **kwargs):
+        calls.append(None)
+        chi, info = real(*args, **kwargs)
+        return chi, 1 if len(calls) >= 3 else info
+
+    monkeypatch.setattr(lapack, "zgttrs", zgttrs)
+
+
+def test_wave_trajectory_ends_at_a_failed_solve(solve_fails_from_the_third_step):
+    params, grid = default_params(), default_grid()
+    waves = qf.wave_trajectory(qf.RunConfig(steps=8), params, grid, packet_psi(params, grid))
+    steps = []
+    with pytest.raises(StopIteration) as stop:
+        while True:
+            steps.append(next(waves)[0])
+    assert steps == [0, 1, 2]
+    assert stop.value.value == "diverged_nonfinite"
+
+
+def test_cross_check_ends_with_a_reference_whose_solve_fails(solve_fails_from_the_third_step):
+    config = qf.RunConfig(estimator="oracle_exact", steps=8)
+    rows, status = qf.cross_check(config, default_params(), default_grid())
+    assert status == "reference_diverged_nonfinite"
+    assert [row[0] for row in rows] == [0, 1, 2]
+
+
 def test_cross_check_refuses_per_step_noise_before_any_step():
     # only the fluid would carry the noise.  The packet is narrower than a
     # cell, so a started fluid would raise DegenerateDensityError instead
