@@ -11,11 +11,11 @@ This module integrates that wave equation directly with a Crank-Nicolson
 scheme -- unconditionally stable and exactly norm-preserving for a
 Hermitian step Hamiltonian -- and ``cross_check`` steps it alongside the
 fluid loop to validate the loop against it.  Each step is taken in Cayley
-form, psi_new = 2 (I + zH)^-1 psi - psi, so it costs one tridiagonal solve
-and no product with I - zH.  The logarithmic pressure nonlinearity is
-evaluated lagged (from the current step's amplitude), which keeps each
-step's Hamiltonian Hermitian.  A run ends as non-finite when a step's
-|psi|^2, which each step computes anyway, is.
+form, psi_new = 2 (I + zH)^-1 psi - psi, so it costs one tridiagonal solve,
+by cyclic reduction in numpy, and no product with I - zH.  The logarithmic
+pressure nonlinearity is evaluated lagged (from the current step's
+amplitude), which keeps each step's Hamiltonian Hermitian.  A run ends as
+non-finite when a step's |psi|^2, which each step computes anyway, is.
 """
 
 from __future__ import annotations
@@ -39,6 +39,11 @@ __all__ = [
 # extracting a velocity or evaluating ln|psi|
 AMPLITUDE_FLOOR = 1e-14
 
+# the cyclic reduction stops at this many rows and inverts what is left;
+# with pressure that inverse is taken every step, and above ~32 rows its
+# O(m^3) cost outgrows the levels it saves
+_BASE_ROWS = 32
+
 
 @dataclass(eq=False)
 class CNOperator:
@@ -49,42 +54,92 @@ class CNOperator:
         off = -D/dx^2,   diag = -2 off + (phi + w)/(2D).
 
     Only w = kp ln|psi|^2 changes between steps.  Without it (kp = 0) the
-    system is constant and `factors` holds zgttrf's LU factors of I + zH,
-    computed once; with it `factors` is None and each step builds the
-    diagonal from `potential` and the lagged w and refactors."""
+    system is constant and `plan` holds the cyclic reduction of I + zH,
+    built once; with it `plan` is None and each step builds the diagonal
+    from `potential` and the lagged w and reduces it again."""
 
     params: PhysicalParams
     z: complex
     off: float
     potential: np.ndarray  # phi = omega^2 x^2 / 2
-    band: np.ndarray  # z off: the sub- and super-diagonal of I + zH
-    factors: tuple | None
+    plan: tuple | None
 
 
 def cn_operator(config: RunConfig, params: PhysicalParams, grid: SpatialGrid) -> CNOperator:
     """Build the Crank-Nicolson operator of
     i psi_t = -D psi_xx + [(phi + w)/(2D)] psi, Dirichlet ends, for steps of
-    ``config.dt``; factor it now when it is constant (kp = 0)."""
-    potential = 0.5 * params.omega**2 * grid.positions**2
-    off = -params.D / grid.dx**2
-    z = 0.5j * config.dt
-    band = np.full(grid.n - 3, z * off)
-    factors = _factor(band, z, off, params.D, potential[1:-1]) if params.kp == 0.0 else None
-    return CNOperator(params, z, off, potential, band, factors)
+    ``config.dt``; reduce it now when it is constant (kp = 0)."""
+    # a non-finite operator ends the run through the first step's |psi|^2
+    with np.errstate(all="ignore"):
+        potential = 0.5 * params.omega**2 * grid.positions**2
+        op = CNOperator(params, 0.5j * config.dt, -params.D / grid.dx**2, potential, None)
+        if params.kp == 0.0:
+            op.plan = _plan(op, potential[1:-1])
+    return op
 
 
-def _factor(band: np.ndarray, z: complex, off: float, D: float, potential: np.ndarray) -> tuple:
-    """zgttrf's LU factors of I + zH over the interior cells, where H's
+def _plan(op: CNOperator, potential: np.ndarray) -> tuple:
+    """The cyclic reduction of I + zH over the interior cells, where H's
     diagonal is -2 off + potential/(2D) and ``potential`` is phi + w there."""
-    # scipy is imported here, when a reference run starts, so that the fluid
-    # loop and its CLI commands never pay for loading it
-    from scipy.linalg.lapack import zgttrf
+    d = 1.0 + op.z * (-2.0 * op.off + potential / (2.0 * op.params.D))
+    return _reduce(op.z * op.off, d)
 
-    d = 1.0 + z * (-2.0 * off + potential / (2.0 * D))
-    *factors, info = zgttrf(band, d, band)
-    if info != 0:
-        raise RuntimeError("Crank-Nicolson tridiagonal solve failed")
-    return tuple(factors)
+
+def _reduce(e: complex, d: np.ndarray) -> tuple:
+    """Odd-even cyclic reduction (Hockney, J. ACM 12, 95, 1965) of the
+    symmetric tridiagonal matrix A with diagonal ``d`` and every
+    off-diagonal entry ``e``, for `_solve`.
+
+    Each level eliminates the even rows 0, 2, 4, ... and leaves the odd rows
+    as a symmetric tridiagonal system of half the size, until at most
+    `_BASE_ROWS` rows remain, whose dense inverse is kept.  A level is
+    ``(1/b_even, p, q)``: with b the level's diagonal and e its
+    off-diagonal, odd row 2k+1 is eliminated against its neighbours by
+    p_k = e_2k / b_2k and q_k = e_2k+1 / b_2k+2, and by symmetry the same
+    p and q weight the odd unknowns when the even rows are substituted back.
+
+    No pivoting is needed.  A = I + zH with z = i dt/2 and H real symmetric
+    has Hermitian part I, positive definite.  Eliminating a block A_11 leaves
+    the Schur complement S, and y* S y = x* A x for x = (-A_11^-1 A_12 y, y),
+    so S has a positive definite Hermitian part too.  Every pivot, in any
+    elimination order, is a diagonal entry of such a matrix and has a
+    positive real part (Golub & Van Loan, Matrix Computations, 4.2)."""
+    levels = []
+    e = np.full(d.size - 1, e)
+    while d.size > _BASE_ROWS:
+        odd = d.size // 2
+        inv = 1.0 / d[0::2]
+        p = e[0::2] * inv[:odd]
+        q = e[1::2] * inv[1:]
+        d_next = d[1::2] - p * e[0::2]
+        d_next[: q.size] -= q * e[1::2]
+        e = -q[: odd - 1] * e[2::2]
+        levels.append((inv, p, q))
+        d = d_next
+    try:
+        base = np.linalg.inv(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
+    except np.linalg.LinAlgError:  # only a non-finite matrix is singular
+        base = np.full((d.size, d.size), complex(np.nan))
+    return levels, base
+
+
+def _solve(plan: tuple, r: np.ndarray) -> None:
+    """Overwrite ``r`` with A^-1 r, for the A that `_reduce` built ``plan`` of."""
+    levels, base = plan
+    work = np.empty(r.size // 2, dtype=complex)
+    rhs = [r]  # each level's right-hand side, a view of r
+    for _, p, q in levels:  # carry the even rows into the odd rows' right-hand sides
+        even, odd = r[0::2], r[1::2]
+        odd -= np.multiply(p, even[: p.size], out=work[: p.size])
+        odd[: q.size] -= np.multiply(q, even[1:], out=work[: q.size])
+        r = odd
+        rhs.append(r)
+    r[:] = base @ r
+    for (inv, p, q), r in zip(reversed(levels), reversed(rhs[:-1])):  # substitute back
+        even, odd = r[0::2], r[1::2]
+        even *= inv
+        even[: p.size] -= np.multiply(p, odd, out=work[: p.size])
+        even[1:] -= np.multiply(q, odd[: q.size], out=work[: q.size])
 
 
 def _vacuum_floor(rho: np.ndarray) -> float:
@@ -99,24 +154,21 @@ def cn_step(psi: np.ndarray, op: CNOperator, rho: np.ndarray) -> np.ndarray:
     one solve (I + zH) chi = psi_int - (z off/2)(psi_0 e_1 + psi_{n-1} e_m),
     the second term carrying the end cells' coupling into the first and
     last interior cells, and then psi_int_new = 2 chi - psi_int."""
-    from scipy.linalg.lapack import zgttrs
-
-    factors = op.factors
-    if factors is None:
-        w = op.params.kp * np.log(np.maximum(rho[1:-1], _vacuum_floor(rho)))
-        factors = _factor(op.band, op.z, op.off, op.params.D, op.potential[1:-1] + w)
-
     new_psi = np.zeros(psi.size, dtype=complex)
     b = new_psi[1:-1]  # the right-hand side, overwritten by the solve
-    b[:] = psi[1:-1]
-    half = 0.5 * op.z * op.off
-    b[0] -= half * psi[0]
-    b[-1] -= half * psi[-1]
-    chi, info = zgttrs(*factors, b, overwrite_b=1)
-    if info != 0:
-        raise RuntimeError("Crank-Nicolson tridiagonal solve failed")
-    np.multiply(chi, 2.0, out=b)
-    b -= psi[1:-1]
+    # a non-finite operator or wave ends the run through the caller's |psi|^2
+    with np.errstate(all="ignore"):
+        plan = op.plan
+        if plan is None:
+            w = op.params.kp * np.log(np.maximum(rho[1:-1], _vacuum_floor(rho)))
+            plan = _plan(op, op.potential[1:-1] + w)
+        b[:] = psi[1:-1]
+        half = 0.5 * op.z * op.off
+        b[0] -= half * psi[0]
+        b[-1] -= half * psi[-1]
+        _solve(plan, b)
+        b *= 2.0
+        b -= psi[1:-1]
     return new_psi
 
 
@@ -163,10 +215,7 @@ def wave_trajectory(
     rho = np.abs(psi) ** 2
     yield 0, psi, rho
     for step in range(1, config.steps + 1):
-        try:
-            psi = cn_step(psi, op, rho)
-        except RuntimeError:
-            return STATUS_NONFINITE
+        psi = cn_step(psi, op, rho)
         rho = np.abs(psi) ** 2
         # |psi|^2 is non-finite wherever psi is, and its maximum wherever
         # any cell is: np.maximum propagates NaN

@@ -214,7 +214,7 @@ def test_compare_fig2_starts_both_solvers_from_the_noisy_state(tmp_path, capsys)
 
 # dx^2 is subnormal, so D/dx^2 overflows in the CN operator: the reference
 # goes non-finite at step 1 while the closed-form-force fluid runs on
-@pytest.mark.filterwarnings("ignore::RuntimeWarning", "ignore:coherent packet:UserWarning")
+@pytest.mark.filterwarnings("ignore:coherent packet:UserWarning")
 def test_compare_ends_with_the_reference_and_names_its_status(tmp_path, capsys):
     assert main(["compare", "--dx", "1e-160", "--out", str(tmp_path)]) == 2
     summary = capsys.readouterr().out.splitlines()[0]
@@ -253,7 +253,7 @@ def test_compare_memory_does_not_grow_with_the_steps(tmp_path):
 
     tracemalloc.start()
     try:
-        peak(8)  # imports scipy and fills the caches outside the measurement
+        peak(8)  # fills the caches outside the measurement
         short, long = peak(8), peak(64)
     finally:
         tracemalloc.stop()
@@ -554,12 +554,21 @@ def test_module_entry_point():
     assert "fig1" in proc.stdout
 
 
-def test_importing_the_cli_leaves_scipy_unloaded():
-    # scipy serves only the Crank-Nicolson reference solver, which imports
-    # it on first use
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys, qfluid.cli; print('scipy' in sys.modules)"],
-        capture_output=True, text=True,
+def test_importing_the_cli_leaves_scipy_unloaded(tmp_path):
+    # nothing in qfluid imports scipy: not the CLI, and not compare's
+    # Crank-Nicolson reference, on the default grid or on compare-fine's
+    argvs = [
+        ["compare", "--steps", "2", "--out", str(tmp_path / "bare")],
+        ["compare", "--dx", "0.015625", "--dt", "0.015625", "--n", "12288", "--steps", "2",
+         "--out", str(tmp_path / "fine")],
+    ]
+    script = (
+        "import sys, qfluid.cli\n"
+        "print('scipy loaded:', 'scipy' in sys.modules)\n"
+        f"codes = [qfluid.cli.main(argv) for argv in {argvs!r}]\n"
+        "print('scipy loaded:', 'scipy' in sys.modules, codes)\n"
     )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    loaded = [line for line in proc.stdout.splitlines() if line.startswith("scipy loaded:")]
+    assert loaded == ["scipy loaded: False", "scipy loaded: False [0, 0]"]

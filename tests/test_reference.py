@@ -6,8 +6,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
 import qfluid as qf
+import qfluid.reference as reference
 from qfluid.core import FluidState
 from qfluid.presets import default_grid, default_params
 from qfluid.reference import AMPLITUDE_FLOOR
@@ -46,7 +48,7 @@ def test_cn_operator_rejects_nonpositive_dt():
     # the config refuses the step before an operator is built
     with pytest.raises(ValueError, match="dt must be positive"):
         qf.cn_operator(qf.RunConfig(dt=-1.0), params, grid)
-    # LAPACK's tridiagonal solve does not check for NaN; the config does
+    # the tridiagonal solve does not check for NaN; the config does
     with pytest.raises(ValueError, match="dt must be finite"):
         qf.cn_operator(qf.RunConfig(dt=math.nan), params, grid)
 
@@ -121,6 +123,100 @@ def test_cn_step_couples_the_pinned_end_cells(kp):
     rhs = psi[1:-1] - z * apply_h(psi, psi, grid, params)
     assert np.linalg.norm(lhs - rhs) <= 1e-12 * np.linalg.norm(psi)
     assert new[0] == 0.0 and new[-1] == 0.0
+
+
+def cn_matrix(params, grid, dt, w=0.0):
+    """The off-diagonal entry and the diagonal of I + zH over the interior,
+    z = i dt/2, written out from the equation; w is the pressure term there."""
+    z = 0.5j * dt
+    off = -params.D / grid.dx**2
+    phi = 0.5 * params.omega**2 * grid.positions[1:-1] ** 2
+    return z * off, 1.0 + z * (-2.0 * off + (phi + w) / (2.0 * params.D))
+
+
+def pivoted_solve(e, d, r):
+    """LAPACK's banded solve, with partial pivoting, of the symmetric
+    tridiagonal system with diagonal d and every off-diagonal entry e."""
+    ab = np.zeros((3, d.size), dtype=complex)
+    ab[0, 1:] = e
+    ab[1] = d
+    ab[2, :-1] = e
+    return solve_banded((1, 1), ab, r)
+
+
+def random_wave(rng, n):
+    return rng.normal(size=n) + 1j * rng.normal(size=n)
+
+
+def assert_solves(plan, e, d, r):
+    x = r.copy()
+    reference._solve(plan, x)
+    expected = pivoted_solve(e, d, r)
+    assert np.linalg.norm(x - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+# interior sizes 5, 6, 32, 33, 64, 65 and 128 sit on both sides of the dense
+# base and of a halving of it, with odd and even counts at every level; 12286
+# is compare-fine's.  A dense reference of that one would take 2.4 GB, so the
+# reference is a banded solve
+@pytest.mark.parametrize("n", [7, 8, 34, 35, 66, 67, 130, 12288])
+def test_cyclic_reduction_matches_a_pivoted_solve(n):
+    # dx = dt = 1 up to the default grid, and compare-fine's 1/64 on its grid
+    dx = min(1.0, 192 / n)
+    params, grid = default_params(), default_grid(dx=dx, n=n)
+    op = qf.cn_operator(qf.RunConfig(dt=dx), params, grid)
+    e, d = cn_matrix(params, grid, dx)
+    assert_solves(op.plan, e, d, random_wave(np.random.default_rng(n), n - 2))
+
+
+@pytest.mark.parametrize("name", ["fig4", "fig5", "fig7"])
+def test_cyclic_reduction_matches_a_pivoted_solve_along_a_pressure_run(name):
+    # the operator each step rebuilds from the lagged w, at five steps of
+    # the preset's reference run
+    params, config, grid = qf.preset(name)
+    marks = {config.steps * k // 4 for k in range(5)}
+    rng = np.random.default_rng(3)
+    checked = 0
+    for step, _, rho in qf.wave_trajectory(config, params, grid, packet_psi(params, grid)):
+        if step in marks:
+            w = params.kp * np.log(np.maximum(rho[1:-1], AMPLITUDE_FLOOR * rho.max()))
+            e, d = cn_matrix(params, grid, config.dt, w)
+            assert_solves(reference._reduce(e, d), e, d, random_wave(rng, grid.n - 2))
+            checked += 1
+    assert checked == 5
+
+
+def test_cyclic_reduction_needs_no_pivoting_where_rows_are_not_diagonally_dominant():
+    # (phi + w)/2D down to -99, and on every other row near 2 off = -1,
+    # which cancels the -2 off of H's diagonal, so that |d_j| < 2|e| there:
+    # still no pivot vanishes, because I + zH has Hermitian part I
+    rng = np.random.default_rng(11)
+    dt, off = 4.0, -0.5
+    z = 0.5j * dt
+    u = rng.uniform(-99.0, 1.0, size=200)
+    u[::2] = 2.0 * off + rng.uniform(-0.25, 0.25, size=100)
+    e, d = z * off, 1.0 + z * (-2.0 * off + u)
+    assert np.mean(np.abs(d) < 2.0 * abs(e)) >= 0.4
+    assert_solves(reference._reduce(e, d), e, d, random_wave(rng, 200))
+
+
+@pytest.mark.parametrize("kp", [pytest.param(0.0, id="kp=0"), pytest.param(1.0, id="kp=1")])
+def test_cn_step_agrees_with_a_lapack_cayley_step(kp):
+    # 2 (I + zH)^-1 b - psi_int, with b carrying the end cells, solved by
+    # LAPACK's banded solve
+    params, grid = default_params(kp=kp), default_grid()
+    dt = 0.5
+    rng = np.random.default_rng(17)
+    psi = random_wave(rng, grid.n)
+    rho = np.abs(psi) ** 2
+    w = kp * np.log(np.maximum(rho[1:-1], AMPLITUDE_FLOOR * rho.max()))
+    e, d = cn_matrix(params, grid, dt, w)
+    b = psi[1:-1].copy()
+    b[0] -= 0.5 * e * psi[0]
+    b[-1] -= 0.5 * e * psi[-1]
+    expected = 2.0 * pivoted_solve(e, d, b) - psi[1:-1]
+    new = qf.cn_step(psi, qf.cn_operator(qf.RunConfig(dt=dt), params, grid), rho)
+    assert np.linalg.norm(new[1:-1] - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
 def wave_moments(params, grid, dt, steps):
@@ -298,7 +394,7 @@ def test_cross_check_starts_the_reference_from_the_fluids_step_0(name, noise):
 
 # dx^2 is subnormal, so D/dx^2 overflows in the CN operator: the reference
 # goes non-finite at step 1 while the closed-form-force fluid runs on
-@pytest.mark.filterwarnings("ignore::RuntimeWarning", "ignore:coherent packet:UserWarning")
+@pytest.mark.filterwarnings("ignore:coherent packet:UserWarning")
 def test_cross_check_ends_with_the_reference_and_returns_its_status():
     params, grid = default_params(), default_grid(dx=1e-160)
     rows, status = qf.cross_check(qf.RunConfig(estimator="oracle_exact", steps=16), params, grid)
@@ -306,20 +402,34 @@ def test_cross_check_ends_with_the_reference_and_returns_its_status():
     assert [row[0] for row in rows] == [0]
 
 
+def test_wave_trajectory_ends_on_an_operator_whose_potential_overflows():
+    # x^2 overflows on a grid of spacing 1e154: the diagonal of I + zH is
+    # nan + inf i, the system is small enough to be inverted whole, and that
+    # inverse is singular.  The run ends as non-finite at step 1, silently
+    params, grid = default_params(), qf.make_grid(-3.5e154, 1e154, 7)
+    psi0 = np.exp(-np.arange(-3.0, 4.0) ** 2).astype(complex)
+    waves = qf.wave_trajectory(qf.RunConfig(steps=4), params, grid, psi0)
+    steps = []
+    with pytest.raises(StopIteration) as stop:
+        while True:
+            steps.append(next(waves)[0])
+    assert steps == [0]
+    assert stop.value.value == "diverged_nonfinite"
+
+
 @pytest.fixture
 def solve_fails_from_the_third_step(monkeypatch):
-    """zgttrs reports info = 1 from its 3rd call on: steps 1 and 2 solve,
-    step 3 does not."""
-    import scipy.linalg.lapack as lapack
+    """The tridiagonal solve returns NaN from its 3rd call on: steps 1 and 2
+    solve, step 3 does not."""
+    real, calls = reference._solve, []
 
-    real, calls = lapack.zgttrs, []
-
-    def zgttrs(*args, **kwargs):
+    def solve(plan, r):
         calls.append(None)
-        chi, info = real(*args, **kwargs)
-        return chi, 1 if len(calls) >= 3 else info
+        real(plan, r)
+        if len(calls) >= 3:
+            r[:] = np.nan
 
-    monkeypatch.setattr(lapack, "zgttrs", zgttrs)
+    monkeypatch.setattr(reference, "_solve", solve)
 
 
 def test_wave_trajectory_ends_at_a_failed_solve(solve_fails_from_the_third_step):
