@@ -138,8 +138,8 @@ def _read_config_file(path: str, command: str) -> dict:
     a setting ``command`` reads."""
     values = {}
     try:
-        text = Path(path).read_text()
-    except OSError as err:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as err:
         raise ValueError(f"cannot read config file {path}: {err}") from err
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()

@@ -1,5 +1,5 @@
-"""Per-step measurements, the recorder the fluid loop feeds, the density
-distance the reference cross-check reports, run summaries."""
+"""Per-step measurements, the record of a fluid run and its summaries, the
+density distance the reference cross-check reports."""
 
 from __future__ import annotations
 
@@ -22,16 +22,19 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunRecord:
-    """Time series of diagnostics for one fluid run (step 0 = initial state).
+    """Time series of diagnostics for one fluid run of ``params`` (step 0 =
+    initial state).
 
     Series all have length steps_survived + 1.  snapshots maps step index to
     (rho, V) arrays at the snapshot cadence.  status holds the per-step
     stepper status ("ok" or "cfl_warning"); final_status records how the run
-    ended ("ok" or a divergence label).
+    ended ("ok" or a divergence label).  The summaries are read off the
+    series.
     """
 
+    params: PhysicalParams
     grid: SpatialGrid
     t: np.ndarray
     mean: np.ndarray
@@ -42,54 +45,19 @@ class RunRecord:
     smoothness_series: np.ndarray
     status: list[str]
     snapshots: dict[int, tuple[np.ndarray, np.ndarray]]
-    steps_survived: int
     final_status: str
-    max_center_error: float = float("nan")
-    max_var_error: float = float("nan")
 
+    @property
+    def steps_survived(self) -> int:
+        return len(self.t) - 1
 
-class Recorder:
-    """Collects a fluid run one recorded step at a time and turns it into
-    its RunRecord.
+    @property
+    def max_center_error(self) -> float:
+        return float(np.max(center_error(self, self.params)))
 
-    Each step becomes one row (t, mean, var, mass, max |V|, center energy,
-    smoothness) plus its stepper status; every ``snapshot_every`` steps
-    (0 = never) it also keeps a (rho, V) snapshot.
-    """
-
-    def __init__(self, grid: SpatialGrid, params: PhysicalParams, snapshot_every: int):
-        self.grid = grid
-        self.params = params
-        self.snapshot_every = snapshot_every
-        self._rows: list[tuple[float, ...]] = []
-        self._status: list[str] = []
-        self._snapshots: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-    def add(self, step: int, state: FluidState, moments, mass: float, status: str) -> None:
-        """Record ``state``, whose moments and mass the loop has already
-        measured, as step ``step``.  A snapshot stores exp(ln rho) and a copy
-        of V, since the step-0 state may hold the caller's own arrays."""
-        self._rows.append((
-            state.t, moments.mean, moments.var, mass, float(np.maximum.reduce(np.abs(state.V))),
-            center_energy_estimate(state, self.grid, self.params),
-            smoothness(state.ln_rho, self.grid),
-        ))
-        self._status.append(status)
-        if self.snapshot_every > 0 and step % self.snapshot_every == 0:
-            self._snapshots[step] = (np.exp(state.ln_rho), state.V.copy())
-
-    def finish(self, final_status: str) -> RunRecord:
-        """The RunRecord of the steps added so far, with its summary errors
-        against the ideal packet filled in."""
-        t, mean, var, mass, max_abs_V, center_energy, smooth = (np.array(col) for col in zip(*self._rows))
-        record = RunRecord(
-            grid=self.grid, t=t, mean=mean, var=var, mass=mass, max_abs_V=max_abs_V,
-            center_energy=center_energy, smoothness_series=smooth, status=self._status,
-            snapshots=self._snapshots, steps_survived=len(self._rows) - 1, final_status=final_status,
-        )
-        record.max_center_error = float(np.max(center_error(record, self.params)))
-        record.max_var_error = float(np.max(dispersion_error(record, self.params)))
-        return record
+    @property
+    def max_var_error(self) -> float:
+        return float(np.max(dispersion_error(self, self.params)))
 
 
 def center_error(record: RunRecord, params: PhysicalParams) -> np.ndarray:

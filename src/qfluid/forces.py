@@ -46,7 +46,7 @@ class Moments:
     var: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class ForceField:
     """Total force decomposition over the grid (acceleration units);
     ``pressure`` is None where there is none (kp = 0)."""

@@ -31,7 +31,7 @@ from functools import lru_cache
 import numpy as np
 
 from .core import FluidState, PhysicalParams, RunConfig, SpatialGrid, mass
-from .diagnostics import Recorder, RunRecord
+from .diagnostics import RunRecord, center_energy_estimate, smoothness
 from .forces import (
     DegenerateDensityError,
     ForceField,
@@ -237,10 +237,14 @@ def trajectory(
     is supplied.  Stops early on an unmeasurable density, non-finite fields,
     variance blow-up or a single-step mass jump; never raises for those.  Raises
     ``DegenerateDensityError`` for an initial state it cannot measure, e.g. a
-    packet narrower than a tenth of a cell.
+    packet narrower than a tenth of a cell, and ValueError for a supplied
+    state whose fields do not fit the grid.
     """
     if state is None:
         state = init_coherent_state(params, grid, 0.0)
+    elif not len(state.ln_rho) == len(state.V) == grid.n:
+        raise ValueError(f"start state has {len(state.ln_rho)} ln_rho and {len(state.V)} V values, "
+                         f"but the grid has {grid.n} cells")
     rng = np.random.default_rng(config.seed)
     ln_floor = float(state.ln_rho.max()) + math.log(RHO_FLOOR)
 
@@ -302,12 +306,24 @@ def run(
 ) -> RunRecord:
     """Execute the feedback loop and collect diagnostics: the RunRecord of
     every step ``trajectory`` yields (partial, with its divergence label, if
-    the run stops early).  Raises ``DegenerateDensityError`` for an initial
+    the run stops early).  Each step is one row (t, mean, var, mass, max |V|,
+    center energy, smoothness) and its stepper status; every
+    ``config.snapshot_every`` steps (0 = never) a (rho, V) snapshot is kept
+    too, as exp(ln rho) and a copy of V, since the step-0 state may hold the
+    caller's own arrays.  Raises ``DegenerateDensityError`` for an initial
     state it cannot measure."""
-    recorder = Recorder(grid, params, config.snapshot_every)
+    rows, status, snapshots = [], [], {}
     steps = trajectory(config, params, grid, state)
     while True:
         try:
-            recorder.add(*next(steps))
+            step, state, m, step_mass, step_status = next(steps)
         except StopIteration as stop:
-            return recorder.finish(stop.value)
+            series = (np.array(col) for col in zip(*rows))
+            return RunRecord(params, grid, *series, status, snapshots, stop.value)
+        rows.append((
+            state.t, m.mean, m.var, step_mass, float(np.maximum.reduce(np.abs(state.V))),
+            center_energy_estimate(state, grid, params), smoothness(state.ln_rho, grid),
+        ))
+        status.append(step_status)
+        if config.snapshot_every > 0 and step % config.snapshot_every == 0:
+            snapshots[step] = (np.exp(state.ln_rho), state.V.copy())

@@ -45,7 +45,7 @@ AMPLITUDE_FLOOR = 1e-14
 _BASE_ROWS = 32
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class CNOperator:
     """The Crank-Nicolson system (I + zH) psi_new = (I - zH) psi of one run,
     z = i dt/2, over the interior cells (psi = 0 is pinned at the ends), with
@@ -72,17 +72,16 @@ def cn_operator(config: RunConfig, params: PhysicalParams, grid: SpatialGrid) ->
     # a non-finite operator ends the run through the first step's |psi|^2
     with np.errstate(all="ignore"):
         potential = 0.5 * params.omega**2 * grid.positions**2
-        op = CNOperator(params, 0.5j * config.dt, -params.D / grid.dx**2, potential, None)
-        if params.kp == 0.0:
-            op.plan = _plan(op, potential[1:-1])
-    return op
+        z, off = 0.5j * config.dt, -params.D / grid.dx**2
+        plan = _plan(z, off, params.D, potential[1:-1]) if params.kp == 0.0 else None
+    return CNOperator(params, z, off, potential, plan)
 
 
-def _plan(op: CNOperator, potential: np.ndarray) -> tuple:
+def _plan(z: complex, off: float, D: float, potential: np.ndarray) -> tuple:
     """The cyclic reduction of I + zH over the interior cells, where H's
     diagonal is -2 off + potential/(2D) and ``potential`` is phi + w there."""
-    d = 1.0 + op.z * (-2.0 * op.off + potential / (2.0 * op.params.D))
-    return _reduce(op.z * op.off, d)
+    d = 1.0 + z * (-2.0 * off + potential / (2.0 * D))
+    return _reduce(z * off, d)
 
 
 def _reduce(e: complex, d: np.ndarray) -> tuple:
@@ -161,7 +160,7 @@ def cn_step(psi: np.ndarray, op: CNOperator, rho: np.ndarray) -> np.ndarray:
         plan = op.plan
         if plan is None:
             w = op.params.kp * np.log(np.maximum(rho[1:-1], _vacuum_floor(rho)))
-            plan = _plan(op, op.potential[1:-1] + w)
+            plan = _plan(op.z, op.off, op.params.D, op.potential[1:-1] + w)
         b[:] = psi[1:-1]
         half = 0.5 * op.z * op.off
         b[0] -= half * psi[0]

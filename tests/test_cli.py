@@ -490,10 +490,14 @@ _NOISE_WORDS = "['initial', 'measurement', 'none', 'per-step']"
     ("# a comment\nsteps = x\n", "{cfg}:2: steps: invalid literal for int() with base 10: 'x'"),
     ("estimator = bogus\n", f"{{cfg}}:1: estimator: unknown value 'bogus'; choose from {_ESTIMATOR_WORDS}"),
     ("noise = bogus\n", f"{{cfg}}:1: noise: unknown value 'bogus'; choose from {_NOISE_WORDS}"),
-], ids=["missing", "no-equals", "unparseable", "estimator", "noise"])
+    (b"\xff\xfe", "cannot read config file {cfg}: 'utf-8' codec can't decode byte 0xff in position 0: "
+                   "invalid start byte"),
+], ids=["missing", "no-equals", "unparseable", "estimator", "noise", "not-utf-8"])
 def test_a_config_file_it_cannot_read_is_refused_by_line(tmp_path, capsys, text, error):
     cfg, out = tmp_path / "run.cfg", tmp_path / "out"
-    if text is not None:
+    if isinstance(text, bytes):
+        cfg.write_bytes(text)
+    elif text is not None:
         cfg.write_text(text)
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
     refused = capsys.readouterr()

@@ -10,9 +10,10 @@ from qfluid.diagnostics import RunRecord
 from qfluid.presets import default_grid, default_params
 
 
-def synthetic_record(grid, t, mean, var):
+def synthetic_record(params, grid, t, mean, var):
     n = len(t)
     return RunRecord(
+        params=params,
         grid=grid,
         t=np.asarray(t, dtype=float),
         mean=np.asarray(mean, dtype=float),
@@ -23,7 +24,6 @@ def synthetic_record(grid, t, mean, var):
         smoothness_series=np.zeros(n),
         status=["ok"] * n,
         snapshots={},
-        steps_survived=n - 1,
         final_status="ok",
     )
 
@@ -32,7 +32,7 @@ def test_center_error_on_exact_trajectory():
     params = default_params()
     grid = default_grid()
     t = np.arange(0.0, 30.0)
-    rec = synthetic_record(grid, t, params.a * np.cos(params.omega * t), np.full(len(t), 256.0))
+    rec = synthetic_record(params, grid, t, params.a * np.cos(params.omega * t), np.full(len(t), 256.0))
     assert np.allclose(qf.center_error(rec, params), 0.0, atol=1e-14)
     err = qf.dispersion_error(rec, params)
     assert np.allclose(err, np.abs(256.0 / params.equilibrium_sigma2() - 1.0), atol=1e-12)
@@ -41,7 +41,7 @@ def test_center_error_on_exact_trajectory():
 def test_center_error_absolute_when_amplitude_zero():
     params = qf.PhysicalParams(D=25.0, omega=0.1, a=0.0)
     grid = default_grid()
-    rec = synthetic_record(grid, [0.0, 1.0], [0.3, -0.2], [250.0, 250.0])
+    rec = synthetic_record(params, grid, [0.0, 1.0], [0.3, -0.2], [250.0, 250.0])
     assert np.allclose(qf.center_error(rec, params), [0.3, 0.2])
 
 

@@ -172,6 +172,17 @@ def test_run_refuses_a_supplied_state_it_cannot_weigh():
         next(qf.trajectory(qf.RunConfig(steps=4), params, grid, nan_state))
 
 
+@pytest.mark.parametrize("ln_rho_cells, V_cells", [(191, 192), (192, 193)], ids=["ln_rho", "V"])
+def test_run_refuses_a_supplied_state_that_does_not_fit_the_grid(ln_rho_cells, V_cells):
+    params, grid = default_params(), default_grid()
+    state = FluidState(0.0, np.zeros(ln_rho_cells), np.zeros(V_cells))
+    match = f"^start state has {ln_rho_cells} ln_rho and {V_cells} V values, but the grid has 192 cells$"
+    with pytest.raises(ValueError, match=match):
+        qf.run(qf.RunConfig(steps=4), params, grid, state=state)
+    with pytest.raises(ValueError, match=match):
+        next(qf.trajectory(qf.RunConfig(steps=4), params, grid, state))
+
+
 def test_run_clamps_ln_rho_at_the_density_floor():
     # a hole 60 e-folds deep at the center cell: the first drift averages it
     # into the neighbors, which would land 3.6 below the floor unclamped
@@ -360,8 +371,16 @@ def test_build_force_field_without_pressure_has_no_pressure_part():
     assert forces.total.tobytes() == (forces.external + forces.quantum).tobytes()
 
 
-def test_summary_errors_populated():
-    params, grid = default_params(), default_grid()
-    rec = qf.run(qf.RunConfig(steps=16), params, grid)
-    assert rec.max_center_error == pytest.approx(np.max(qf.center_error(rec, params)))
-    assert rec.max_var_error == pytest.approx(np.max(qf.dispersion_error(rec, params)))
+@pytest.mark.parametrize("name, changes, steps, status", [
+    (None, {"steps": 16}, 16, "ok"),
+    ("fig6", {"dt": 0.1}, 9, "diverged_dispersion"),  # past the stencil's ripple limit
+], ids=["full", "diverged"])
+def test_summary_errors_populated(name, changes, steps, status):
+    params, config, grid = qf.preset(name) if name else (default_params(), qf.RunConfig(), default_grid())
+    rec = qf.run(replace(config, **changes), params, grid)
+    assert rec.steps_survived == len(rec.t) - 1 == steps
+    assert rec.final_status == status
+    assert rec.max_center_error == np.max(qf.center_error(rec, params))
+    assert rec.max_var_error == np.max(qf.dispersion_error(rec, params))
+    with pytest.raises(FrozenInstanceError):
+        rec.final_status = "ok"
