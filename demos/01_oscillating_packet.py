@@ -26,8 +26,8 @@ for k in range(0, len(record.t), 8):
     print(f"{k:4d} {record.t[k]:6.1f} {record.mean[k]:8.3f} {expected:10.3f} "
           f"{record.var[k]:10.3f} {record.var[k] / params.equilibrium_sigma2():11.6f}")
 
-ce = qf.center_error(record, params)
-de = qf.dispersion_error(record, params)
+ce = record.center_error
+de = record.dispersion_error
 print(f"\nmax center error:     {ce.max():.2e} of the amplitude")
 print(f"max dispersion error: {de.max():.2e} of the equilibrium width")
 print("the packet oscillates rigidly: no spreading, no squeezing")

@@ -20,8 +20,8 @@ params, base_config, grid = qf.preset("fig3")
 for noise, target in (("measurement", "measurement"), ("per_step", "state")):
     config = replace(base_config, noise=noise, steps=40)
     record = qf.run(config, params, grid)
-    ce = qf.center_error(record, params)
-    de = qf.dispersion_error(record, params)
+    ce = record.center_error
+    de = record.dispersion_error
     n21 = min(len(ce), 22)
     print(f"--- per-step noise on the {target}")
     print(f"    survived {record.steps_survived}/{config.steps} steps "

@@ -20,7 +20,7 @@ for dt, steps in ((0.02, 800), (0.05, 800), (0.1, 400), (1.0, 40)):
     config = qf.RunConfig(steps=steps, dt=dt, estimator="finite_difference")
     record = qf.run(config, params, grid)
     gain = (params.D * dt / grid.dx**2) ** 2
-    ce = qf.center_error(record, params).max()
+    ce = record.center_error.max()
     print(f"dt={dt:5.2f}  gain={gain:8.2f}  survived {record.steps_survived:4d}/{steps} steps "
           f"({record.t[-1]:6.1f} time units)  status={record.final_status}  "
           f"max center err={ce:.2e}")

@@ -36,7 +36,9 @@ NOISE_MODES = ("none", "initial", "per_step", "measurement")
 class SpatialGrid:
     """Uniform 1D grid: positions x0 + j*dx for j in [0, n).  Rejects a
     non-integer n, non-finite x0, dx or dx^2, dx <= 0, a dx^2 that underflows
-    to 0 (the solvers divide by it) and n < 7 (stencil width)."""
+    to 0 (the solvers divide by it), n < 7 (stencil width) and end positions
+    or a span (n-1)*dx whose square is not finite (the trap, the moments and
+    the reference square them)."""
 
     x0: float
     dx: float
@@ -52,6 +54,9 @@ class SpatialGrid:
             raise ValueError(f"grid spacing is too small to square, got dx={self.dx}")
         if self.n < MIN_GRID_POINTS:
             raise ValueError(f"need at least {MIN_GRID_POINTS} grid points, got n={self.n}")
+        if not all(math.isfinite(v * v) for v in (self.x0, self.x_end, (self.n - 1) * self.dx)):
+            raise ValueError(
+                f"grid positions are too large to square, got x0={self.x0}, dx={self.dx}, n={self.n}")
 
     @cached_property
     def positions(self) -> np.ndarray:

@@ -14,8 +14,6 @@ from .oracle import OracleWave
 
 __all__ = [
     "RunRecord",
-    "center_error",
-    "dispersion_error",
     "center_energy_estimate",
     "smoothness",
     "density_distance",
@@ -30,8 +28,8 @@ class RunRecord:
     Series all have length steps_survived + 1.  snapshots maps step index to
     (rho, V) arrays at the snapshot cadence.  status holds the per-step
     stepper status ("ok" or "cfl_warning"); final_status records how the run
-    ended ("ok" or a divergence label).  The summaries are read off the
-    series.
+    ended ("ok" or a divergence label).  The error series and their
+    maxima are read off the series and the record's own ``params``.
     """
 
     params: PhysicalParams
@@ -52,26 +50,24 @@ class RunRecord:
         return len(self.t) - 1
 
     @property
+    def center_error(self) -> np.ndarray:
+        """|mean(t) - center(t)| / a per step, against the exact packet's
+        ``OracleWave.center`` (absolute error if a = 0)."""
+        err = np.abs(self.mean - OracleWave(self.params).center(self.t))
+        return err / self.params.a if self.params.a > 0 else err
+
+    @property
+    def dispersion_error(self) -> np.ndarray:
+        """|var(t)/(D/omega) - 1| per step."""
+        return np.abs(self.var / self.params.equilibrium_sigma2() - 1.0)
+
+    @property
     def max_center_error(self) -> float:
-        return float(np.max(center_error(self, self.params)))
+        return float(np.max(self.center_error))
 
     @property
     def max_var_error(self) -> float:
-        return float(np.max(dispersion_error(self, self.params)))
-
-
-def center_error(record: RunRecord, params: PhysicalParams) -> np.ndarray:
-    """|mean(t) - center(t)| / a per step, against the exact packet's
-    ``OracleWave.center`` (absolute error if a = 0)."""
-    err = np.abs(record.mean - OracleWave(params).center(record.t))
-    if params.a > 0:
-        err = err / params.a
-    return err
-
-
-def dispersion_error(record: RunRecord, params: PhysicalParams) -> np.ndarray:
-    """|var(t)/(D/omega) - 1| per step."""
-    return np.abs(record.var / params.equilibrium_sigma2() - 1.0)
+        return float(np.max(self.dispersion_error))
 
 
 def center_energy_estimate(state: FluidState, grid: SpatialGrid, params: PhysicalParams) -> float:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -131,6 +132,10 @@ def pressure_force(ln_rho: np.ndarray, grid: SpatialGrid, params: PhysicalParams
     return F
 
 
+@lru_cache(maxsize=16)
 def external_force(grid: SpatialGrid, params: PhysicalParams) -> np.ndarray:
-    """Harmonic trap force -omega^2 x."""
-    return -params.omega**2 * grid.positions
+    """Harmonic trap force -omega^2 x, built once per grid and params and
+    read-only."""
+    F = -params.omega**2 * grid.positions
+    F.flags.writeable = False
+    return F

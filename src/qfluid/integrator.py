@@ -18,8 +18,8 @@ within a period at the default resolution.
 ``drift_kick_step`` performs steps 2-4 and only advances the fields;
 ``trajectory`` draws every density perturbation and puts it on the fluid
 (initial, per-step) or hands it to the step (measurement), calls the step
-once per step, decides how the run ends, and yields each surviving step;
-``run`` records what it yields.
+once per step, decides how the run ends, and yields each surviving step
+with its measurements; ``run`` records what it yields.
 """
 
 from __future__ import annotations
@@ -228,24 +228,27 @@ def trajectory(
     params: PhysicalParams,
     grid: SpatialGrid,
     state: FluidState | None = None,
-) -> Generator[tuple[int, FluidState, Moments, float, str], None, str]:
+) -> Generator[tuple[int, FluidState, Moments, float, float, str], None, str]:
     """Execute the feedback loop one step at a time.
 
-    Yields ``(step, state, moments, mass, status)`` for step 0 and for every
-    step that survives, and returns the run's final status ("ok" or a
-    divergence label).  Starts from the exact coherent packet unless a state
-    is supplied.  Stops early on an unmeasurable density, non-finite fields,
-    variance blow-up or a single-step mass jump; never raises for those.  Raises
-    ``DegenerateDensityError`` for an initial state it cannot measure, e.g. a
-    packet narrower than a tenth of a cell, and ValueError for a supplied
-    state whose fields do not fit the grid.
+    Yields ``(step, state, moments, mass, max_abs_V, status)`` for step 0 and
+    for every step that survives, and returns the run's final status ("ok" or
+    a divergence label).  max |V| is taken once per state and serves as the
+    record's column, the next step's CFL flag and the check that V is finite
+    (NaN and inf reach the maximum).  Starts from the exact coherent packet
+    unless a state is supplied.  Stops early on an unmeasurable density,
+    non-finite fields, variance blow-up or a single-step mass jump; never
+    raises for those.  Raises ``DegenerateDensityError`` for an initial state
+    it cannot measure, e.g. a packet narrower than a tenth of a cell, and
+    ValueError for a supplied state whose fields do not fit the grid.
     """
     if state is None:
         state = init_coherent_state(params, grid, 0.0)
     elif not len(state.ln_rho) == len(state.V) == grid.n:
         raise ValueError(f"start state has {len(state.ln_rho)} ln_rho and {len(state.V)} V values, "
                          f"but the grid has {grid.n} cells")
-    rng = np.random.default_rng(config.seed)
+    # a noiseless run builds no generator, so numpy.random need not load
+    rng = np.random.default_rng(config.seed) if config.noise != "none" else None
     ln_floor = float(state.ln_rho.max()) + math.log(RHO_FLOOR)
 
     def draw_noise() -> np.ndarray:
@@ -258,7 +261,7 @@ def trajectory(
 
     m = moments(state.ln_rho, grid)
     prev_mass = mass(state.ln_rho, grid)
-    yield 0, state, m, prev_mass, STATUS_OK
+    yield 0, state, m, prev_mass, float(np.maximum.reduce(np.abs(state.V))), STATUS_OK
     var0 = m.var
 
     # Leapfrog bootstrap: the loop below drifts the density with the current
@@ -271,18 +274,20 @@ def trajectory(
     # as it was.
     boot = build_force_field(grid, params, config, state.ln_rho, state.ln_rho, state.t)
     state = FluidState(state.t, state.ln_rho, state.V + 0.5 * config.dt * boot.total)
+    v_max = float(np.maximum.reduce(np.abs(state.V)))
 
     for step in range(1, config.steps + 1):
         if config.noise == "per_step":
             state = FluidState(state.t, state.ln_rho + draw_noise(), state.V)
         noise = draw_noise() if config.noise == "measurement" else None
         # the CFL flag reads the pre-step V
-        status = STATUS_CFL if np.maximum.reduce(np.abs(state.V)) * config.dt / grid.dx > 1.0 else STATUS_OK
+        status = STATUS_CFL if v_max * config.dt / grid.dx > 1.0 else STATUS_OK
         # a step whose force or moments cannot be measured, that goes
         # non-finite, blows up the variance or jumps the mass ends the run
         try:
             new_state = drift_kick_step(state, grid, params, config, noise, ln_floor)
-            if not (np.isfinite(new_state.ln_rho).all() and np.isfinite(new_state.V).all()):
+            v_max = float(np.maximum.reduce(np.abs(new_state.V)))
+            if not (np.isfinite(new_state.ln_rho).all() and math.isfinite(v_max)):
                 return STATUS_NONFINITE
             m = moments(new_state.ln_rho, grid)
         except DegenerateDensityError:
@@ -294,7 +299,7 @@ def trajectory(
         ):
             return STATUS_DISPERSION
         state, prev_mass = new_state, new_mass
-        yield step, state, m, new_mass, status
+        yield step, state, m, new_mass, v_max, status
     return STATUS_OK
 
 
@@ -316,12 +321,12 @@ def run(
     steps = trajectory(config, params, grid, state)
     while True:
         try:
-            step, state, m, step_mass, step_status = next(steps)
+            step, state, m, step_mass, v_max, step_status = next(steps)
         except StopIteration as stop:
             series = (np.array(col) for col in zip(*rows))
             return RunRecord(params, grid, *series, status, snapshots, stop.value)
         rows.append((
-            state.t, m.mean, m.var, step_mass, float(np.maximum.reduce(np.abs(state.V))),
+            state.t, m.mean, m.var, step_mass, v_max,
             center_energy_estimate(state, grid, params), smoothness(state.ln_rho, grid),
         ))
         status.append(step_status)

@@ -26,8 +26,8 @@ def test_criterion_1_clean_oscillation():
     t0 = time.perf_counter()
     record = qf.run(config, params, grid)
     elapsed = time.perf_counter() - t0
-    ce = float(np.max(qf.center_error(record, params)))
-    de = float(np.max(qf.dispersion_error(record, params)))
+    ce = float(np.max(record.center_error))
+    de = float(np.max(record.dispersion_error))
     ok = (
         record.steps_survived == 77
         and record.final_status == "ok"
@@ -43,8 +43,8 @@ def test_criterion_2_noisy_initial_state():
     terminal errors stay within 10%, and the loop smooths the noise out."""
     params, config, grid = preset("fig2")
     record = qf.run(config, params, grid)
-    ce = float(qf.center_error(record, params)[-1])
-    de = float(qf.dispersion_error(record, params)[-1])
+    ce = float(record.center_error[-1])
+    de = float(record.dispersion_error[-1])
     smoothed = record.smoothness_series[-1] < record.smoothness_series[0]
     ok = record.steps_survived >= 64 and ce <= 0.10 and de <= 0.10 and smoothed
     _report(
@@ -63,8 +63,8 @@ def test_criterion_3_noise_every_step():
     params, config, grid = preset("fig3")
     record = qf.run(config, params, grid)
     window = slice(0, 22)
-    ce = float(np.max(qf.center_error(record, params)[window]))
-    de = float(np.max(qf.dispersion_error(record, params)[window]))
+    ce = float(np.max(record.center_error[window]))
+    de = float(np.max(record.dispersion_error[window]))
     ok = record.steps_survived >= 21 and ce <= 0.05 and de <= 0.05
     _report(
         3,
@@ -111,8 +111,8 @@ def test_criterion_5_stencil_estimator():
     survive (a quarter period) with errors within 5%."""
     params, config, grid = preset("fig6")
     record = qf.run(config, params, grid)
-    ce = float(np.max(qf.center_error(record, params)))
-    de = float(np.max(qf.dispersion_error(record, params)))
+    ce = float(np.max(record.center_error))
+    de = float(np.max(record.dispersion_error))
     ok = record.steps_survived >= 16 and ce <= 0.05 and de <= 0.05
     _report(
         5,

@@ -387,11 +387,17 @@ def test_a_finite_value_whose_square_overflows_is_refused(tmp_path, capsys, argv
 @pytest.mark.parametrize("command", ["run", "compare"])
 def test_a_dx_whose_square_underflows_is_refused(tmp_path, capsys, command):
     # the solvers divide by dx^2: compare used to raise ZeroDivisionError and
-    # run to stop at step 0 as a divergence
-    assert main([command, "--dx", "1e-300", "--out", str(tmp_path / "out")]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: grid spacing is too small to square, got dx=1e-300")
-    assert not (tmp_path / "out").exists()
+    # run to stop at step 0 as a divergence.  At dx = 1e153 the default
+    # grid's end positions square to inf: both used to warn from numpy and
+    # end as a divergence
+    for dx, error in (
+        ("1e-300", "error: grid spacing is too small to square, got dx=1e-300\n"),
+        ("1e153", "error: grid positions are too large to square, "
+                  "got x0=-9.599999999999999e+154, dx=1e+153, n=192\n"),
+    ):
+        assert main([command, "--dx", dx, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == error
+        assert not (tmp_path / "out").exists()
 
 
 # sigma = sqrt(D/omega) ~ 0.07 cells: the initial density is one spike
@@ -560,19 +566,24 @@ def test_module_entry_point():
 
 def test_importing_the_cli_leaves_scipy_unloaded(tmp_path):
     # nothing in qfluid imports scipy: not the CLI, and not compare's
-    # Crank-Nicolson reference, on the default grid or on compare-fine's
+    # Crank-Nicolson reference, on the default grid or on compare-fine's.
+    # A noiseless run builds no random generator, so numpy.random stays
+    # unloaded too, unless importing numpy alone loads it (older numpy)
     argvs = [
         ["compare", "--steps", "2", "--out", str(tmp_path / "bare")],
         ["compare", "--dx", "0.015625", "--dt", "0.015625", "--n", "12288", "--steps", "2",
          "--out", str(tmp_path / "fine")],
     ]
     script = (
-        "import sys, qfluid.cli\n"
-        "print('scipy loaded:', 'scipy' in sys.modules)\n"
+        "import sys, numpy\n"
+        "print('numpy.random preloaded:', 'numpy.random' in sys.modules)\n"
+        "import qfluid.cli\n"
+        "print('loaded:', 'scipy' in sys.modules, 'numpy.random' in sys.modules)\n"
         f"codes = [qfluid.cli.main(argv) for argv in {argvs!r}]\n"
-        "print('scipy loaded:', 'scipy' in sys.modules, codes)\n"
+        "print('loaded:', 'scipy' in sys.modules, 'numpy.random' in sys.modules, codes)\n"
     )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    loaded = [line for line in proc.stdout.splitlines() if line.startswith("scipy loaded:")]
-    assert loaded == ["scipy loaded: False", "scipy loaded: False [0, 0]"]
+    preloaded, *loaded = [line for line in proc.stdout.splitlines() if "loaded:" in line]
+    random = "True" if preloaded == "numpy.random preloaded: True" else "False"
+    assert loaded == [f"loaded: False {random}", f"loaded: False {random} [0, 0]"]

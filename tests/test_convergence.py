@@ -59,7 +59,7 @@ def _oracle_errors(estimator):
         grid = default_grid(1.0 / k, 192 * k)
         config = qf.RunConfig(dt=1.0 / k, steps=T * k, estimator=estimator)
         distances = []
-        for _, state, _, m, _ in qf.trajectory(config, params, grid):
+        for _, state, _, m, _, _ in qf.trajectory(config, params, grid):
             exact, rho = oracle.density(grid.positions, state.t), np.exp(state.ln_rho)
             distances.append([qf.density_distance(exact, d, grid.dx) for d in (rho, rho / m)])
         assert len(distances) == config.steps + 1

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -41,6 +42,12 @@ def test_make_grid_rejects_bad_arguments():
         with pytest.raises(ValueError, match="too small to square, got dx=1e-300"):
             build(0.0, 1e-300, 10)
         assert build(0.0, 1e-150, 10).dx == 1e-150
+        # end positions, or a span, whose square overflows: the trap, the
+        # moments and the reference square them
+        for x0, dx, n in ((-9.6e154, 1e153, 192), (1.3e154, 1e153, 7), (-1e154, 2.5e153, 9)):
+            with pytest.raises(ValueError, match=re.escape(f"too large to square, got x0={x0}, dx={dx}, n={n}")):
+                build(x0, dx, n)
+        assert build(-1.3e154, 2e153, 7).x_end == -1.3e154 + 6 * 2e153
         for n in (10.7, 10.0, True):
             with pytest.raises(ValueError, match="n must be an integer"):
                 build(0.0, 1.0, n)

@@ -33,8 +33,8 @@ def test_center_error_on_exact_trajectory():
     grid = default_grid()
     t = np.arange(0.0, 30.0)
     rec = synthetic_record(params, grid, t, params.a * np.cos(params.omega * t), np.full(len(t), 256.0))
-    assert np.allclose(qf.center_error(rec, params), 0.0, atol=1e-14)
-    err = qf.dispersion_error(rec, params)
+    assert np.allclose(rec.center_error, 0.0, atol=1e-14)
+    err = rec.dispersion_error
     assert np.allclose(err, np.abs(256.0 / params.equilibrium_sigma2() - 1.0), atol=1e-12)
 
 
@@ -42,7 +42,7 @@ def test_center_error_absolute_when_amplitude_zero():
     params = qf.PhysicalParams(D=25.0, omega=0.1, a=0.0)
     grid = default_grid()
     rec = synthetic_record(params, grid, [0.0, 1.0], [0.3, -0.2], [250.0, 250.0])
-    assert np.allclose(qf.center_error(rec, params), [0.3, 0.2])
+    assert np.allclose(rec.center_error, [0.3, 0.2])
 
 
 def test_center_energy_estimate_on_exact_packet():
@@ -249,9 +249,9 @@ def test_diagnostics_are_pure():
     params = default_params()
     grid = default_grid()
     rec = qf.run(qf.RunConfig(steps=10), params, grid)
-    e1 = qf.center_error(rec, params)
-    e2 = qf.center_error(rec, params)
+    e1 = rec.center_error
+    e2 = rec.center_error
     assert np.array_equal(e1, e2)
-    d1 = qf.dispersion_error(rec, params)
-    d2 = qf.dispersion_error(rec, params)
+    d1 = rec.dispersion_error
+    d2 = rec.dispersion_error
     assert np.array_equal(d1, d2)

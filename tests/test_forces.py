@@ -280,6 +280,13 @@ def test_external_force_values():
     assert np.allclose(qf.external_force(grid, doubled), 4.0 * F)
 
 
+def test_external_force_is_built_once_per_grid_and_params_and_read_only():
+    params, grid = default_params(), default_grid()
+    F = qf.external_force(grid, params)
+    assert qf.external_force(default_grid(), default_params()) is F
+    assert not F.flags.writeable
+
+
 def test_rigid_transport_identity():
     # trap + gaussian-fit quantum force on the exact packet is uniform,
     # equal to -omega^2 * mean

@@ -70,6 +70,36 @@ def test_lax_step_flags_nonfinite():
     assert (rec.final_status, rec.steps_survived, rec.status) == ("diverged_nonfinite", 0, ["ok"])
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered in multiply:RuntimeWarning")
+def test_a_velocity_that_alone_overflows_ends_the_run_at_that_step():
+    # V jumps from 0 to 1e160 at cell 15, off the packet's center: the drift
+    # moves ln rho only by finite amounts, but the advection term V dV/dx
+    # overflows to -inf there
+    V = np.where(np.arange(21) < 15, 0.0, 1e160)
+    state = FluidState(0.0, np.zeros(21), V)
+    new = step(state, 1.0)
+    assert np.isfinite(new.ln_rho).all() and not np.isfinite(new.V).all()
+    rec = qf.run(*oracle_setup(1.0, steps=3), state=state)
+    assert (rec.final_status, rec.steps_survived) == ("diverged_nonfinite", 0)
+    assert rec.max_abs_V.tolist() == [1e160]
+
+
+@pytest.mark.parametrize("dt_scale", [1.0, 1.5])
+def test_cfl_flag_reads_the_recorded_max_abs_V_of_the_step_before(dt_scale):
+    # from step 2 on the flag reads the V of the recorded step before
+    # (step 1's reads the bootstrapped V); at 1.5 times their dt, fig1-fig4,
+    # fig6 and fig7 raise it
+    flagged = 0
+    for name in qf.preset_names():
+        params, config, grid = qf.preset(name)
+        config = replace(config, dt=config.dt * dt_scale)
+        rec = qf.run(config, params, grid)
+        over = rec.max_abs_V[1:-1] * config.dt / grid.dx > 1.0
+        assert [s == "cfl_warning" for s in rec.status[2:]] == over.tolist()
+        flagged += int(over.sum())
+    assert (flagged > 0) == (dt_scale > 1.0)
+
+
 def test_drift_kick_step_returns_a_nonfinite_state_without_raising():
     # deciding how a run ends is the loop's job, not the step's
     state = FluidState(0.0, np.zeros(21), np.zeros(21))
@@ -226,7 +256,7 @@ def test_run_oracle_estimator_tracks_center_over_a_period():
     params, grid = default_params(), default_grid()
     rec = qf.run(qf.RunConfig(steps=64, estimator="oracle_exact"), params, grid)
     assert rec.steps_survived == 64
-    assert np.max(qf.center_error(rec, params)) <= 0.02
+    assert np.max(rec.center_error) <= 0.02
 
 
 def test_drift_kick_keeps_the_amplitude_over_ten_periods():
@@ -250,7 +280,7 @@ def test_run_convergence_under_refinement():
         grid = qf.make_grid(-96.0, dx, int(round(192 / dx)))
         rec = qf.run(qf.RunConfig(steps=steps, dt=dt, estimator="oracle_exact"), params, grid)
         assert rec.steps_survived == steps
-        return np.max(qf.center_error(rec, params))
+        return np.max(rec.center_error)
 
     e_coarse = max_err(1.0, 1.0, 16)
     e_fine = max_err(0.5, 0.5, 32)
@@ -296,10 +326,10 @@ def test_trajectory_yields_what_run_records_and_returns_its_final_status(dt):
     assert len(items) == record.steps_survived + 1
     # drained to the end, every yielded item still holds what run recorded
     # at its step: resuming the generator changes no state it yielded
-    for k, (step, state, m, mass, status) in enumerate(items):
+    for k, (step, state, m, mass, v_max, status) in enumerate(items):
         rho, V = record.snapshots[k]
         assert (step, state.t, status) == (k, record.t[k], record.status[k])
-        assert (m.mean, m.var, mass) == (record.mean[k], record.var[k], record.mass[k])
+        assert (m.mean, m.var, mass, v_max) == (record.mean[k], record.var[k], record.mass[k], record.max_abs_V[k])
         assert np.array_equal(np.exp(state.ln_rho), rho) and np.array_equal(state.V, V)
 
 
@@ -380,7 +410,7 @@ def test_summary_errors_populated(name, changes, steps, status):
     rec = qf.run(replace(config, **changes), params, grid)
     assert rec.steps_survived == len(rec.t) - 1 == steps
     assert rec.final_status == status
-    assert rec.max_center_error == np.max(qf.center_error(rec, params))
-    assert rec.max_var_error == np.max(qf.dispersion_error(rec, params))
+    assert rec.max_center_error == np.max(rec.center_error)
+    assert rec.max_var_error == np.max(rec.dispersion_error)
     with pytest.raises(FrozenInstanceError):
         rec.final_status = "ok"

@@ -8,8 +8,8 @@ MODULES = (qf.core, qf.diagnostics, qf.forces, qf.integrator, qf.oracle, qf.pres
 PUBLIC_NAMES = [
     "CNOperator", "DegenerateDensityError", "FluidState", "ForceField", "Moments", "OracleWave",
     "PhysicalParams", "RunConfig", "RunRecord", "SpatialGrid", "build_force_field",
-    "center_energy_estimate", "center_error", "cn_operator", "cn_step", "cross_check", "default_grid",
-    "default_params", "density_distance", "dispersion_error", "drift_kick_step", "external_force",
+    "center_energy_estimate", "cn_operator", "cn_step", "cross_check", "default_grid",
+    "default_params", "density_distance", "drift_kick_step", "external_force",
     "fd_log_gradient", "fd_quantum_force", "fd_quantum_potential", "fluid_to_wave", "gaussian_fit_force",
     "init_coherent_state", "make_grid", "mass", "moments", "preset", "preset_names", "pressure_force",
     "run", "smoothness", "trajectory", "wave_to_fluid", "wave_trajectory",

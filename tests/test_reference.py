@@ -403,10 +403,11 @@ def test_cross_check_ends_with_the_reference_and_returns_its_status():
 
 
 def test_wave_trajectory_ends_on_an_operator_whose_potential_overflows():
-    # x^2 overflows on a grid of spacing 1e154: the diagonal of I + zH is
-    # nan + inf i, the system is small enough to be inverted whole, and that
-    # inverse is singular.  The run ends as non-finite at step 1, silently
-    params, grid = default_params(), qf.make_grid(-3.5e154, 1e154, 7)
+    # omega^2 x^2 overflows at |x| = 3 for omega = 1e154: the diagonal of
+    # I + zH is nan + inf i, the system is small enough to be inverted whole,
+    # and that inverse is singular.  The run ends as non-finite at step 1,
+    # silently
+    params, grid = qf.PhysicalParams(D=1.0, omega=1e154), qf.make_grid(-3.0, 1.0, 7)
     psi0 = np.exp(-np.arange(-3.0, 4.0) ** 2).astype(complex)
     waves = qf.wave_trajectory(qf.RunConfig(steps=4), params, grid, psi0)
     steps = []
