@@ -81,7 +81,8 @@ def center_energy_estimate(state: FluidState, grid: SpatialGrid, params: Physica
     need, with the operations of ``fd_log_gradient`` and
     ``fd_quantum_potential`` in their order (``h * h`` is numpy's square).
     Both interpolations repeat ``np.interp``'s scalar formula, so the result
-    is the same bits the full-grid chain and ``np.interp`` give.
+    is the same bits the full-grid chain and ``np.interp`` give.  A V(xbar)
+    whose square overflows gives inf, as numpy's square would.
     """
     m = moments(state.ln_rho, grid)
     mean = m.mean
@@ -101,7 +102,11 @@ def center_energy_estimate(state: FluidState, grid: SpatialGrid, params: Physica
     x_k, x_k1 = x[k : k + 2].tolist()
     v_k, v_k1 = state.V[k : k + 2].tolist()
     v_at_mean = _interp(mean, x_k, x_k1, v_k, v_k1)
-    return 0.5 * v_at_mean**2 + 0.5 * params.omega**2 * mean**2 + q_at_mean
+    try:
+        kinetic = 0.5 * v_at_mean**2
+    except OverflowError:
+        kinetic = math.inf
+    return kinetic + 0.5 * params.omega**2 * mean**2 + q_at_mean
 
 
 def _interp(x: float, x0: float, x1: float, y0: float, y1: float) -> float:
@@ -148,8 +153,10 @@ def smoothness(ln_rho: np.ndarray, grid: SpatialGrid) -> float:
 
 def density_distance(rho_a: np.ndarray, rho_b: np.ndarray, dx: float) -> float:
     """Relative L2 distance of two densities on one grid:
-    sqrt(sum (rho_a - rho_b)^2 dx) / sqrt(sum rho_a^2 dx)."""
-    num = np.sqrt(np.sum((rho_a - rho_b) ** 2) * dx)
-    den = np.sqrt(np.sum(rho_a**2) * dx)
+    sqrt(sum (rho_a - rho_b)^2 dx) / sqrt(sum rho_a^2 dx), both squares
+    taken in one array."""
+    sq = rho_a - rho_b
+    num = np.sqrt(np.sum(np.square(sq, out=sq)) * dx)
+    den = np.sqrt(np.sum(np.square(rho_a, out=sq)) * dx)
     return float(num / den)
 

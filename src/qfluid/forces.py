@@ -59,22 +59,31 @@ class ForceField:
     @property
     def total(self) -> np.ndarray:
         total = self.external + self.quantum
-        return total if self.pressure is None else total + self.pressure
+        if self.pressure is not None:
+            total += self.pressure
+        return total
 
 
 def moments(ln_rho: np.ndarray, grid: SpatialGrid) -> Moments:
     """Mean and dispersion of position under the density exp(ln_rho).
 
     Weights are exponentiated relative to the running peak so that a uniform
-    shift of ln rho (a global density rescaling) cancels exactly.
+    shift of ln rho (a global density rescaling) cancels exactly.  The
+    weights w = exp(ln rho - max), then w x, then w (x - mean)^2 are built
+    in place in two arrays, in the operations and order of those formulas.
     """
-    w = np.exp(ln_rho - np.maximum.reduce(ln_rho))
+    w = ln_rho - np.maximum.reduce(ln_rho)
+    np.exp(w, out=w)
     total = float(np.add.reduce(w))
     if not math.isfinite(total) or total <= 0:
         raise DegenerateDensityError("density weights are not summable")
     x = grid.positions
-    mean = float(np.add.reduce(w * x)) / total
-    var = float(np.add.reduce(w * (x - mean) ** 2)) / total
+    wx = w * x
+    mean = float(np.add.reduce(wx)) / total
+    np.subtract(x, mean, out=wx)
+    np.square(wx, out=wx)
+    np.multiply(w, wx, out=wx)
+    var = float(np.add.reduce(wx)) / total
     if var < (grid.dx / 10.0) ** 2:
         raise DegenerateDensityError(
             f"density variance {var:g} below ({grid.dx}/10)^2; distribution is delta-like"

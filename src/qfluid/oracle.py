@@ -82,8 +82,9 @@ class OracleWave:
         harmonic force up to a spatially uniform remainder, which is what
         transports the packet rigidly."""
         p = self.params
-        x = np.asarray(x, dtype=float)
-        return p.omega**2 * (x - self.center(t))
+        force = np.asarray(x, dtype=float) - self.center(t)
+        force *= p.omega**2
+        return force
 
     def energy(self, x, t):
         """Pointwise energy E = V^2/2 + phi + Q."""

@@ -201,6 +201,12 @@ def fluid_to_wave(state: FluidState, grid: SpatialGrid, params: PhysicalParams) 
     return np.sqrt(rho) * np.exp(1j * theta)
 
 
+def _density(psi: np.ndarray) -> np.ndarray:
+    """|psi|^2, squared in the array np.abs returns."""
+    rho = np.abs(psi)
+    return np.square(rho, out=rho)
+
+
 def wave_trajectory(
     config: RunConfig, params: PhysicalParams, grid: SpatialGrid, psi: np.ndarray
 ) -> Generator[tuple[int, np.ndarray, np.ndarray], None, str]:
@@ -211,11 +217,11 @@ def wave_trajectory(
     op = cn_operator(config, params, grid)
     # one |psi|^2 per step: the caller's fields, mass and snapshot, and the
     # next step's lagged pressure
-    rho = np.abs(psi) ** 2
+    rho = _density(psi)
     yield 0, psi, rho
     for step in range(1, config.steps + 1):
         psi = cn_step(psi, op, rho)
-        rho = np.abs(psi) ** 2
+        rho = _density(psi)
         # |psi|^2 is non-finite wherever psi is, and its maximum wherever
         # any cell is: np.maximum propagates NaN
         if not math.isfinite(np.maximum.reduce(rho)):

@@ -84,6 +84,16 @@ def test_a_velocity_that_alone_overflows_ends_the_run_at_that_step():
     assert rec.max_abs_V.tolist() == [1e160]
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered in multiply:RuntimeWarning")
+def test_a_velocity_whose_square_overflows_at_the_mean_records_an_infinite_center_energy():
+    # V = 1e160 on cells 10-20 puts it at the uniform packet's mean x = 0,
+    # where V^2/2 overflows: the row reads inf, and the step ends the run
+    V = np.where(np.arange(21) < 10, 0.0, 1e160)
+    rec = qf.run(*oracle_setup(1.0, steps=3), state=FluidState(0.0, np.zeros(21), V))
+    assert rec.center_energy.tolist() == [math.inf]
+    assert (rec.final_status, rec.steps_survived) == ("diverged_nonfinite", 0)
+
+
 @pytest.mark.parametrize("dt_scale", [1.0, 1.5])
 def test_cfl_flag_reads_the_recorded_max_abs_V_of_the_step_before(dt_scale):
     # from step 2 on the flag reads the V of the recorded step before
