@@ -13,9 +13,14 @@ Hermitian step Hamiltonian -- and ``cross_check`` steps it alongside the
 fluid loop to validate the loop against it.  Each step is taken in Cayley
 form, psi_new = 2 (I + zH)^-1 psi - psi, so it costs one tridiagonal solve,
 by cyclic reduction in numpy, and no product with I - zH.  The logarithmic
-pressure nonlinearity is evaluated lagged (from the current step's
-amplitude), which keeps each step's Hamiltonian Hermitian.  A run ends as
-non-finite when a step's |psi|^2, which each step computes anyway, is.
+pressure nonlinearity is Strang-split (G. Strang, SIAM J. Numer. Anal. 5,
+506, 1968; W. Bao, D. Jaksch and P. A. Markowich, J. Comput. Phys. 187,
+318, 2003): the flow i psi_t = (w/2D) psi keeps |psi|, so it is the exact
+phase psi exp(-i t w/2D), and a step is a half step of that phase, one
+Crank-Nicolson step without pressure and another half phase.  Both
+sub-steps are unitary, so the step stays norm-preserving, and it is second
+order in time at every kp.  A run ends as non-finite when a step's |psi|^2,
+which each step computes anyway, is.
 """
 
 from __future__ import annotations
@@ -39,49 +44,43 @@ __all__ = [
 # extracting a velocity or evaluating ln|psi|
 AMPLITUDE_FLOOR = 1e-14
 
-# the cyclic reduction stops at this many rows and inverts what is left;
-# with pressure that inverse is taken every step, and above ~32 rows its
-# O(m^3) cost outgrows the levels it saves
+# the cyclic reduction stops at this many rows and inverts what is left.
+# The plan is built once per run, so the inverse's O(m^3) cost no longer
+# bounds m; 32 stays because the solve's rounding, and so every byte of a
+# compare.csv, depends on it
 _BASE_ROWS = 32
 
 
 @dataclass(frozen=True, eq=False)
 class CNOperator:
-    """The Crank-Nicolson system (I + zH) psi_new = (I - zH) psi of one run,
-    z = i dt/2, over the interior cells (psi = 0 is pinned at the ends), with
+    """The Crank-Nicolson system (I + zH) psi_new = (I - zH) psi of one run
+    without pressure, z = i dt/2, over the interior cells (psi = 0 is pinned
+    at the ends), with
 
         H psi_j = off (psi_{j+1} + psi_{j-1}) + diag_j psi_j,
-        off = -D/dx^2,   diag = -2 off + (phi + w)/(2D).
+        off = -D/dx^2,   diag = -2 off + phi/(2D),
 
-    Only w = kp ln|psi|^2 changes between steps.  Without it (kp = 0) the
-    system is constant and `plan` holds the cyclic reduction of I + zH,
-    built once; with it `plan` is None and each step builds the diagonal
-    from `potential` and the lagged w and reduces it again."""
+    and `plan` the cyclic reduction of I + zH, built once.  The pressure
+    term w = kp ln|psi|^2 enters only as the phase exp(-i half_phase ln|psi|^2)
+    taken before and after each solve, half_phase = (dt/2) kp/(2D)."""
 
-    params: PhysicalParams
     z: complex
     off: float
-    potential: np.ndarray  # phi = omega^2 x^2 / 2
-    plan: tuple | None
+    half_phase: float
+    plan: tuple
 
 
 def cn_operator(config: RunConfig, params: PhysicalParams, grid: SpatialGrid) -> CNOperator:
     """Build the Crank-Nicolson operator of
     i psi_t = -D psi_xx + [(phi + w)/(2D)] psi, Dirichlet ends, for steps of
-    ``config.dt``; reduce it now when it is constant (kp = 0)."""
+    ``config.dt``, and reduce its pressure-free system once."""
     # a non-finite operator ends the run through the first step's |psi|^2
     with np.errstate(all="ignore"):
-        potential = 0.5 * params.omega**2 * grid.positions**2
+        phi = 0.5 * params.omega**2 * grid.positions[1:-1] ** 2
         z, off = 0.5j * config.dt, -params.D / grid.dx**2
-        plan = _plan(z, off, params.D, potential[1:-1]) if params.kp == 0.0 else None
-    return CNOperator(params, z, off, potential, plan)
-
-
-def _plan(z: complex, off: float, D: float, potential: np.ndarray) -> tuple:
-    """The cyclic reduction of I + zH over the interior cells, where H's
-    diagonal is -2 off + potential/(2D) and ``potential`` is phi + w there."""
-    d = 1.0 + z * (-2.0 * off + potential / (2.0 * D))
-    return _reduce(z * off, d)
+        d = 1.0 + z * (-2.0 * off + phi / (2.0 * params.D))
+        half_phase = 0.5 * config.dt * params.kp / (2.0 * params.D)
+        return CNOperator(z, off, half_phase, _reduce(z * off, d))
 
 
 def _reduce(e: complex, d: np.ndarray) -> tuple:
@@ -146,29 +145,38 @@ def _vacuum_floor(rho: np.ndarray) -> float:
 
 
 def cn_step(psi: np.ndarray, op: CNOperator, rho: np.ndarray) -> np.ndarray:
-    """The new psi after one Crank-Nicolson step of `op` from ``psi``, given
-    its density rho = |psi|^2; with pressure, w is lagged: evaluated from rho.
+    """The new psi after one step of `op` from ``psi``, given its density
+    rho = |psi|^2: with pressure, a half phase from rho, the Crank-Nicolson
+    step and a half phase from the new |psi|^2.
 
-    The step is taken in Cayley form, (I + zH)^-1 (I - zH) = 2 (I + zH)^-1 - I:
-    one solve (I + zH) chi = psi_int - (z off/2)(psi_0 e_1 + psi_{n-1} e_m),
-    the second term carrying the end cells' coupling into the first and
-    last interior cells, and then psi_int_new = 2 chi - psi_int."""
+    The Crank-Nicolson step is taken in Cayley form,
+    (I + zH)^-1 (I - zH) = 2 (I + zH)^-1 - I: one solve
+    (I + zH) chi = psi_int - (z off/2)(psi_0 e_1 + psi_{n-1} e_m), the second
+    term carrying the end cells' coupling into the first and last interior
+    cells, and then psi_int_new = 2 chi - psi_int."""
     new_psi = np.zeros(psi.size, dtype=complex)
     b = new_psi[1:-1]  # the right-hand side, overwritten by the solve
     # a non-finite operator or wave ends the run through the caller's |psi|^2
     with np.errstate(all="ignore"):
-        plan = op.plan
-        if plan is None:
-            w = op.params.kp * np.log(np.maximum(rho[1:-1], _vacuum_floor(rho)))
-            plan = _plan(op.z, op.off, op.params.D, op.potential[1:-1] + w)
+        if op.half_phase:
+            psi = psi * _pressure_phase(rho, op.half_phase)
         b[:] = psi[1:-1]
         half = 0.5 * op.z * op.off
         b[0] -= half * psi[0]
         b[-1] -= half * psi[-1]
-        _solve(plan, b)
+        _solve(op.plan, b)
         b *= 2.0
         b -= psi[1:-1]
+        if op.half_phase:
+            new_psi *= _pressure_phase(_density(new_psi), op.half_phase)
     return new_psi
+
+
+def _pressure_phase(rho: np.ndarray, half_phase: float) -> np.ndarray:
+    """exp(-i half_phase ln rho), with rho floored at the vacuum floor: half
+    a step of i psi_t = (w/2D) psi, w = kp ln|psi|^2, which keeps |psi|."""
+    ln_rho = np.log(np.maximum(rho, _vacuum_floor(rho)))
+    return np.exp(-1j * half_phase * ln_rho)
 
 
 def wave_to_fluid(
@@ -215,8 +223,8 @@ def wave_trajectory(
     |psi|^2)`` for step 0 (the given ``psi`` itself) and every step that
     stays finite, and returns STATUS_OK or STATUS_NONFINITE."""
     op = cn_operator(config, params, grid)
-    # one |psi|^2 per step: the caller's fields, mass and snapshot, and the
-    # next step's lagged pressure
+    # one |psi|^2 per step here: the caller's fields, mass and snapshot, and
+    # the next step's first pressure half phase
     rho = _density(psi)
     yield 0, psi, rho
     for step in range(1, config.steps + 1):
