@@ -35,10 +35,10 @@ NOISE_MODES = ("none", "initial", "per_step", "measurement")
 @dataclass(frozen=True)
 class SpatialGrid:
     """Uniform 1D grid: positions x0 + j*dx for j in [0, n).  Rejects a
-    non-integer n, non-finite x0, dx or dx^2, dx <= 0, a dx^2 that underflows
-    to 0 (the solvers divide by it), n < 7 (stencil width) and end positions
-    or a span (n-1)*dx whose square is not finite (the trap, the moments and
-    the reference square them)."""
+    non-integer n, non-finite x0, dx or dx^2, dx <= 0, a dx^2 that is not a
+    normal float (the solvers divide by it), n < 7 (stencil width) and end
+    positions or a span (n-1)*dx whose square is not finite (the trap, the
+    moments and the reference square them)."""
 
     x0: float
     dx: float
@@ -50,7 +50,7 @@ class SpatialGrid:
             raise ValueError(f"grid x0, dx and dx^2 must be finite, got x0={self.x0}, dx={self.dx}")
         if self.dx <= 0:
             raise ValueError(f"grid spacing must be positive, got dx={self.dx}")
-        if self.dx * self.dx == 0.0:
+        if self.dx * self.dx < np.finfo(float).tiny:
             raise ValueError(f"grid spacing is too small to square, got dx={self.dx}")
         if self.n < MIN_GRID_POINTS:
             raise ValueError(f"need at least {MIN_GRID_POINTS} grid points, got n={self.n}")

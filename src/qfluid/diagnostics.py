@@ -151,12 +151,12 @@ def smoothness(ln_rho: np.ndarray, grid: SpatialGrid) -> float:
     return float(np.add.reduce(d2 * d2)) / (hi - lo)
 
 
-def density_distance(rho_a: np.ndarray, rho_b: np.ndarray, dx: float) -> float:
-    """Relative L2 distance of two densities on one grid:
-    sqrt(sum (rho_a - rho_b)^2 dx) / sqrt(sum rho_a^2 dx), both squares
-    taken in one array."""
+def density_distance(rho_a: np.ndarray, rho_b: np.ndarray) -> float:
+    """Relative L2 distance of two densities on one grid, sqrt(sum (rho_a -
+    rho_b)^2) / sqrt(sum rho_a^2), both squares taken in one array; the
+    cells' width dx would scale both sums alike, so neither carries it."""
     sq = rho_a - rho_b
-    num = np.sqrt(np.sum(np.square(sq, out=sq)) * dx)
-    den = np.sqrt(np.sum(np.square(rho_a, out=sq)) * dx)
+    num = np.sqrt(np.sum(np.square(sq, out=sq)))
+    den = np.sqrt(np.sum(np.square(rho_a, out=sq)))
     return float(num / den)
 

@@ -255,14 +255,14 @@ def trajectory(
 
     Yields ``(step, state, moments, mass, max_abs_V, status)`` for step 0 and
     for every step that survives, and returns the run's final status ("ok" or
-    a divergence label).  max |V| is taken once per state and serves as the
-    record's column, the next step's CFL flag and the check that V is finite
-    (NaN and inf reach the maximum).  Starts from the exact coherent packet
-    unless a state is supplied.  Stops early on an unmeasurable density,
-    non-finite fields, variance blow-up or a single-step mass jump; never
-    raises for those.  Raises ``DegenerateDensityError`` for an initial state
-    it cannot measure, e.g. a packet narrower than a tenth of a cell, and
-    ValueError for a supplied state whose fields do not fit the grid.
+    a divergence label).  max |V|, taken once per state, is the record's column
+    and the next step's CFL flag; with max ln rho it checks that the state is
+    finite (NaN and inf reach a maximum; the floor lifts -inf).  Starts from the
+    exact coherent packet unless a state is supplied.  Stops early on an
+    unmeasurable density, non-finite fields, variance blow-up or a single-step
+    mass jump; never raises for those.  Raises ``DegenerateDensityError`` for an
+    initial state it cannot measure, e.g. a packet narrower than a tenth of a
+    cell, and ValueError for a supplied state whose fields do not fit the grid.
     """
     if state is None:
         state = init_coherent_state(params, grid, 0.0)
@@ -309,7 +309,7 @@ def trajectory(
         try:
             new_state = drift_kick_step(state, grid, params, config, noise, ln_floor)
             v_max = float(np.maximum.reduce(np.abs(new_state.V)))
-            if not (np.isfinite(new_state.ln_rho).all() and math.isfinite(v_max)):
+            if not (math.isfinite(np.maximum.reduce(new_state.ln_rho)) and math.isfinite(v_max)):
                 return STATUS_NONFINITE
             m = moments(new_state.ln_rho, grid)
         except DegenerateDensityError:

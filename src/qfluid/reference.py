@@ -60,12 +60,12 @@ class CNOperator:
         H psi_j = off (psi_{j+1} + psi_{j-1}) + diag_j psi_j,
         off = -D/dx^2,   diag = -2 off + phi/(2D),
 
-    and `plan` the cyclic reduction of I + zH, built once.  The pressure
+    `plan` the cyclic reduction of I + zH, built once, and edge = z off/2 the
+    end cells' weight in the first and last interior rows.  The pressure
     term w = kp ln|psi|^2 enters only as the phase exp(-i half_phase ln|psi|^2)
     taken before and after each solve, half_phase = (dt/2) kp/(2D)."""
 
-    z: complex
-    off: float
+    edge: complex
     half_phase: float
     plan: tuple
 
@@ -80,7 +80,7 @@ def cn_operator(config: RunConfig, params: PhysicalParams, grid: SpatialGrid) ->
         z, off = 0.5j * config.dt, -params.D / grid.dx**2
         d = 1.0 + z * (-2.0 * off + phi / (2.0 * params.D))
         half_phase = 0.5 * config.dt * params.kp / (2.0 * params.D)
-        return CNOperator(z, off, half_phase, _reduce(z * off, d))
+        return CNOperator(0.5 * z * off, half_phase, _reduce(z * off, d))
 
 
 def _reduce(e: complex, d: np.ndarray) -> tuple:
@@ -151,19 +151,19 @@ def cn_step(psi: np.ndarray, op: CNOperator, rho: np.ndarray) -> np.ndarray:
 
     The Crank-Nicolson step is taken in Cayley form,
     (I + zH)^-1 (I - zH) = 2 (I + zH)^-1 - I: one solve
-    (I + zH) chi = psi_int - (z off/2)(psi_0 e_1 + psi_{n-1} e_m), the second
+    (I + zH) chi = psi_int - edge (psi_0 e_1 + psi_{n-1} e_m), the second
     term carrying the end cells' coupling into the first and last interior
     cells, and then psi_int_new = 2 chi - psi_int."""
-    new_psi = np.zeros(psi.size, dtype=complex)
+    new_psi = np.empty(psi.size, dtype=complex)
+    new_psi[0] = new_psi[-1] = 0.0
     b = new_psi[1:-1]  # the right-hand side, overwritten by the solve
     # a non-finite operator or wave ends the run through the caller's |psi|^2
     with np.errstate(all="ignore"):
         if op.half_phase:
             psi = psi * _pressure_phase(rho, op.half_phase)
         b[:] = psi[1:-1]
-        half = 0.5 * op.z * op.off
-        b[0] -= half * psi[0]
-        b[-1] -= half * psi[-1]
+        b[0] -= op.edge * psi[0]
+        b[-1] -= op.edge * psi[-1]
         _solve(op.plan, b)
         b *= 2.0
         b -= psi[1:-1]
@@ -223,8 +223,8 @@ def wave_trajectory(
     |psi|^2)`` for step 0 (the given ``psi`` itself) and every step that
     stays finite, and returns STATUS_OK or STATUS_NONFINITE."""
     op = cn_operator(config, params, grid)
-    # one |psi|^2 per step here: the caller's fields, mass and snapshot, and
-    # the next step's first pressure half phase
+    # one |psi|^2 per step here: the caller's density and the next step's
+    # first pressure half phase
     rho = _density(psi)
     yield 0, psi, rho
     for step in range(1, config.steps + 1):
@@ -259,7 +259,7 @@ def cross_check(
             step, _, rho = next(waves)
         except StopIteration as stop:
             return rows, "reference_" + stop.value
-        rows.append((step, state.t, density_distance(np.exp(state.ln_rho), rho, grid.dx)))
+        rows.append((step, state.t, density_distance(np.exp(state.ln_rho), rho)))
         try:
             _, state, *_ = next(fluid)
         except StopIteration as stop:

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import qfluid as qf
+import qfluid.reference as reference
 from qfluid.cli import _SWEEPABLE, build_parser, main
 from qfluid.presets import default_grid, default_params
 
@@ -192,7 +193,7 @@ def test_compare_streams_the_distances_the_snapshot_records_give(tmp_path, capsy
         config = qf.RunConfig(estimator="oracle_exact", steps=16)
     snapshots = qf.run(replace(config, snapshot_every=1), params, grid).snapshots
     expected = [
-        (step, qf.density_distance(snapshots[step][0], rho, grid.dx))
+        (step, qf.density_distance(snapshots[step][0], rho))
         for step, _, rho in qf.wave_trajectory(
             config, params, grid, qf.fluid_to_wave(qf.init_coherent_state(params, grid), grid, params)
         )
@@ -212,11 +213,14 @@ def test_compare_fig2_starts_both_solvers_from_the_noisy_state(tmp_path, capsys)
     assert float(rows[0][2]) <= 1e-15
 
 
-# dx^2 is subnormal, so D/dx^2 overflows in the CN operator: the reference
-# goes non-finite at step 1 while the closed-form-force fluid runs on
-@pytest.mark.filterwarnings("ignore:coherent packet:UserWarning")
-def test_compare_ends_with_the_reference_and_names_its_status(tmp_path, capsys):
-    assert main(["compare", "--dx", "1e-160", "--out", str(tmp_path)]) == 2
+def test_compare_ends_with_the_reference_and_names_its_status(tmp_path, capsys, monkeypatch):
+    # every tridiagonal solve returns NaN, so the reference goes non-finite
+    # at step 1 while the closed-form-force fluid runs on
+    def solve(plan, r):
+        r[:] = np.nan
+
+    monkeypatch.setattr(reference, "_solve", solve)
+    assert main(["compare", "--out", str(tmp_path)]) == 2
     summary = capsys.readouterr().out.splitlines()[0]
     assert summary.endswith(" -> FAIL status=reference_diverged_nonfinite")
     _, rows = read_csv(tmp_path / "compare.csv")
@@ -387,11 +391,13 @@ def test_a_finite_value_whose_square_overflows_is_refused(tmp_path, capsys, argv
 @pytest.mark.parametrize("command", ["run", "compare"])
 def test_a_dx_whose_square_underflows_is_refused(tmp_path, capsys, command):
     # the solvers divide by dx^2: compare used to raise ZeroDivisionError and
-    # run to stop at step 0 as a divergence.  At dx = 1e153 the default
-    # grid's end positions square to inf: both used to warn from numpy and
-    # end as a divergence
+    # run to stop at step 0 as a divergence.  At dx = 1e-160, dx^2 is
+    # subnormal and D/dx^2 overflows: both used to warn from numpy and end
+    # as a divergence, as they did at dx = 1e153, whose default grid's end
+    # positions square to inf
     for dx, error in (
         ("1e-300", "error: grid spacing is too small to square, got dx=1e-300\n"),
+        ("1e-160", "error: grid spacing is too small to square, got dx=1e-160\n"),
         ("1e153", "error: grid positions are too large to square, "
                   "got x0=-9.599999999999999e+154, dx=1e+153, n=192\n"),
     ):

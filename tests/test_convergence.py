@@ -61,7 +61,7 @@ def _oracle_errors(estimator):
         distances = []
         for _, state, _, m, _, _ in qf.trajectory(config, params, grid):
             exact, rho = oracle.density(grid.positions, state.t), np.exp(state.ln_rho)
-            distances.append([qf.density_distance(exact, d, grid.dx) for d in (rho, rho / m)])
+            distances.append([qf.density_distance(exact, d) for d in (rho, rho / m)])
         assert len(distances) == config.steps + 1
         errors.append(np.max(distances, axis=0))
     raw, shape = zip(*errors)

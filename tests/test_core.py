@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -38,9 +39,12 @@ def test_make_grid_rejects_bad_arguments():
         with pytest.raises(ValueError, match=r"dx\^2 must be finite"):
             build(0.0, 1e160, 10)
         assert build(0.0, 1e150, 10).dx == 1e150
-        # ... and one whose square underflows to 0
-        with pytest.raises(ValueError, match="too small to square, got dx=1e-300"):
-            build(0.0, 1e-300, 10)
+        # ... and one whose square underflows to 0 or to a subnormal (at
+        # dx = 1e-160, D/dx^2 overflows): dx^2 must be a normal float
+        for dx in (1e-300, 1e-160, math.nextafter(2.0**-511, 0.0)):
+            with pytest.raises(ValueError, match=re.escape(f"too small to square, got dx={dx}")):
+                build(0.0, dx, 10)
+        assert build(0.0, 2.0**-511, 10).dx ** 2 == sys.float_info.min
         assert build(0.0, 1e-150, 10).dx == 1e-150
         # end positions, or a span, whose square overflows: the trap, the
         # moments and the reference square them

@@ -224,7 +224,7 @@ def test_smoothness_increases_with_noise():
 def test_l2_distance_identical_records():
     grid = default_grid()
     rho = np.exp(-grid.positions**2 / 512.0)
-    assert qf.density_distance(rho, rho.copy(), grid.dx) == 0.0
+    assert qf.density_distance(rho, rho.copy()) == 0.0
 
 
 def test_l2_distance_shifted_gaussian():
@@ -240,7 +240,7 @@ def test_l2_distance_shifted_gaussian():
     analytic = math.sqrt(2.0 * (1.0 - math.exp(-1.0 / (4 * sigma**2))))
     assert oracle == pytest.approx(analytic, rel=1e-12)
 
-    dist = qf.density_distance(g0, g1, grid.dx)
+    dist = qf.density_distance(g0, g1)
     assert dist == pytest.approx(oracle, rel=1e-12)
     assert dist == pytest.approx(0.176, abs=0.002)
 

@@ -277,6 +277,37 @@ def test_cn_center_returns_after_one_period():
     assert var[-1] == pytest.approx(params.equilibrium_sigma2(), rel=0.01)
 
 
+def two_packet_psi(params, grid):
+    """psi of a lopsided two-packet start at rest, from its fluid fields:
+    rho ~ exp(-(x+10)^2/2 sigma^2) + exp(-(x-14)^2/2 sigma^2)/2, V = 0."""
+    x, s2 = grid.positions, params.equilibrium_sigma2()
+    rho = np.exp(-((x + 10.0) ** 2) / (2 * s2)) + 0.5 * np.exp(-((x - 14.0) ** 2) / (2 * s2))
+    return qf.fluid_to_wave(FluidState(0.0, np.log(rho), np.zeros(grid.n)), grid, params)
+
+
+@pytest.mark.parametrize("kp", [0.0, 1.0])
+def test_cn_center_of_a_two_packet_start_rides_the_pendulum_at_second_order(kp):
+    # in a harmonic trap the internal forces, quantum and pressure, do no
+    # net work on the center of mass (Kohn's theorem), so a start at rest
+    # keeps it on X0 cos(omega t) at any kp, whatever the shape.  Max error
+    # over T = 32 at dx = dt = 1/k, k = 1, 2, 4: 1.0e-2, 2.6e-3, 7.1e-4 at
+    # kp = 0 and 1.3e-2, 3.3e-3, 9.0e-4 at kp = 1
+    params = default_params(kp=kp)
+    errors = []
+    for k in (1, 2, 4):
+        grid = default_grid(1.0 / k, 192 * k)
+        config = qf.RunConfig(dt=1.0 / k, steps=32 * k)
+        x, centers, times = grid.positions, [], []
+        for step, _, rho in qf.wave_trajectory(config, params, grid, two_packet_psi(params, grid)):
+            centers.append(np.sum(x * rho) / np.sum(rho))
+            times.append(step * config.dt)
+        pendulum = centers[0] * np.cos(params.omega * np.array(times))
+        assert len(centers) == config.steps + 1
+        errors.append(np.max(np.abs(np.array(centers) - pendulum)))
+    orders = [math.log2(c / f) for c, f in zip(errors, errors[1:])]
+    assert min(orders) >= 1.7
+
+
 def test_wave_trajectory_yields_every_step_and_returns_ok():
     # with pressure, each step's first half phase comes from the rho
     # yielded before it
@@ -428,14 +459,12 @@ def test_cross_check_starts_the_reference_from_the_fluids_step_0(name, noise):
     assert rows[0][2] <= 1e-15
 
 
-# dx^2 is subnormal, so D/dx^2 overflows in the CN operator: the reference
-# goes non-finite at step 1 while the closed-form-force fluid runs on
-@pytest.mark.filterwarnings("ignore:coherent packet:UserWarning")
-def test_cross_check_ends_with_the_reference_and_returns_its_status():
-    params, grid = default_params(), default_grid(dx=1e-160)
-    rows, status = qf.cross_check(qf.RunConfig(estimator="oracle_exact", steps=16), params, grid)
-    assert status == "reference_diverged_nonfinite"
-    assert [row[0] for row in rows] == [0]
+def test_a_grid_whose_dx_squared_is_subnormal_is_refused_before_a_cross_check():
+    # D/dx^2 would overflow in the CN operator and end the reference at
+    # step 1; a reference that goes non-finite first is covered by
+    # test_cross_check_ends_with_a_reference_whose_solve_fails
+    with pytest.raises(ValueError, match="too small to square, got dx=1e-160"):
+        default_grid(dx=1e-160)
 
 
 def test_wave_trajectory_ends_on_an_operator_whose_potential_overflows():
