@@ -135,8 +135,8 @@ def _refuse_unread(setting: _Setting, command: str, where: str) -> None:
 
 def _read_config_file(path: str, command: str) -> dict:
     """Parsed values of a flat `key = value` file, by key; every key must be
-    a setting ``command`` reads."""
-    values = {}
+    a setting ``command`` reads, set on one line only."""
+    values, lines = {}, {}
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as err:
@@ -152,6 +152,9 @@ def _read_config_file(path: str, command: str) -> dict:
         if not (setting and setting.help):
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
         _refuse_unread(setting, command, f"{path}:{lineno}: {key}")
+        if key in lines:
+            raise ValueError(f"{path}:{lineno}: {key} is already set on line {lines[key]}")
+        lines[key] = lineno
         try:
             values[key] = setting.kind[0](value)
         except (ValueError, argparse.ArgumentTypeError) as err:
@@ -196,6 +199,16 @@ def _print_config(scenario: _Scenario, command: str) -> None:
         if value is not None and command in setting.commands:
             comment = "" if setting.help else "# "
             print(f"{comment}{setting.key} = {setting.kind[1](value)}")
+
+
+def _refuse_unusable_out(out: str) -> None:
+    """Refuse an output directory that is, or lies under, an existing
+    non-directory, before the run whose results could not be written."""
+    for path in (Path(out), *Path(out).parents):
+        if path.is_dir():
+            return
+        if path.exists() or path.is_symlink():
+            raise ValueError(f"cannot write to {out}: {path} is not a directory")
 
 
 def _write_csv(path: Path, header: str, *columns) -> str:
@@ -338,7 +351,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Parse ``argv``, resolve the scenario (and check a sweep's points),
-    answer --print-config, then hand the scenario to the command."""
+    answer --print-config, refuse an output directory that cannot be made,
+    then hand the scenario to the command."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -354,6 +368,7 @@ def main(argv=None) -> int:
                 _sweep_points(scenario, args)
             _print_config(scenario, args.command)
             return EXIT_OK
+        _refuse_unusable_out(scenario.out)
         return args.func(scenario, args)
     except DegenerateDensityError as err:
         print(f"error: degenerate initial density: {err}", file=sys.stderr)

@@ -24,7 +24,6 @@ from .core import PhysicalParams, SpatialGrid
 
 __all__ = [
     "Moments",
-    "ForceField",
     "DegenerateDensityError",
     "moments",
     "gaussian_fit_force",
@@ -45,23 +44,6 @@ class Moments:
 
     mean: float
     var: float
-
-
-@dataclass(frozen=True)
-class ForceField:
-    """Total force decomposition over the grid (acceleration units);
-    ``pressure`` is None where there is none (kp = 0)."""
-
-    external: np.ndarray
-    quantum: np.ndarray
-    pressure: np.ndarray | None
-
-    @property
-    def total(self) -> np.ndarray:
-        total = self.external + self.quantum
-        if self.pressure is not None:
-            total += self.pressure
-        return total
 
 
 def moments(ln_rho: np.ndarray, grid: SpatialGrid) -> Moments:

@@ -34,7 +34,6 @@ from .core import FluidState, PhysicalParams, RunConfig, SpatialGrid, mass
 from .diagnostics import RunRecord, center_energy_estimate, smoothness
 from .forces import (
     DegenerateDensityError,
-    ForceField,
     Moments,
     external_force,
     fd_quantum_force,
@@ -157,12 +156,12 @@ def build_force_field(
     measured: np.ndarray,
     ln_rho: np.ndarray,
     t: float,
-) -> ForceField:
-    """Assemble the total applied force at time ``t``: external trap +
-    quantum force by ``config.estimator`` + pressure (faded out smoothly
-    below the density gate) when kp != 0; at kp = 0 the field has no
-    pressure part.  The quantum term comes from the ``measured`` ln rho;
-    pressure acts on the true fluid ``ln_rho``."""
+) -> np.ndarray:
+    """The total applied force at time ``t``: (external trap + quantum force
+    by ``config.estimator``) + pressure, faded out below the density gate,
+    when kp != 0.  The quantum term comes from the ``measured`` ln rho and
+    pressure from the true fluid ``ln_rho``; the sum is built in the quantum
+    estimate's own array, which each estimator returns fresh."""
     ext = external_force(grid, params)
     if config.estimator == "gaussian_fit":
         quantum = gaussian_fit_force(measured, grid, params)
@@ -172,12 +171,12 @@ def build_force_field(
         quantum = OracleWave(params).force(grid.positions, t)
     else:  # none
         quantum = np.zeros(grid.n)
-    press = None
+    total = np.add(ext, quantum, out=quantum)
     if params.kp != 0.0:
         ln_gate = float(np.maximum.reduce(ln_rho)) + math.log(PRESSURE_GATE_REL)
         arg = np.minimum(np.maximum(-PRESSURE_GATE_SHARPNESS * (ln_rho - ln_gate), -60.0), 60.0)
-        press = pressure_force(ln_rho, grid, params) / (1.0 + np.exp(arg))
-    return ForceField(external=ext, quantum=quantum, pressure=press)
+        total += pressure_force(ln_rho, grid, params) / (1.0 + np.exp(arg))
+    return total
 
 
 def _extend_stencil_force(F: np.ndarray) -> np.ndarray:
@@ -237,8 +236,7 @@ def drift_kick_step(
     # center is the post-drift node time: the closed-form force is evaluated
     # there, consistent with the measured estimators reading the post-drift
     # density.
-    # only the total is kept, so the parts are freed before the kick
-    total_force = build_force_field(grid, params, config, measured_lnr, new_lnr, t_new).total
+    total_force = build_force_field(grid, params, config, measured_lnr, new_lnr, t_new)
     new_V = _velocity_update(state.V, total_force, dt, dx)
     if sponge_active(params, config):
         new_V *= _damping(grid.n)
@@ -295,7 +293,7 @@ def trajectory(
     # amplitude in apparent center error.  The yielded step-0 state is left
     # as it was.
     boot = build_force_field(grid, params, config, state.ln_rho, state.ln_rho, state.t)
-    state = FluidState(state.t, state.ln_rho, state.V + 0.5 * config.dt * boot.total)
+    state = FluidState(state.t, state.ln_rho, state.V + 0.5 * config.dt * boot)
     v_max = float(np.maximum.reduce(np.abs(state.V)))
 
     for step in range(1, config.steps + 1):

@@ -504,7 +504,8 @@ _NOISE_WORDS = "['initial', 'measurement', 'none', 'per-step']"
     ("noise = bogus\n", f"{{cfg}}:1: noise: unknown value 'bogus'; choose from {_NOISE_WORDS}"),
     (b"\xff\xfe", "cannot read config file {cfg}: 'utf-8' codec can't decode byte 0xff in position 0: "
                    "invalid start byte"),
-], ids=["missing", "no-equals", "unparseable", "estimator", "noise", "not-utf-8"])
+    ("steps = 3\nsteps = 4\n", "{cfg}:2: steps is already set on line 1"),
+], ids=["missing", "no-equals", "unparseable", "estimator", "noise", "not-utf-8", "twice"])
 def test_a_config_file_it_cannot_read_is_refused_by_line(tmp_path, capsys, text, error):
     cfg, out = tmp_path / "run.cfg", tmp_path / "out"
     if isinstance(text, bytes):
@@ -515,6 +516,21 @@ def test_a_config_file_it_cannot_read_is_refused_by_line(tmp_path, capsys, text,
     refused = capsys.readouterr()
     assert refused.out == "" and refused.err == f"error: {error.format(cfg=cfg)}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("layout", ["file", "under-file", "dangling-link"])
+@pytest.mark.parametrize("command", ["run", "compare", "sweep"])
+def test_an_output_directory_that_cannot_be_made_is_refused_before_the_run(tmp_path, capsys, command, layout):
+    afile, link = tmp_path / "afile", tmp_path / "link"
+    afile.write_text("kept\n")
+    link.symlink_to(tmp_path / "missing")
+    out, blocker = {"file": (afile, afile), "under-file": (afile / "out", afile), "dangling-link": (link, link)}[layout]
+    sweep = ["--param", "kp", "--values", "0,1"] if command == "sweep" else []
+    assert main([command, "--steps", "2", *sweep, "--out", str(out)]) == 1
+    refused = capsys.readouterr()
+    assert refused.out == ""
+    assert refused.err == f"error: cannot write to {out}: {blocker} is not a directory\n"
+    assert afile.read_text() == "kept\n" and not (tmp_path / "missing").exists()
 
 
 @pytest.mark.parametrize("flag, words", [("--estimator", _ESTIMATOR_WORDS), ("--noise", _NOISE_WORDS)],

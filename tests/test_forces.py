@@ -297,13 +297,3 @@ def test_rigid_transport_identity():
     m = qf.moments(state.ln_rho, grid)
     assert np.allclose(total, -params.omega**2 * m.mean, atol=1e-6)
 
-
-def test_force_field_total():
-    ext = np.array([1.0, 2.0])
-    quantum = np.array([0.5, -1.0])
-    press = np.array([0.0, 0.25])
-    field = qf.ForceField(external=ext, quantum=quantum, pressure=press)
-    assert np.allclose(field.total, [1.5, 1.25])
-    # without pressure the total is the other two parts alone
-    field = qf.ForceField(external=ext, quantum=quantum, pressure=None)
-    assert np.array_equal(field.total, [1.5, 1.0])

@@ -3,6 +3,7 @@ the formula it states, on random fields and on fields holding +/-0, +/-inf
 and NaN, and allocates no more n-sized arrays than counted here at
 compare-fine's n = 12288."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 
 import qfluid as qf
 from qfluid import integrator, reference
-from qfluid.presets import default_params
+from qfluid.presets import default_grid, default_params
 
 SPECIALS = (0.0, -0.0, np.inf, -np.inf, np.nan)
 
@@ -116,15 +117,50 @@ def test_the_wave_density_and_the_forces_give_the_bits_of_their_formulas(seed, s
     n = 64
     psi = field(rng, n, specials).astype(complex)
     psi.imag = field(rng, n, specials)
-    ext, quantum, press, x = (field(rng, n, specials) for _ in range(4))
+    x = field(rng, n, specials)
     wave = qf.OracleWave(qf.PhysicalParams(D=0.7, omega=1.3, a=0.4))
     with np.errstate(all="ignore"):
         assert bits(reference._density(psi)) == bits(np.abs(psi) ** 2)
-        assert bits(qf.ForceField(ext, quantum, press).total) == bits((ext + quantum) + press)
-        assert bits(qf.ForceField(ext, quantum, None).total) == bits(ext + quantum)
         for t in (0.0, 0.9, 2.5):
             assert bits(wave.force(x, t)) == bits(1.3**2 * (x - wave.center(t)))
             assert bits(wave.force(x[1], t)) == bits(1.3**2 * (x[1] - wave.center(t)))
+
+
+def quantum_estimate(estimator, measured, grid, params, t):
+    """The quantum force ``estimator`` gives for the ``measured`` ln rho."""
+    if estimator == "gaussian_fit":
+        return qf.gaussian_fit_force(measured, grid, params)
+    if estimator == "finite_difference":
+        return integrator._extend_stencil_force(qf.fd_quantum_force(measured, grid, params))
+    if estimator == "oracle_exact":
+        return qf.OracleWave(params).force(grid.positions, t)
+    return np.zeros(grid.n)
+
+
+def gated_pressure_formula(ln_rho, grid, params):
+    ln_gate = np.max(ln_rho) + math.log(integrator.PRESSURE_GATE_REL)
+    arg = np.clip(-integrator.PRESSURE_GATE_SHARPNESS * (ln_rho - ln_gate), -60.0, 60.0)
+    return qf.pressure_force(ln_rho, grid, params) / (1.0 + np.exp(arg))
+
+
+@pytest.mark.parametrize("kp", [0.0, 1.0])
+@pytest.mark.parametrize("estimator", qf.core.ESTIMATORS)
+def test_the_total_force_gives_the_bits_of_its_formula(estimator, kp):
+    # the total is (external + quantum) + gated pressure, the pressure term
+    # absent at kp = 0, and is a fresh writable array: the cached, read-only
+    # trap force is neither returned nor written
+    params, grid = default_params(kp=kp), default_grid()
+    ln_rho = qf.init_coherent_state(params, grid, 0.0).ln_rho
+    measured = ln_rho + np.random.default_rng(5).uniform(0.0, 0.1, grid.n)
+    ext = qf.external_force(grid, params)
+    cached = ext.tobytes()
+    total = qf.build_force_field(grid, params, qf.RunConfig(estimator=estimator), measured, ln_rho, 0.9)
+    want = ext + quantum_estimate(estimator, measured, grid, params, 0.9)
+    if kp:
+        want += gated_pressure_formula(ln_rho, grid, params)
+    assert bits(total) == bits(want)
+    assert total.flags.writeable and not np.shares_memory(total, ext)
+    assert ext.tobytes() == cached and qf.external_force(grid, params) is ext
 
 
 N = 12288

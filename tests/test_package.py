@@ -6,7 +6,7 @@ import qfluid as qf
 MODULES = (qf.core, qf.diagnostics, qf.forces, qf.integrator, qf.oracle, qf.presets, qf.reference)
 
 PUBLIC_NAMES = [
-    "CNOperator", "DegenerateDensityError", "FluidState", "ForceField", "Moments", "OracleWave",
+    "CNOperator", "DegenerateDensityError", "FluidState", "Moments", "OracleWave",
     "PhysicalParams", "RunConfig", "RunRecord", "SpatialGrid", "build_force_field",
     "center_energy_estimate", "cn_operator", "cn_step", "cross_check", "default_grid",
     "default_params", "density_distance", "drift_kick_step", "external_force",
