@@ -107,7 +107,8 @@ class PhysicalParams:
         for name in ("D", "omega", "a", "kp"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        for name in ("D", "omega"):  # the forces square them, and float ** 2 raises on overflow
+        # the forces square D and omega, the energies a, and float ** 2 raises on overflow
+        for name in ("D", "omega", "a"):
             if not math.isfinite(getattr(self, name) * getattr(self, name)):
                 raise ValueError(f"{name} is too large to square, got {getattr(self, name)}")
         if self.D <= 0:
@@ -184,6 +185,8 @@ class RunConfig:
             raise ValueError("noise_amplitude must be non-negative")
         if self.snapshot_every < 0:
             raise ValueError("snapshot_every must be >= 0")
+        if self.seed < 0:  # numpy's generators take no negative seed
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 def mass(ln_rho: np.ndarray, grid: SpatialGrid) -> float:

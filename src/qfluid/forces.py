@@ -88,7 +88,7 @@ def gaussian_fit_force(ln_rho: np.ndarray, grid: SpatialGrid, params: PhysicalPa
 def fd_log_gradient(ln_rho: np.ndarray, grid: SpatialGrid) -> np.ndarray:
     """H = grad ln rho by central differences; boundary entries are 0."""
     H = np.zeros(ln_rho.shape)
-    H[1:-1] = (ln_rho[2:] - ln_rho[:-2]) / (2 * grid.dx)
+    H[1:-1] = _log_gradient(ln_rho, grid.dx)
     return H
 
 
@@ -96,9 +96,7 @@ def fd_quantum_potential(H: np.ndarray, grid: SpatialGrid, params: PhysicalParam
     """Q = -D^2 (grad.H + H^2/2) from a log-gradient field; zero where the
     stencil would touch the H boundary entries."""
     Q = np.zeros(H.shape)
-    Q[2:-2] = -params.D**2 * (
-        (H[3:-1] - H[1:-3]) / (2 * grid.dx) + 0.5 * H[2:-2] ** 2
-    )
+    Q[2:-2] = _quantum_potential(H[1:-1], grid.dx, params.D)
     return Q
 
 
@@ -107,19 +105,50 @@ def fd_quantum_force(ln_rho: np.ndarray, grid: SpatialGrid, params: PhysicalPara
     Q at j+/-1, then the central difference (Q_{j-1} - Q_{j+1})/(2 dx).
 
     The chain consumes ln rho at j-3..j+3, so the outermost 3 points per
-    side carry zero force; every grid has at least 7 points.
+    side carry zero force; every grid has at least 7 points.  Each stage is
+    built once, on the cells the next one reads: H on cells 1..n-2, Q on
+    2..n-3 and F, in its result, on 3..n-4.
     """
-    H = fd_log_gradient(ln_rho, grid)
-    Q = fd_quantum_potential(H, grid, params)
-    F = np.zeros(Q.shape)
-    F[3:-3] = (Q[2:-4] - Q[4:-2]) / (2 * grid.dx)
+    Q = _quantum_potential(_log_gradient(ln_rho, grid.dx), grid.dx, params.D)
+    F = np.empty(ln_rho.shape)
+    out = F[3:-3]
+    np.subtract(Q[:-2], Q[2:], out=out)
+    out /= 2 * grid.dx
+    F[:3] = 0.0
+    F[-3:] = 0.0
     return F
 
 
+def _log_gradient(ln_rho: np.ndarray, dx: float) -> np.ndarray:
+    """(ln_rho[2:] - ln_rho[:-2]) / (2 dx): H on cells 1..n-2 of ln_rho."""
+    H = np.subtract(ln_rho[2:], ln_rho[:-2])
+    H /= 2 * dx
+    return H
+
+
+def _quantum_potential(H: np.ndarray, dx: float, D: float) -> np.ndarray:
+    """-D^2 ((H[2:] - H[:-2]) / (2 dx) + 0.5 H[1:-1]^2): Q on the inner
+    cells of the H cells given, built in place in the order of that
+    formula, without writing into H."""
+    Q = np.subtract(H[2:], H[:-2])
+    Q /= 2 * dx
+    half_square = np.square(H[1:-1])
+    half_square *= 0.5
+    Q += half_square
+    Q *= -D**2
+    return Q
+
+
 def pressure_force(ln_rho: np.ndarray, grid: SpatialGrid, params: PhysicalParams) -> np.ndarray:
-    """Isentropic pressure force -kp * grad ln rho (central differences)."""
-    F = np.zeros(ln_rho.shape)
-    F[1:-1] = -params.kp * (ln_rho[2:] - ln_rho[:-2]) / (2 * grid.dx)
+    """Isentropic pressure force -kp * grad ln rho (central differences),
+    -kp (ln_rho[2:] - ln_rho[:-2]) / (2 dx) built in place in the interior;
+    boundary entries are 0."""
+    F = np.empty(ln_rho.shape)
+    out = F[1:-1]
+    np.subtract(ln_rho[2:], ln_rho[:-2], out=out)
+    out *= -params.kp
+    out /= 2 * grid.dx
+    F[0] = F[-1] = 0.0
     return F
 
 

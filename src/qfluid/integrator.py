@@ -90,9 +90,6 @@ SPONGE_STRENGTH = 1.0
 # boundary cell of ln rho, which the continuity update fills by
 # extrapolation rather than by physics.
 STENCIL_EDGE = 4
-# offsets of the band's cells from the first valid cell on each side
-_EDGE_OFFSETS_LEFT = np.arange(-STENCIL_EDGE, 0)
-_EDGE_OFFSETS_RIGHT = np.arange(1, STENCIL_EDGE + 1)
 
 
 def _continuity_update(ln_rho: np.ndarray, V: np.ndarray, dt: float, dx: float) -> np.ndarray:
@@ -161,7 +158,9 @@ def build_force_field(
     by ``config.estimator``) + pressure, faded out below the density gate,
     when kp != 0.  The quantum term comes from the ``measured`` ln rho and
     pressure from the true fluid ``ln_rho``; the sum is built in the quantum
-    estimate's own array, which each estimator returns fresh."""
+    estimate's own array, which each estimator returns fresh.  The gate
+    1 + exp(clip(-sharpness (ln_rho - ln_gate), -60, 60)) is built in place
+    in one scratch array and divides ``pressure_force``'s own array."""
     ext = external_force(grid, params)
     if config.estimator == "gaussian_fit":
         quantum = gaussian_fit_force(measured, grid, params)
@@ -174,8 +173,15 @@ def build_force_field(
     total = np.add(ext, quantum, out=quantum)
     if params.kp != 0.0:
         ln_gate = float(np.maximum.reduce(ln_rho)) + math.log(PRESSURE_GATE_REL)
-        arg = np.minimum(np.maximum(-PRESSURE_GATE_SHARPNESS * (ln_rho - ln_gate), -60.0), 60.0)
-        total += pressure_force(ln_rho, grid, params) / (1.0 + np.exp(arg))
+        gate = np.subtract(ln_rho, ln_gate)
+        gate *= -PRESSURE_GATE_SHARPNESS
+        np.maximum(gate, -60.0, out=gate)
+        np.minimum(gate, 60.0, out=gate)
+        np.exp(gate, out=gate)
+        gate += 1.0
+        pressure = pressure_force(ln_rho, grid, params)
+        pressure /= gate
+        total += pressure
     return total
 
 
@@ -187,10 +193,17 @@ def _extend_stencil_force(F: np.ndarray) -> np.ndarray:
     few steps; the packet's quantum force is linear in x, so linear
     extrapolation leaves no seed."""
     k = STENCIL_EDGE
-    left = F[k] + _EDGE_OFFSETS_LEFT * (F[k + 1] - F[k])
-    right = F[-k - 1] + _EDGE_OFFSETS_RIGHT * (F[-k - 1] - F[-k - 2])
-    F[:k] = left
-    F[-k:] = right
+    # F[k] + o (F[k+1] - F[k]) at the offset o of each band cell from the
+    # first valid cell on its side, in Python floats: the IEEE operations
+    # numpy would do, without building arrays for 8 values.  All four reads
+    # come first, as the bands overlap on a 7-cell grid.
+    first, second = F[k : k + 2].tolist()
+    second_last, last = F[-k - 2 : -k].tolist()
+    d_left, d_right = second - first, last - second_last
+    for o in range(-k, 0):
+        F[k + o] = first + o * d_left
+    for o in range(1, k + 1):
+        F[o - k - 1] = last + o * d_right
     return F
 
 

@@ -364,7 +364,8 @@ def test_sweep_print_config_prints_the_run_settings_and_runs_nothing(tmp_path, c
     (["--param", "M", "--values", "x"], "error: cannot sweep 'M'"),
     (["--param", "kp", "--values", "1,x"], "error: sweep point kp=x: "),
     (["--param", "D", "--values", "25,-1"], "error: sweep point D=-1: "),
-], ids=["param", "values", "point"])
+    (["--param", "seed", "--values=-1"], "error: sweep point seed=-1: seed must be non-negative, got -1\n"),
+], ids=["param", "values", "point", "seed"])
 def test_sweep_print_config_refuses_what_the_sweep_refuses(tmp_path, capsys, sweep, error):
     out = ["--out", str(tmp_path)]
     assert main(["sweep", *sweep, *out]) == 1
@@ -385,6 +386,18 @@ def test_a_finite_value_whose_square_overflows_is_refused(tmp_path, capsys, argv
     # OverflowError where numpy would give inf
     assert main([*argv, "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err.startswith(error)
+    assert not (tmp_path / "out").exists()
+
+
+def test_an_amplitude_whose_square_overflows_is_refused_in_one_line(tmp_path):
+    # the energies square a.  At a = 1e300 the packet's positions used to
+    # overflow: a warning that it does not fit the grid, two numpy warnings,
+    # and a refusal as a degenerate initial density.  Warnings reach the
+    # console only, so it runs in its own process.
+    argv = ["run", "--a", "1e300", "--steps", "2", "--out", str(tmp_path / "out")]
+    proc = subprocess.run([sys.executable, "-m", "qfluid", *argv], capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stderr == "error: a is too large to square, got 1e+300\n"
     assert not (tmp_path / "out").exists()
 
 

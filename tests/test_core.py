@@ -98,9 +98,9 @@ def test_params_validation():
         for bad in (math.nan, math.inf):
             with pytest.raises(ValueError):
                 qf.PhysicalParams(**{"D": 1.0, "omega": 1.0, field: bad})
-    # finite, but the forces square D and omega: a Python float's x ** 2
-    # raises OverflowError instead of returning inf
-    for field in ("D", "omega"):
+    # finite, but the forces square D and omega, and the energies a: a
+    # Python float's x ** 2 raises OverflowError instead of returning inf
+    for field in ("D", "omega", "a"):
         with pytest.raises(ValueError, match=f"{field} is too large to square"):
             qf.PhysicalParams(**{"D": 1.0, "omega": 1.0, field: 1e155})
     assert qf.PhysicalParams(D=1e150, omega=1e150).D == 1e150
@@ -121,6 +121,8 @@ def test_run_config_validation():
         RunConfig(snapshot_every=-1)
     with pytest.raises(ValueError, match="^noise_amplitude must be non-negative$"):
         RunConfig(noise_amplitude=-1)
+    with pytest.raises(ValueError, match="^seed must be non-negative, got -1$"):
+        RunConfig(seed=-1)
     for field in ("dt", "noise_amplitude"):
         for bad in (math.nan, math.inf):
             with pytest.raises(ValueError):

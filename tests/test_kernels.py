@@ -1,6 +1,6 @@
-"""The large-n kernels build their results in place: each gives the bits of
-the formula it states, on random fields and on fields holding +/-0, +/-inf
-and NaN, and allocates no more n-sized arrays than counted here at
+"""The kernels build their results in place: each gives the bits of the
+formula it states, on random fields and on fields holding +/-0, +/-inf and
+NaN, and allocates no more n-sized arrays than counted here at
 compare-fine's n = 12288."""
 
 import math
@@ -17,10 +17,12 @@ SPECIALS = (0.0, -0.0, np.inf, -np.inf, np.nan)
 
 
 def field(rng, n, specials=SPECIALS):
-    """n random values with each of ``specials`` at two random cells."""
+    """n random values with each of ``specials`` at two random cells, or at
+    one where n has no room for two."""
+    copies = 2 if n >= 2 * len(specials) else 1
     values = rng.standard_normal(n) * 10.0 ** rng.integers(-3, 4, n)
-    cells = rng.choice(n, size=2 * len(specials), replace=False)
-    values[cells] = np.repeat(specials, 2)
+    cells = rng.choice(n, size=copies * len(specials), replace=False)
+    values[cells] = np.repeat(specials, copies)
     return values
 
 
@@ -59,6 +61,41 @@ def moments_formula(ln_rho, grid):
     mean = float(np.add.reduce(w * x)) / total
     var = float(np.add.reduce(w * (x - mean) ** 2)) / total
     return total, mean, var
+
+
+def log_gradient_formula(ln_rho, dx):
+    H = np.zeros(ln_rho.shape)
+    H[1:-1] = (ln_rho[2:] - ln_rho[:-2]) / (2 * dx)
+    return H
+
+
+def quantum_potential_formula(H, dx, D):
+    Q = np.zeros(H.shape)
+    Q[2:-2] = -D**2 * ((H[3:-1] - H[1:-3]) / (2 * dx) + 0.5 * H[2:-2] ** 2)
+    return Q
+
+
+def stencil_force_formula(ln_rho, dx, D):
+    Q = quantum_potential_formula(log_gradient_formula(ln_rho, dx), dx, D)
+    F = np.zeros(Q.shape)
+    F[3:-3] = (Q[2:-4] - Q[4:-2]) / (2 * dx)
+    return F
+
+
+def stencil_edge_formula(F):
+    """F[k] + o (F[k+1] - F[k]) at offsets o = -k..-1 from the first valid
+    cell k, and its mirror image on the right, both read from F as given."""
+    k = integrator.STENCIL_EDGE
+    out = F.copy()
+    out[:k] = F[k] + np.arange(-k, 0) * (F[k + 1] - F[k])
+    out[-k:] = F[-k - 1] + np.arange(1, k + 1) * (F[-k - 1] - F[-k - 2])
+    return out
+
+
+def pressure_formula(ln_rho, dx, kp):
+    F = np.zeros(ln_rho.shape)
+    F[1:-1] = -kp * (ln_rho[2:] - ln_rho[:-2]) / (2 * dx)
+    return F
 
 
 def density_distance_formula(rho_a, rho_b):
@@ -131,7 +168,7 @@ def quantum_estimate(estimator, measured, grid, params, t):
     if estimator == "gaussian_fit":
         return qf.gaussian_fit_force(measured, grid, params)
     if estimator == "finite_difference":
-        return integrator._extend_stencil_force(qf.fd_quantum_force(measured, grid, params))
+        return stencil_edge_formula(stencil_force_formula(measured, grid.dx, params.D))
     if estimator == "oracle_exact":
         return qf.OracleWave(params).force(grid.positions, t)
     return np.zeros(grid.n)
@@ -140,7 +177,7 @@ def quantum_estimate(estimator, measured, grid, params, t):
 def gated_pressure_formula(ln_rho, grid, params):
     ln_gate = np.max(ln_rho) + math.log(integrator.PRESSURE_GATE_REL)
     arg = np.clip(-integrator.PRESSURE_GATE_SHARPNESS * (ln_rho - ln_gate), -60.0, 60.0)
-    return qf.pressure_force(ln_rho, grid, params) / (1.0 + np.exp(arg))
+    return pressure_formula(ln_rho, grid.dx, params.kp) / (1.0 + np.exp(arg))
 
 
 @pytest.mark.parametrize("kp", [0.0, 1.0])
@@ -161,6 +198,29 @@ def test_the_total_force_gives_the_bits_of_its_formula(estimator, kp):
     assert bits(total) == bits(want)
     assert total.flags.writeable and not np.shares_memory(total, ext)
     assert ext.tobytes() == cached and qf.external_force(grid, params) is ext
+
+
+@pytest.mark.parametrize("n", [64, 7])
+@pytest.mark.parametrize("seed, specials", CASES)
+def test_the_stencil_chain_and_the_pressure_give_the_bits_of_their_formulas(seed, specials, n):
+    # n = 7 is the smallest grid: one stencil cell, and edge bands that overlap
+    rng = np.random.default_rng(seed)
+    ln_rho, H, F = (field(rng, n, specials) for _ in range(3))
+    params = qf.PhysicalParams(D=0.7, omega=1.3, kp=1.7)
+    config = qf.RunConfig(estimator="finite_difference")
+    for dx in (1 / 64, 0.7, 1e-3):
+        grid = qf.make_grid(-3.0, dx, n)
+        with np.errstate(all="ignore"):
+            got = [qf.fd_log_gradient(ln_rho, grid), qf.fd_quantum_potential(H, grid, params),
+                   qf.fd_quantum_force(ln_rho, grid, params), integrator._extend_stencil_force(F.copy()),
+                   qf.pressure_force(ln_rho, grid, params),
+                   qf.build_force_field(grid, params, config, H, ln_rho, 0.0)]
+            want = [log_gradient_formula(ln_rho, dx), quantum_potential_formula(H, dx, 0.7),
+                    stencil_force_formula(ln_rho, dx, 0.7), stencil_edge_formula(F),
+                    pressure_formula(ln_rho, dx, 1.7),
+                    qf.external_force(grid, params) + quantum_estimate(config.estimator, H, grid, params, 0.0)
+                    + gated_pressure_formula(ln_rho, grid, params)]
+        assert [bits(g) for g in got] == [bits(w) for w in want]
 
 
 N = 12288
@@ -185,13 +245,16 @@ def peak_arrays(call):
     ("_continuity_update", 2),
     ("_velocity_update", 2),
     ("moments", 2),
+    ("fd_quantum_force", 3),
+    ("pressure_force", 1),
     ("density_distance", 1),
 ])
 def test_each_kernel_allocates_no_more_than_its_result_and_a_scratch_array(kernel, arrays):
     # at n = 12288 an n-float array is 98 KB: a kernel that builds one
     # temporary per operation frees them back to the system and faults them
     # in again on the next step.  The step holds the new ln rho, the total
-    # force and the new V, plus the kick's scratch array.
+    # force and the new V, plus the kick's scratch array.  The stencil chain
+    # holds H, Q and the half square of H, then Q and its result.
     params = default_params()
     dx = 1 / 64
     grid = qf.make_grid(-(N // 2) * dx, dx, N)
@@ -204,6 +267,8 @@ def test_each_kernel_allocates_no_more_than_its_result_and_a_scratch_array(kerne
         "_continuity_update": lambda: integrator._continuity_update(state.ln_rho, state.V, dx, dx),
         "_velocity_update": lambda: integrator._velocity_update(state.V, rho, dx, dx),
         "moments": lambda: qf.moments(state.ln_rho, grid),
+        "fd_quantum_force": lambda: qf.fd_quantum_force(state.ln_rho, grid, params),
+        "pressure_force": lambda: qf.pressure_force(state.ln_rho, grid, params),
         "density_distance": lambda: qf.density_distance(rho, mirrored),
     }
     assert peak_arrays(calls[kernel]) == arrays
