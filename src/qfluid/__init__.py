@@ -6,6 +6,10 @@ The flagship experiment is the non-spreading oscillating wave packet in a
 harmonic trap, including its robustness to density noise, the effect of an
 isentropic pressure term, and cross-validation against a direct solver of
 the equivalent generalized Schrodinger equation.
+
+Each module lists its own public names in its ``__all__``, and the package
+exports exactly those, each from one module.  qfluid needs numpy alone: no
+module imports scipy.
 """
 
 from . import core, diagnostics, forces, integrator, oracle, presets, reference

@@ -3,7 +3,8 @@
 The simulated system is a 1D compressible fluid on a uniform grid, stored as
 (ln rho, V).  Log-density is the native variable: both update equations and
 both quantum-force estimators consume ln rho directly, and it keeps the deep
-Gaussian tails representable.
+Gaussian tails representable.  This module holds types and their checks
+only; the packet itself is stated in ``oracle``.
 """
 
 from __future__ import annotations
@@ -146,7 +147,10 @@ class RunConfig:
     estimator        how the quantum force is obtained each step:
                      gaussian_fit      moments of the measured density
                      finite_difference log-derivative stencils on the grid
-                     oracle_exact      closed-form coherent-packet force
+                     oracle_exact      closed-form force of the kp = 0
+                                       coherent packet, at every kp; at
+                                       kp > 0 it is not the exact force
+                                       (``OracleWave.force``)
                      none              no quantum force (classical fluid)
     noise            multiplicative exp(alpha) density perturbations,
                      alpha ~ U[0, noise_amplitude] at every cell: none,
@@ -156,7 +160,8 @@ class RunConfig:
     snapshot_every   store (rho, V) snapshots every k steps (0 = off)
 
     The absorbing boundary strip is not a setting: ``integrator.sponge_active``
-    derives it from the pressure and the estimator.
+    derives it from the pressure and the estimator.  Every setting is
+    checked here, so no solver checks it again.
     """
 
     dt: float = 1.0

@@ -23,7 +23,7 @@ __all__ = [
 @dataclass(frozen=True)
 class RunRecord:
     """Time series of diagnostics for one fluid run of ``params`` (step 0 =
-    initial state).
+    initial state), a frozen value built complete by ``integrator.run``.
 
     Series all have length steps_survived + 1.  snapshots maps step index to
     (rho, V) arrays at the snapshot cadence.  status holds the per-step
@@ -78,11 +78,11 @@ def center_energy_estimate(state: FluidState, grid: SpatialGrid, params: Physica
     x[2:-2] (held at the band's end value beyond it).  Interpolation reads
     Q only at the two band nodes j, j+1 that bracket the mean, so both are
     evaluated in scalar arithmetic from the six ln rho cells j-2..j+3 they
-    need, with the operations of ``fd_log_gradient`` and
-    ``fd_quantum_potential`` in their order (``h * h`` is numpy's square).
-    Both interpolations repeat ``np.interp``'s scalar formula, so the result
-    is the same bits the full-grid chain and ``np.interp`` give.  A V(xbar)
-    whose square overflows gives inf, as numpy's square would.
+    need, with the operations of ``fd_quantum_force``'s H and Q stages in
+    their order (``h * h`` is numpy's square).  Both interpolations repeat
+    ``np.interp``'s scalar formula, so the result is the same bits the
+    full-grid chain and ``np.interp`` give.  A V(xbar) whose square
+    overflows gives inf, as numpy's square would.
     """
     m = moments(state.ln_rho, grid)
     mean = m.mean

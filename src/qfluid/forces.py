@@ -10,6 +10,7 @@ Three ingredients act on the fluid velocity:
 
 Both quantum estimators and the pressure force depend on the density only
 through ratios or log-derivatives, so they are invariant under rho -> c*rho.
+Every measurement takes the ln rho array it measures, not a ``FluidState``.
 """
 
 from __future__ import annotations
@@ -27,8 +28,6 @@ __all__ = [
     "DegenerateDensityError",
     "moments",
     "gaussian_fit_force",
-    "fd_log_gradient",
-    "fd_quantum_potential",
     "fd_quantum_force",
     "pressure_force",
     "external_force",
@@ -83,21 +82,6 @@ def gaussian_fit_force(ln_rho: np.ndarray, grid: SpatialGrid, params: PhysicalPa
     """
     m = moments(ln_rho, grid)
     return params.D**2 * (grid.positions - m.mean) / m.var**2
-
-
-def fd_log_gradient(ln_rho: np.ndarray, grid: SpatialGrid) -> np.ndarray:
-    """H = grad ln rho by central differences; boundary entries are 0."""
-    H = np.zeros(ln_rho.shape)
-    H[1:-1] = _log_gradient(ln_rho, grid.dx)
-    return H
-
-
-def fd_quantum_potential(H: np.ndarray, grid: SpatialGrid, params: PhysicalParams) -> np.ndarray:
-    """Q = -D^2 (grad.H + H^2/2) from a log-gradient field; zero where the
-    stencil would touch the H boundary entries."""
-    Q = np.zeros(H.shape)
-    Q[2:-2] = _quantum_potential(H[1:-1], grid.dx, params.D)
-    return Q
 
 
 def fd_quantum_force(ln_rho: np.ndarray, grid: SpatialGrid, params: PhysicalParams) -> np.ndarray:

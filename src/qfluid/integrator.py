@@ -45,6 +45,8 @@ from .oracle import OracleWave, init_coherent_state
 
 __all__ = ["drift_kick_step", "build_force_field", "trajectory", "run"]
 
+# The statuses of a step and of a run's end; other modules import these
+# names rather than spell them.
 STATUS_OK = "ok"
 STATUS_CFL = "cfl_warning"
 STATUS_NONFINITE = "diverged_nonfinite"
@@ -273,7 +275,8 @@ def trajectory(
     unmeasurable density, non-finite fields, variance blow-up or a single-step
     mass jump; never raises for those.  Raises ``DegenerateDensityError`` for an
     initial state it cannot measure, e.g. a packet narrower than a tenth of a
-    cell, and ValueError for a supplied state whose fields do not fit the grid.
+    cell, and ValueError for a supplied state whose fields do not fit the grid
+    or whose mass is not finite and positive.
     """
     if state is None:
         state = init_coherent_state(params, grid, 0.0)
@@ -293,7 +296,13 @@ def trajectory(
         state = FluidState(state.t, state.ln_rho + draw_noise(), state.V)
 
     m = moments(state.ln_rho, grid)
-    prev_mass = mass(state.ln_rho, grid)
+    # exp(ln rho) leaves the float range some 700 e-folds from a unit
+    # density, where the moments, taken relative to the peak, still measure;
+    # the mass-jump check cannot divide by the inf or 0 mass that results
+    with np.errstate(over="ignore"):
+        prev_mass = mass(state.ln_rho, grid)
+    if not 0.0 < prev_mass < math.inf:
+        raise ValueError(f"start state's mass must be finite and positive, got {prev_mass}")
     yield 0, state, m, prev_mass, float(np.maximum.reduce(np.abs(state.V))), STATUS_OK
     var0 = m.var
 
@@ -349,7 +358,7 @@ def run(
     ``config.snapshot_every`` steps (0 = never) a (rho, V) snapshot is kept
     too, as exp(ln rho) and a copy of V, since the step-0 state may hold the
     caller's own arrays.  Raises ``DegenerateDensityError`` for an initial
-    state it cannot measure."""
+    state it cannot measure and ValueError for one ``trajectory`` refuses."""
     rows, status, snapshots = [], [], {}
     steps = trajectory(config, params, grid, state)
     while True:

@@ -32,7 +32,8 @@ _PACKAGE_DIR = os.path.dirname(__file__) + os.sep
 
 @dataclass(frozen=True)
 class OracleWave:
-    """Evaluator for the exact coherent-packet solution of one scenario."""
+    """Evaluator for the exact coherent-packet solution of one scenario, the
+    one place qfluid states it."""
 
     params: PhysicalParams
 
@@ -80,7 +81,13 @@ class OracleWave:
     def force(self, x, t):
         """Quantum force -dQ/dx = omega^2 (x - center); cancels the external
         harmonic force up to a spatially uniform remainder, which is what
-        transports the packet rigidly."""
+        transports the packet rigidly.
+
+        It is the kp = 0 packet's force, which ``oracle_exact`` applies at
+        every kp before adding the fluid's pressure.  At kp > 0 the exact
+        packet is a gausson (Bialynicki-Birula and Mycielski, Ann. Phys.
+        100, 62, 1976) whose width follows its own law, so its force
+        differs: there this is not the exact force."""
         p = self.params
         force = np.asarray(x, dtype=float) - self.center(t)
         force *= p.omega**2

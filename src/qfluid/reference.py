@@ -247,7 +247,8 @@ def cross_check(
     step both solvers reached, and the status of the solver that ended
     first: the fluid's, or the reference's prefixed "reference_".  Only the
     rows are kept, so memory stays flat in the number of steps.  Raises
-    ValueError for per-step noise, which only the fluid would carry."""
+    ValueError for per-step noise, which only the fluid would carry.  It is
+    qfluid's one cross-check path, the one ``qfluid compare`` runs."""
     if config.noise == "per_step":
         raise ValueError("cannot cross-check noise = per_step: the wave equation carries no noise")
     fluid = trajectory(config, params, grid)

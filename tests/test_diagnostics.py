@@ -72,12 +72,13 @@ def test_center_energy_estimate_zero_amplitude():
 
 
 def _full_grid_center_energy(state, grid, params):
-    """center_energy_estimate's formula with the stencil chain run over the
-    whole grid."""
+    """center_energy_estimate's formula with H and Q written as plain numpy
+    expressions over the whole grid, Q on the stencil band x[2:-2]."""
     m = qf.moments(state.ln_rho, grid)
-    x = grid.positions
-    Q = qf.fd_quantum_potential(qf.fd_log_gradient(state.ln_rho, grid), grid, params)
-    q_at_mean = float(np.interp(m.mean, x[2:-2], Q[2:-2]))
+    x, ln_rho, dx = grid.positions, state.ln_rho, grid.dx
+    H = (ln_rho[2:] - ln_rho[:-2]) / (2 * dx)
+    Q = -params.D**2 * ((H[2:] - H[:-2]) / (2 * dx) + 0.5 * H[1:-1] ** 2)
+    q_at_mean = float(np.interp(m.mean, x[2:-2], Q))
     v_at_mean = float(np.interp(m.mean, x, state.V))
     return 0.5 * v_at_mean**2 + 0.5 * params.omega**2 * m.mean**2 + q_at_mean
 

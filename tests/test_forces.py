@@ -7,6 +7,7 @@ import pytest
 
 import qfluid as qf
 from qfluid.core import FluidState
+from qfluid.forces import _log_gradient, _quantum_potential
 from qfluid.presets import default_grid, default_params
 
 
@@ -119,43 +120,45 @@ def test_gaussian_fit_force_index_units_identity():
     assert np.allclose(index_units, physical, rtol=1e-12, atol=1e-14)
 
 
-def test_fd_log_gradient_linear_density():
+# the stencil chain's private stages: _log_gradient gives H on cells
+# 1..n-2 and _quantum_potential Q on cells 2..n-3
+
+
+def test_log_gradient_linear_density():
     grid = qf.make_grid(-20.0, 0.5, 81)
     s = 0.37
-    ln_rho = s * grid.positions
-    H = qf.fd_log_gradient(ln_rho, grid)
-    assert np.allclose(H[1:-1], s, rtol=1e-12)
-    assert H[0] == 0.0 and H[-1] == 0.0
+    H = _log_gradient(s * grid.positions, grid.dx)
+    assert len(H) == grid.n - 2
+    assert np.allclose(H, s, rtol=1e-12)
 
 
-def test_fd_log_gradient_uniform_and_packet():
+def test_log_gradient_uniform_and_packet():
     params = default_params()
     grid = default_grid()
-    assert np.all(qf.fd_log_gradient(np.zeros(grid.n), grid) == 0.0)
+    assert np.all(_log_gradient(np.zeros(grid.n), grid.dx) == 0.0)
     state = qf.init_coherent_state(params, grid, 0.0)
-    H = qf.fd_log_gradient(state.ln_rho, grid)
+    H = _log_gradient(state.ln_rho, grid.dx)
     expected = -(params.omega / params.D) * (grid.positions - params.a)
-    assert np.allclose(H[1:-1], expected[1:-1], atol=1e-10)
+    assert np.allclose(H, expected[1:-1], atol=1e-10)
 
 
-def test_fd_quantum_potential_exponential_density():
+def test_quantum_potential_exponential_density():
     params = default_params()
     grid = qf.make_grid(-48.0, 1.0, 97)
     b = 0.21
-    ln_rho = b * grid.positions
-    H = qf.fd_log_gradient(ln_rho, grid)
-    Q = qf.fd_quantum_potential(H, grid, params)
-    assert np.allclose(Q[2:-2], -params.D**2 * b**2 / 2, rtol=1e-10)
+    Q = _quantum_potential(_log_gradient(b * grid.positions, grid.dx), grid.dx, params.D)
+    assert len(Q) == grid.n - 4
+    assert np.allclose(Q, -params.D**2 * b**2 / 2, rtol=1e-10)
 
 
-def test_fd_quantum_potential_uniform_and_packet_center():
+def test_quantum_potential_uniform_and_packet_center():
     params = default_params()
     grid = default_grid()
-    H0 = qf.fd_log_gradient(np.zeros(grid.n), grid)
-    assert np.all(qf.fd_quantum_potential(H0, grid, params) == 0.0)
+    H0 = _log_gradient(np.zeros(grid.n), grid.dx)
+    assert np.all(_quantum_potential(H0, grid.dx, params.D) == 0.0)
     state = qf.init_coherent_state(params, grid, 0.0)
-    Q = qf.fd_quantum_potential(qf.fd_log_gradient(state.ln_rho, grid), grid, params)
-    q_at_center = np.interp(params.a, grid.positions, Q)
+    Q = _quantum_potential(_log_gradient(state.ln_rho, grid.dx), grid.dx, params.D)
+    q_at_center = np.interp(params.a, grid.positions[2:-2], Q)
     assert q_at_center == pytest.approx(params.D * params.omega, rel=1e-9)
 
 

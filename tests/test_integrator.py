@@ -1,6 +1,7 @@
 """Drift-kick stepper and the feedback loop (`trajectory`, `run`): its noise, floor and record."""
 
 import math
+import warnings
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
@@ -212,6 +213,24 @@ def test_run_refuses_a_supplied_state_it_cannot_weigh():
         next(qf.trajectory(qf.RunConfig(steps=4), params, grid, nan_state))
 
 
+@pytest.mark.parametrize("shift, mass", [(720.0, "inf"), (-760.0, "0.0")], ids=["overflow", "underflow"])
+def test_run_refuses_a_supplied_state_whose_mass_is_not_a_finite_positive_number(shift, mass):
+    # exp(ln rho) leaves the float range about 709 e-folds from a unit
+    # density, where the moments, taken relative to the peak, still measure:
+    # one ValueError naming the mass before anything is yielded, and no
+    # numpy warning on the way
+    params, grid = default_params(), default_grid()
+    state = qf.init_coherent_state(params, grid, 0.0)
+    shifted = FluidState(state.t, state.ln_rho + shift, state.V)
+    match = f"^start state's mass must be finite and positive, got {mass}$"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=match):
+            qf.run(qf.RunConfig(steps=4), params, grid, state=shifted)
+        with pytest.raises(ValueError, match=match):
+            next(qf.trajectory(qf.RunConfig(steps=4), params, grid, shifted))
+
+
 @pytest.mark.parametrize("ln_rho_cells, V_cells", [(191, 192), (192, 193)], ids=["ln_rho", "V"])
 def test_run_refuses_a_supplied_state_that_does_not_fit_the_grid(ln_rho_cells, V_cells):
     params, grid = default_params(), default_grid()
@@ -295,6 +314,36 @@ def test_run_convergence_under_refinement():
     e_coarse = max_err(1.0, 1.0, 16)
     e_fine = max_err(0.5, 0.5, 32)
     assert e_coarse / e_fine >= 1.8
+
+
+@pytest.mark.parametrize("kp", [0.0, 1.0])
+def test_fitted_center_of_a_two_packet_start_rides_the_pendulum_at_first_order(kp):
+    # in a harmonic trap the quantum and pressure forces do no net work on
+    # the center of mass (Kohn's theorem), so a start at rest keeps it on
+    # X0 cos(omega t) whatever its shape; the Gaussian-fit loop tracks that
+    # at the Lax-Friedrichs scheme's first order.  Max error over T = 32 at
+    # dx = 1/k, dt = 1/(4k), k = 1, 2, 4: 0.117, 0.063, 0.033 at kp = 0 and
+    # 0.330, 0.179, 0.093 at kp = 1, orders 0.89-0.94; the bound is 0.8.
+    # (dt = dx dies on this start, at t = 11, 8 and 6.5.)
+    params = default_params(kp=kp)
+    errors = []
+    for k in (1, 2, 4):
+        grid = default_grid(1.0 / k, 192 * k)
+        x, s2 = grid.positions, params.equilibrium_sigma2()
+        rho = np.exp(-((x + 10.0) ** 2) / (2 * s2)) + 0.5 * np.exp(-((x - 14.0) ** 2) / (2 * s2))
+        config = qf.RunConfig(dt=1.0 / (4 * k), steps=128 * k, estimator="gaussian_fit")
+        steps = qf.trajectory(config, params, grid, FluidState(0.0, np.log(rho), np.zeros(grid.n)))
+        times, centers = [], []
+        with pytest.raises(StopIteration) as stop:
+            while True:
+                _, state, m, *_ = next(steps)
+                times.append(state.t)
+                centers.append(m.mean)
+        assert stop.value.value == "ok" and len(centers) == config.steps + 1
+        pendulum = centers[0] * np.cos(params.omega * np.array(times))
+        errors.append(np.max(np.abs(np.array(centers) - pendulum)))
+    orders = [math.log2(c / f) for c, f in zip(errors, errors[1:])]
+    assert min(orders) >= 0.8
 
 
 def test_run_mass_drift_shrinks_under_refinement():

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import qfluid as qf
-from qfluid import integrator, reference
+from qfluid import forces, integrator, reference
 from qfluid.presets import default_grid, default_params
 
 SPECIALS = (0.0, -0.0, np.inf, -np.inf, np.nan)
@@ -211,11 +211,11 @@ def test_the_stencil_chain_and_the_pressure_give_the_bits_of_their_formulas(seed
     for dx in (1 / 64, 0.7, 1e-3):
         grid = qf.make_grid(-3.0, dx, n)
         with np.errstate(all="ignore"):
-            got = [qf.fd_log_gradient(ln_rho, grid), qf.fd_quantum_potential(H, grid, params),
+            got = [forces._log_gradient(ln_rho, dx), forces._quantum_potential(H[1:-1], dx, 0.7),
                    qf.fd_quantum_force(ln_rho, grid, params), integrator._extend_stencil_force(F.copy()),
                    qf.pressure_force(ln_rho, grid, params),
                    qf.build_force_field(grid, params, config, H, ln_rho, 0.0)]
-            want = [log_gradient_formula(ln_rho, dx), quantum_potential_formula(H, dx, 0.7),
+            want = [log_gradient_formula(ln_rho, dx)[1:-1], quantum_potential_formula(H, dx, 0.7)[2:-2],
                     stencil_force_formula(ln_rho, dx, 0.7), stencil_edge_formula(F),
                     pressure_formula(ln_rho, dx, 1.7),
                     qf.external_force(grid, params) + quantum_estimate(config.estimator, H, grid, params, 0.0)

@@ -10,7 +10,7 @@ PUBLIC_NAMES = [
     "PhysicalParams", "RunConfig", "RunRecord", "SpatialGrid", "build_force_field",
     "center_energy_estimate", "cn_operator", "cn_step", "cross_check", "default_grid",
     "default_params", "density_distance", "drift_kick_step", "external_force",
-    "fd_log_gradient", "fd_quantum_force", "fd_quantum_potential", "fluid_to_wave", "gaussian_fit_force",
+    "fd_quantum_force", "fluid_to_wave", "gaussian_fit_force",
     "init_coherent_state", "make_grid", "mass", "moments", "preset", "preset_names", "pressure_force",
     "run", "smoothness", "trajectory", "wave_to_fluid", "wave_trajectory",
 ]
