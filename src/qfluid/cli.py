@@ -69,7 +69,7 @@ def _choice(flags: dict[str, str]):
 
 
 _FLOAT = (float, _fmt)
-_INT = (int, str)
+_INT = (int, str)  # int() refuses "4.0": as a flag, a config key or a swept value
 _TEXT = (str, str)
 _BOOL = (None, lambda value: str(value).lower())
 

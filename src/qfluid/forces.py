@@ -52,11 +52,12 @@ def moments(ln_rho: np.ndarray, grid: SpatialGrid) -> Moments:
     shift of ln rho (a global density rescaling) cancels exactly.  The
     weights w = exp(ln rho - max), then w x, then w (x - mean)^2 are built
     in place in two arrays, in the operations and order of those formulas.
+    The peak's weight exp(0) = 1 makes the total NaN (refused) or >= 1.
     """
     w = ln_rho - np.maximum.reduce(ln_rho)
     np.exp(w, out=w)
     total = float(np.add.reduce(w))
-    if not math.isfinite(total) or total <= 0:
+    if not math.isfinite(total):
         raise DegenerateDensityError("density weights are not summable")
     x = grid.positions
     wx = w * x
@@ -98,8 +99,7 @@ def fd_quantum_force(ln_rho: np.ndarray, grid: SpatialGrid, params: PhysicalPara
     out = F[3:-3]
     np.subtract(Q[:-2], Q[2:], out=out)
     out /= 2 * grid.dx
-    F[:3] = 0.0
-    F[-3:] = 0.0
+    F[:3] = F[-3:] = 0.0
     return F
 
 

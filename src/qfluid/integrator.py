@@ -161,8 +161,9 @@ def build_force_field(
     when kp != 0.  The quantum term comes from the ``measured`` ln rho and
     pressure from the true fluid ``ln_rho``; the sum is built in the quantum
     estimate's own array, which each estimator returns fresh.  The gate
-    1 + exp(clip(-sharpness (ln_rho - ln_gate), -60, 60)) is built in place
-    in one scratch array and divides ``pressure_force``'s own array."""
+    1 + exp(min(-sharpness (ln_rho - ln_gate), 60)) is built in place in one
+    scratch array and divides ``pressure_force``'s own array; as ln rho <=
+    max, its argument is inf, NaN or >= 2 sharpness ln PRESSURE_GATE_REL."""
     ext = external_force(grid, params)
     if config.estimator == "gaussian_fit":
         quantum = gaussian_fit_force(measured, grid, params)
@@ -177,7 +178,6 @@ def build_force_field(
         ln_gate = float(np.maximum.reduce(ln_rho)) + math.log(PRESSURE_GATE_REL)
         gate = np.subtract(ln_rho, ln_gate)
         gate *= -PRESSURE_GATE_SHARPNESS
-        np.maximum(gate, -60.0, out=gate)
         np.minimum(gate, 60.0, out=gate)
         np.exp(gate, out=gate)
         gate += 1.0
@@ -249,8 +249,7 @@ def drift_kick_step(
 
     # The kick spans [t + dt/2, t + 3dt/2] in staggered-velocity time, so its
     # center is the post-drift node time: the closed-form force is evaluated
-    # there, consistent with the measured estimators reading the post-drift
-    # density.
+    # there, as the measured estimators read the post-drift density.
     total_force = build_force_field(grid, params, config, measured_lnr, new_lnr, t_new)
     new_V = _velocity_update(state.V, total_force, dt, dx)
     if sponge_active(params, config):
@@ -273,10 +272,10 @@ def trajectory(
     finite (NaN and inf reach a maximum; the floor lifts -inf).  Starts from the
     exact coherent packet unless a state is supplied.  Stops early on an
     unmeasurable density, non-finite fields, variance blow-up or a single-step
-    mass jump; never raises for those.  Raises ``DegenerateDensityError`` for an
-    initial state it cannot measure, e.g. a packet narrower than a tenth of a
-    cell, and ValueError for a supplied state whose fields do not fit the grid
-    or whose mass is not finite and positive.
+    mass jump; never raises for those.  At its first ``next``, not at the call,
+    it raises ``DegenerateDensityError`` for an initial state it cannot measure
+    (a packet narrower than a tenth of a cell, say) and ValueError for a state
+    whose fields do not fit the grid or whose mass is not finite and positive.
     """
     if state is None:
         state = init_coherent_state(params, grid, 0.0)

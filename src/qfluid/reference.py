@@ -44,10 +44,8 @@ __all__ = [
 # extracting a velocity or evaluating ln|psi|
 AMPLITUDE_FLOOR = 1e-14
 
-# the cyclic reduction stops at this many rows and inverts what is left.
-# The plan is built once per run, so the inverse's O(m^3) cost no longer
-# bounds m; 32 stays because the solve's rounding, and so every byte of a
-# compare.csv, depends on it
+# the cyclic reduction stops at this many rows and inverts what is left; the
+# solve's rounding, and so every byte of a compare.csv, depends on the value
 _BASE_ROWS = 32
 
 
@@ -60,8 +58,8 @@ class CNOperator:
         H psi_j = off (psi_{j+1} + psi_{j-1}) + diag_j psi_j,
         off = -D/dx^2,   diag = -2 off + phi/(2D),
 
-    `plan` the cyclic reduction of I + zH, built once, and edge = z off/2 the
-    end cells' weight in the first and last interior rows.  The pressure
+    `plan` the cyclic reduction of I + zH, built once, and edge = z off the
+    end cells' weight in ``cn_step``'s doubled right-hand side.  The pressure
     term w = kp ln|psi|^2 enters only as the phase exp(-i half_phase ln|psi|^2)
     taken before and after each solve, half_phase = (dt/2) kp/(2D)."""
 
@@ -80,7 +78,7 @@ def cn_operator(config: RunConfig, params: PhysicalParams, grid: SpatialGrid) ->
         z, off = 0.5j * config.dt, -params.D / grid.dx**2
         d = 1.0 + z * (-2.0 * off + phi / (2.0 * params.D))
         half_phase = 0.5 * config.dt * params.kp / (2.0 * params.D)
-        return CNOperator(0.5 * z * off, half_phase, _reduce(z * off, d))
+        return CNOperator(z * off, half_phase, _reduce(z * off, d))
 
 
 def _reduce(e: complex, d: np.ndarray) -> tuple:
@@ -149,11 +147,12 @@ def cn_step(psi: np.ndarray, op: CNOperator, rho: np.ndarray) -> np.ndarray:
     rho = |psi|^2: with pressure, a half phase from rho, the Crank-Nicolson
     step and a half phase from the new |psi|^2.
 
-    The Crank-Nicolson step is taken in Cayley form,
-    (I + zH)^-1 (I - zH) = 2 (I + zH)^-1 - I: one solve
-    (I + zH) chi = psi_int - edge (psi_0 e_1 + psi_{n-1} e_m), the second
-    term carrying the end cells' coupling into the first and last interior
-    cells, and then psi_int_new = 2 chi - psi_int."""
+    The Crank-Nicolson step, in Cayley form (I + zH)^-1 (I - zH) =
+    2 (I + zH)^-1 - I, is one solve (I + zH) chi = 2 psi_int - edge (psi_0 e_1
+    + psi_{n-1} e_m), the second term carrying the end cells' coupling into
+    the first and last interior cells, then psi_int_new = chi - psi_int.
+    Doubling is exact and the solve linear, so chi is twice the solve of half
+    that right-hand side to the bit unless an intermediate is subnormal."""
     new_psi = np.empty(psi.size, dtype=complex)
     new_psi[0] = new_psi[-1] = 0.0
     b = new_psi[1:-1]  # the right-hand side, overwritten by the solve
@@ -161,11 +160,10 @@ def cn_step(psi: np.ndarray, op: CNOperator, rho: np.ndarray) -> np.ndarray:
     with np.errstate(all="ignore"):
         if op.half_phase:
             psi = psi * _pressure_phase(rho, op.half_phase)
-        b[:] = psi[1:-1]
+        np.multiply(psi[1:-1], 2.0, out=b)
         b[0] -= op.edge * psi[0]
         b[-1] -= op.edge * psi[-1]
         _solve(op.plan, b)
-        b *= 2.0
         b -= psi[1:-1]
         if op.half_phase:
             new_psi *= _pressure_phase(_density(new_psi), op.half_phase)
@@ -221,7 +219,10 @@ def wave_trajectory(
     """Integrate the wave equation from ``psi`` for ``config.steps`` steps
     of ``config.dt``, one step at a time.  Yields ``(step, psi, rho =
     |psi|^2)`` for step 0 (the given ``psi`` itself) and every step that
-    stays finite, and returns STATUS_OK or STATUS_NONFINITE."""
+    stays finite, and returns STATUS_OK or STATUS_NONFINITE; a ``psi`` not
+    of the grid's length raises ValueError before step 0."""
+    if psi.size != grid.n:
+        raise ValueError(f"psi has {psi.size} values, but the grid has {grid.n} cells")
     op = cn_operator(config, params, grid)
     # one |psi|^2 per step here: the caller's density and the next step's
     # first pressure half phase

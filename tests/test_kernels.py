@@ -174,10 +174,33 @@ def quantum_estimate(estimator, measured, grid, params, t):
     return np.zeros(grid.n)
 
 
-def gated_pressure_formula(ln_rho, grid, params):
+def gate_argument(ln_rho):
+    """-sharpness (ln rho - ln_gate), the gate's argument before any clip."""
     ln_gate = np.max(ln_rho) + math.log(integrator.PRESSURE_GATE_REL)
-    arg = np.clip(-integrator.PRESSURE_GATE_SHARPNESS * (ln_rho - ln_gate), -60.0, 60.0)
+    return -integrator.PRESSURE_GATE_SHARPNESS * (ln_rho - ln_gate)
+
+
+def gated_pressure_formula(ln_rho, grid, params):
+    # the clip stays two-sided: the code clips only above, so its bit
+    # equality with this formula shows that the lower clip never acts
+    arg = np.clip(gate_argument(ln_rho), -60.0, 60.0)
     return pressure_formula(ln_rho, grid.dx, params.kp) / (1.0 + np.exp(arg))
+
+
+def test_the_gate_argument_never_reads_below_the_lower_clip():
+    # ln rho <= max, so the argument is at least sharpness ln REL, less at
+    # most as much again where max + ln REL rounds (scale 1e14 reads -16); a
+    # cell at +-inf or NaN gives +inf or NaN, which no lower clip changes
+    rel, sharpness = integrator.PRESSURE_GATE_REL, integrator.PRESSURE_GATE_SHARPNESS
+    assert 2.0 * sharpness * -math.log(rel) < 60.0
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        for specials in ((), SPECIALS, (np.inf,), (-np.inf,), (np.nan,)):
+            for scale in (1.0, 1e14, 1e300):
+                ln_rho = field(rng, 64, specials) * scale
+                with np.errstate(all="ignore"):
+                    arg = gate_argument(ln_rho)
+                assert not np.any(arg < 2.0 * sharpness * math.log(rel))
 
 
 @pytest.mark.parametrize("kp", [0.0, 1.0])
@@ -221,6 +244,42 @@ def test_the_stencil_chain_and_the_pressure_give_the_bits_of_their_formulas(seed
                     qf.external_force(grid, params) + quantum_estimate(config.estimator, H, grid, params, 0.0)
                     + gated_pressure_formula(ln_rho, grid, params)]
         assert [bits(g) for g in got] == [bits(w) for w in want]
+
+
+def cn_step_formula(psi, op, rho, dt, dx, D):
+    """The Cayley step unfolded: the half phase, a copy of psi_int less the
+    end cells' coupling (z off/2) psi_0 and (z off/2) psi_{n-1}, z = i dt/2
+    and off = -D/dx^2, the solve, x2, -psi_int, and the half phase from the
+    new |psi|^2."""
+    if op.half_phase:
+        psi = psi * reference._pressure_phase(rho, op.half_phase)
+    half_edge = 0.5 * (0.5j * dt) * (-D / dx**2)
+    b = psi[1:-1].copy()
+    b[0] -= half_edge * psi[0]
+    b[-1] -= half_edge * psi[-1]
+    reference._solve(op.plan, b)
+    new = np.zeros(psi.size, dtype=complex)
+    new[1:-1] = 2.0 * b - psi[1:-1]
+    if op.half_phase:
+        new = new * reference._pressure_phase(np.abs(new) ** 2, op.half_phase)
+    return new
+
+
+@pytest.mark.parametrize("kp", [0.0, 1.0])
+@pytest.mark.parametrize("seed", range(6))
+def test_cn_step_gives_the_bits_of_its_unfolded_formula(seed, kp):
+    # the step doubles its right-hand side as it copies it; the solve is
+    # linear and doubling exact, so on normal-range values that folding
+    # keeps every bit.  n = 7 is inverted whole, n = 192 and 1000 are reduced
+    rng = np.random.default_rng(seed)
+    params = default_params(kp=kp)
+    for n, dt in ((7, 0.5), (192, 1.0), (1000, 0.25)):
+        grid = default_grid(n=n)
+        op = reference.cn_operator(qf.RunConfig(dt=dt), params, grid)
+        psi = field(rng, n, ()) + 1j * field(rng, n, ())
+        rho = np.abs(psi) ** 2
+        want = cn_step_formula(psi, op, rho, dt, grid.dx, params.D)
+        assert bits(qf.cn_step(psi, op, rho).view(float)) == bits(want.view(float))
 
 
 N = 12288

@@ -448,6 +448,15 @@ def test_wave_trajectory_starts_from_the_psi_it_is_given():
     assert np.array_equal(rho, np.abs(psi0) ** 2)
 
 
+@pytest.mark.parametrize("size", [191, 193])
+def test_wave_trajectory_refuses_a_psi_that_does_not_fit_the_grid(size):
+    # before step 0 is yielded, not inside the first step's solve
+    params, grid = default_params(), default_grid()
+    waves = qf.wave_trajectory(qf.RunConfig(steps=4), params, grid, np.ones(size, dtype=complex))
+    with pytest.raises(ValueError, match=f"^psi has {size} values, but the grid has 192 cells$"):
+        next(waves)
+
+
 @pytest.mark.parametrize("name, noise", [("fig1", "none"), ("fig2", "initial"), ("fig3", "measurement")])
 def test_cross_check_starts_the_reference_from_the_fluids_step_0(name, noise):
     # every noise mode compare accepts, fig2's noisy start included: the
