@@ -26,6 +26,7 @@ from .core import PhysicalParams, SpatialGrid
 __all__ = [
     "Moments",
     "DegenerateDensityError",
+    "NonFiniteDensityError",
     "moments",
     "gaussian_fit_force",
     "fd_quantum_force",
@@ -35,6 +36,10 @@ __all__ = [
 
 class DegenerateDensityError(ValueError):
     """Density has collapsed to (near) a point; sigma^-4 force would explode."""
+
+
+class NonFiniteDensityError(DegenerateDensityError):
+    """Density weights are not summable: max ln rho is NaN or +-inf."""
 
 
 @dataclass(frozen=True)
@@ -52,13 +57,14 @@ def moments(ln_rho: np.ndarray, grid: SpatialGrid) -> Moments:
     shift of ln rho (a global density rescaling) cancels exactly.  The
     weights w = exp(ln rho - max), then w x, then w (x - mean)^2 are built
     in place in two arrays, in the operations and order of those formulas.
-    The peak's weight exp(0) = 1 makes the total NaN (refused) or >= 1.
+    The peak's weight exp(0) = 1 makes the total >= 1, or NaN exactly when
+    max ln rho is not finite: the one non-finite rule, NonFiniteDensityError.
     """
     w = ln_rho - np.maximum.reduce(ln_rho)
     np.exp(w, out=w)
     total = float(np.add.reduce(w))
     if not math.isfinite(total):
-        raise DegenerateDensityError("density weights are not summable")
+        raise NonFiniteDensityError("density weights are not summable")
     x = grid.positions
     wx = w * x
     mean = float(np.add.reduce(wx)) / total

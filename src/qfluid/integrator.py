@@ -35,6 +35,7 @@ from .diagnostics import RunRecord, center_energy_estimate, smoothness
 from .forces import (
     DegenerateDensityError,
     Moments,
+    NonFiniteDensityError,
     external_force,
     fd_quantum_force,
     gaussian_fit_force,
@@ -71,20 +72,17 @@ RHO_FLOOR = 1e-12
 # quantum forces are never gated: their sum is spatially uniform for a
 # coherent packet, so they transport the tails rigidly with the core and no
 # shear layer forms; gating them would create exactly the kind of force
-# transition the pressure gate exists to soften.
+# transition the pressure gate exists to soften.  The fade is a logistic
+# one e-fold of ln rho wide: the wider it is, the weaker the density ridge
+# where actuated fluid pushes against unactuated fluid, which the stencil
+# estimator re-reads with D^2 amplification.
 PRESSURE_GATE_REL = 1e-6
-# Logistic fade width of the gate in ln rho: the wider the transition, the
-# weaker the density ridge that forms where actuated fluid pushes against
-# unactuated fluid (the stencil estimator re-reads sharp ridges with D^2
-# amplification).
-PRESSURE_GATE_SHARPNESS = 1.0
 
 # Absorbing strip: velocities in the outermost cells are damped each step
-# (quadratic ramp, factor 1/(1+s), s -> SPONGE_STRENGTH at the edge) so that
-# whatever momentum the gated tail fluid still picks up cannot pile up
-# against the open boundary.  See ``sponge_active`` for when it is on.
+# (quadratic ramp, factor 1/(1+s), s -> 1 at the edge) so that whatever
+# momentum the gated tail fluid still picks up cannot pile up against the
+# open boundary.  See ``sponge_active`` for when it is on.
 SPONGE_CELLS = 8
-SPONGE_STRENGTH = 1.0
 
 # Cells per side on which the loop replaces the stencil estimator's output
 # by a linear extrapolation of the first valid values: the stencil itself
@@ -161,9 +159,9 @@ def build_force_field(
     when kp != 0.  The quantum term comes from the ``measured`` ln rho and
     pressure from the true fluid ``ln_rho``; the sum is built in the quantum
     estimate's own array, which each estimator returns fresh.  The gate
-    1 + exp(min(-sharpness (ln_rho - ln_gate), 60)) is built in place in one
-    scratch array and divides ``pressure_force``'s own array; as ln rho <=
-    max, its argument is inf, NaN or >= 2 sharpness ln PRESSURE_GATE_REL."""
+    1 + exp(min(ln_gate - ln_rho, 60)) is built in place in one scratch
+    array and divides ``pressure_force``'s own array; as ln rho <= max, its
+    argument is inf, NaN or >= 2 ln PRESSURE_GATE_REL."""
     ext = external_force(grid, params)
     if config.estimator == "gaussian_fit":
         quantum = gaussian_fit_force(measured, grid, params)
@@ -176,8 +174,7 @@ def build_force_field(
     total = np.add(ext, quantum, out=quantum)
     if params.kp != 0.0:
         ln_gate = float(np.maximum.reduce(ln_rho)) + math.log(PRESSURE_GATE_REL)
-        gate = np.subtract(ln_rho, ln_gate)
-        gate *= -PRESSURE_GATE_SHARPNESS
+        gate = np.subtract(ln_gate, ln_rho)
         np.minimum(gate, 60.0, out=gate)
         np.exp(gate, out=gate)
         gate += 1.0
@@ -211,11 +208,10 @@ def _extend_stencil_force(F: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=16)
 def _damping(n: int) -> np.ndarray:
-    """Per-step velocity factor 1/(1+s) of the absorbing boundary strip."""
-    s = np.zeros(n)
-    ramp = (np.arange(1, SPONGE_CELLS + 1) / SPONGE_CELLS) ** 2 * SPONGE_STRENGTH
-    s[:SPONGE_CELLS] = ramp[::-1]
-    s[-SPONGE_CELLS:] = np.maximum(s[-SPONGE_CELLS:], ramp)
+    """Per-step velocity factor 1/(1+s) of the absorbing strip: s -> 1 at the
+    edge, ((SPONGE_CELLS - d)/SPONGE_CELLS)^2 d < SPONGE_CELLS cells from it."""
+    d = np.minimum(np.arange(n), np.arange(n)[::-1])
+    s = (np.maximum(SPONGE_CELLS - d, 0) / SPONGE_CELLS) ** 2
     damp = 1.0 / (1.0 + s)
     damp.flags.writeable = False
     return damp
@@ -239,8 +235,9 @@ def drift_kick_step(
     """One protocol step: drift ln rho with the current V (clamped from below
     at ``ln_floor``), measure the drifted density plus ``measurement_noise``,
     kick V with the force estimated from it.  Returns the new state, possibly
-    non-finite, without touching ``state``; raises ``DegenerateDensityError``
-    when the force cannot be measured."""
+    non-finite, without touching ``state``.  The fit estimator raises
+    ``NonFiniteDensityError`` for a non-finite measured density and
+    ``DegenerateDensityError`` for a delta-like one."""
     dt, dx = config.dt, grid.dx
     new_lnr = _continuity_update(state.ln_rho, state.V, dt, dx)
     np.maximum(new_lnr, ln_floor, out=new_lnr)
@@ -268,11 +265,11 @@ def trajectory(
     Yields ``(step, state, moments, mass, max_abs_V, status)`` for step 0 and
     for every step that survives, and returns the run's final status ("ok" or
     a divergence label).  max |V|, taken once per state, is the record's column
-    and the next step's CFL flag; with max ln rho it checks that the state is
-    finite (NaN and inf reach a maximum; the floor lifts -inf).  Starts from the
-    exact coherent packet unless a state is supplied.  Stops early on an
-    unmeasurable density, non-finite fields, variance blow-up or a single-step
-    mass jump; never raises for those.  At its first ``next``, not at the call,
+    and the next step's CFL flag.  Starts from the exact coherent packet unless
+    a state is supplied.  A step ends the run unyielded, never raising: as
+    "diverged_nonfinite" on a non-finite max |V| or a ``NonFiniteDensityError``
+    of any ``moments`` call; as "diverged_dispersion" on a delta-like density,
+    a variance blow-up or a mass jump.  At its first ``next``, not at the call,
     it raises ``DegenerateDensityError`` for an initial state it cannot measure
     (a packet narrower than a tenth of a cell, say) and ValueError for a state
     whose fields do not fit the grid or whose mass is not finite and positive.
@@ -328,9 +325,11 @@ def trajectory(
         try:
             new_state = drift_kick_step(state, grid, params, config, noise, ln_floor)
             v_max = float(np.maximum.reduce(np.abs(new_state.V)))
-            if not (math.isfinite(np.maximum.reduce(new_state.ln_rho)) and math.isfinite(v_max)):
+            if not math.isfinite(v_max):
                 return STATUS_NONFINITE
             m = moments(new_state.ln_rho, grid)
+        except NonFiniteDensityError:
+            return STATUS_NONFINITE
         except DegenerateDensityError:
             return STATUS_DISPERSION
         new_mass = mass(new_state.ln_rho, grid)

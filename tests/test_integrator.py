@@ -9,7 +9,7 @@ import pytest
 
 import qfluid as qf
 from qfluid.core import FluidState
-from qfluid.integrator import PRESSURE_GATE_REL, PRESSURE_GATE_SHARPNESS, RHO_FLOOR, sponge_active
+from qfluid.integrator import PRESSURE_GATE_REL, RHO_FLOOR, sponge_active
 from qfluid.presets import default_grid, default_params
 
 
@@ -69,6 +69,29 @@ def test_lax_step_flags_nonfinite():
     state.V[5] = np.nan
     rec = qf.run(*oracle_setup(1.0, steps=3), state=state)
     assert (rec.final_status, rec.steps_survived, rec.status) == ("diverged_nonfinite", 0, ["ok"])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("noise", ["none", "measurement"])
+@pytest.mark.parametrize("estimator", qf.core.ESTIMATORS)
+def test_a_density_that_goes_nonfinite_ends_the_run_alike_under_every_estimator(estimator, noise):
+    # at dt = 1e200 the first drift overflows ln rho: the fit's own moments
+    # and the record's refuse it by one rule, so every loop names the cause
+    config = qf.RunConfig(dt=1e200, steps=5, estimator=estimator, noise=noise)
+    rec = qf.run(config, default_params(), default_grid())
+    assert (rec.final_status, rec.steps_survived) == ("diverged_nonfinite", 0)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_density_that_alone_overflows_ends_the_run_as_nonfinite():
+    # a uniform V = -1e307 against a ln rho slope of 0.1 per cell drifts ln
+    # rho to +inf in one step, while V, which no force reads ln rho for,
+    # stays finite: the record's own moments refuse the density
+    state = FluidState(0.0, 0.1 * np.arange(21.0), np.full(21, -1e307))
+    new = step(state, 1000.0)
+    assert not np.isfinite(new.ln_rho).all() and np.isfinite(new.V).all()
+    rec = qf.run(*oracle_setup(1000.0, steps=3), state=state)
+    assert (rec.final_status, rec.steps_survived) == ("diverged_nonfinite", 0)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered in multiply:RuntimeWarning")
@@ -448,7 +471,7 @@ def test_build_force_field_measures_the_quantum_force_and_pushes_with_the_true_d
     # total holds is the gated pressure of the true density
     pressure = total - (qf.external_force(grid, params) + qf.gaussian_fit_force(measured, grid, params))
     ln_gate = ln_rho.max() + math.log(PRESSURE_GATE_REL)
-    gate = 1.0 + np.exp(np.clip(-PRESSURE_GATE_SHARPNESS * (ln_rho - ln_gate), -60.0, 60.0))
+    gate = 1.0 + np.exp(np.clip(ln_gate - ln_rho, -60.0, 60.0))
     expected = qf.pressure_force(ln_rho, grid, params) / gate
     assert np.max(np.abs(expected)) > 0.1
     np.testing.assert_allclose(pressure, expected, rtol=1e-12, atol=0.0)

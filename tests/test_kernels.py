@@ -125,13 +125,19 @@ def test_the_lax_updates_give_the_bits_of_their_formulas(seed, specials):
 @pytest.mark.parametrize("seed, specials", CASES + [(seed, (0.0, -0.0, -np.inf)) for seed in range(6)])
 def test_moments_give_the_bits_of_their_formulas(seed, specials):
     # +/-0 and -inf (a zero weight) leave the weights summable, so the
-    # moments are compared; inf or NaN must be refused as unsummable
+    # moments are compared; inf or NaN must be refused as unsummable, and a
+    # delta-like density as degenerate
     rng = np.random.default_rng(seed)
     grid = qf.make_grid(-3.0, 0.1, 64)
     ln_rho = field(rng, grid.n, specials)
     with np.errstate(all="ignore"):
         total, mean, var = moments_formula(ln_rho, grid)
-        if not np.isfinite(total) or total <= 0 or var < (grid.dx / 10.0) ** 2:
+        if not np.isfinite(total):
+            with pytest.raises(qf.NonFiniteDensityError):
+                qf.moments(ln_rho, grid)
+            return
+        assert total >= 1.0
+        if var < (grid.dx / 10.0) ** 2:
             with pytest.raises(qf.DegenerateDensityError):
                 qf.moments(ln_rho, grid)
             return
@@ -175,9 +181,9 @@ def quantum_estimate(estimator, measured, grid, params, t):
 
 
 def gate_argument(ln_rho):
-    """-sharpness (ln rho - ln_gate), the gate's argument before any clip."""
+    """ln_gate - ln rho, the gate's argument before any clip."""
     ln_gate = np.max(ln_rho) + math.log(integrator.PRESSURE_GATE_REL)
-    return -integrator.PRESSURE_GATE_SHARPNESS * (ln_rho - ln_gate)
+    return ln_gate - ln_rho
 
 
 def gated_pressure_formula(ln_rho, grid, params):
@@ -188,11 +194,11 @@ def gated_pressure_formula(ln_rho, grid, params):
 
 
 def test_the_gate_argument_never_reads_below_the_lower_clip():
-    # ln rho <= max, so the argument is at least sharpness ln REL, less at
-    # most as much again where max + ln REL rounds (scale 1e14 reads -16); a
-    # cell at +-inf or NaN gives +inf or NaN, which no lower clip changes
-    rel, sharpness = integrator.PRESSURE_GATE_REL, integrator.PRESSURE_GATE_SHARPNESS
-    assert 2.0 * sharpness * -math.log(rel) < 60.0
+    # ln rho <= max, so the argument is at least ln REL, less at most as
+    # much again where max + ln REL rounds (scale 1e14 reads -16); a cell at
+    # +-inf or NaN gives +inf or NaN, which no lower clip changes
+    rel = integrator.PRESSURE_GATE_REL
+    assert 2.0 * -math.log(rel) < 60.0
     for seed in range(6):
         rng = np.random.default_rng(seed)
         for specials in ((), SPECIALS, (np.inf,), (-np.inf,), (np.nan,)):
@@ -200,7 +206,7 @@ def test_the_gate_argument_never_reads_below_the_lower_clip():
                 ln_rho = field(rng, 64, specials) * scale
                 with np.errstate(all="ignore"):
                     arg = gate_argument(ln_rho)
-                assert not np.any(arg < 2.0 * sharpness * math.log(rel))
+                assert not np.any(arg < 2.0 * math.log(rel))
 
 
 @pytest.mark.parametrize("kp", [0.0, 1.0])
@@ -244,6 +250,27 @@ def test_the_stencil_chain_and_the_pressure_give_the_bits_of_their_formulas(seed
                     qf.external_force(grid, params) + quantum_estimate(config.estimator, H, grid, params, 0.0)
                     + gated_pressure_formula(ln_rho, grid, params)]
         assert [bits(g) for g in got] == [bits(w) for w in want]
+
+
+def damping_formula(n):
+    """1/(1 + s), s = (k/8)^2 on the cells k = 8..1 from either end, the
+    larger of the two where the strips overlap, and 0 elsewhere."""
+    s = np.zeros(n)
+    for j in range(min(integrator.SPONGE_CELLS, n)):
+        ramp = ((integrator.SPONGE_CELLS - j) / integrator.SPONGE_CELLS) ** 2
+        s[j] = max(s[j], ramp)
+        s[n - 1 - j] = max(s[n - 1 - j], ramp)
+    return 1.0 / (1.0 + s)
+
+
+@pytest.mark.parametrize("n", [7, 15, 16, 17, 192])
+def test_the_sponge_damping_gives_the_bits_of_its_formula(n):
+    # on 7 and 15 cells the two strips overlap, on 16 they meet; the factor
+    # is 1/2 at each end cell and the cached array is read-only
+    damp = integrator._damping(n)
+    assert bits(damp) == bits(damping_formula(n))
+    assert damp[0] == damp[-1] == 0.5 and not damp.flags.writeable
+    assert integrator._damping(n) is damp
 
 
 def cn_step_formula(psi, op, rho, dt, dx, D):

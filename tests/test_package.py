@@ -6,8 +6,8 @@ import qfluid as qf
 MODULES = (qf.core, qf.diagnostics, qf.forces, qf.integrator, qf.oracle, qf.presets, qf.reference)
 
 PUBLIC_NAMES = [
-    "CNOperator", "DegenerateDensityError", "FluidState", "Moments", "OracleWave",
-    "PhysicalParams", "RunConfig", "RunRecord", "SpatialGrid", "build_force_field",
+    "CNOperator", "DegenerateDensityError", "FluidState", "Moments", "NonFiniteDensityError",
+    "OracleWave", "PhysicalParams", "RunConfig", "RunRecord", "SpatialGrid", "build_force_field",
     "center_energy_estimate", "cn_operator", "cn_step", "cross_check", "default_grid",
     "default_params", "density_distance", "drift_kick_step", "external_force",
     "fd_quantum_force", "fluid_to_wave", "gaussian_fit_force",
