@@ -65,23 +65,11 @@ MASS_STEP_JUMP_FACTOR = 10.0
 # towards -inf under the drift.
 RHO_FLOOR = 1e-12
 
-# The applied pressure force is faded out below this fraction of the peak
-# density.  grad(ln rho) of a Gaussian grows without bound in the wings, so
-# an ungated pressure term blows off the near-vacuum tails supersonically:
-# the wing inflow then floods the grid within tens of steps.  External and
-# quantum forces are never gated: their sum is spatially uniform for a
-# coherent packet, so they transport the tails rigidly with the core and no
-# shear layer forms; gating them would create exactly the kind of force
-# transition the pressure gate exists to soften.  The fade is a logistic
-# one e-fold of ln rho wide: the wider it is, the weaker the density ridge
-# where actuated fluid pushes against unactuated fluid, which the stencil
-# estimator re-reads with D^2 amplification.
-PRESSURE_GATE_REL = 1e-6
-
 # Absorbing strip: velocities in the outermost cells are damped each step
-# (quadratic ramp, factor 1/(1+s), s -> 1 at the edge) so that whatever
-# momentum the gated tail fluid still picks up cannot pile up against the
-# open boundary.  See ``sponge_active`` for when it is on.
+# (quadratic ramp, factor 1/(1+s), s -> 1 at the edge) so that momentum the
+# pressure pushes into the near-vacuum tails cannot pile up against the open
+# boundary: without it fig4, carried on to t = 64, dies at t = 50, which it
+# survives with it.  See ``sponge_active`` for when it is on.
 SPONGE_CELLS = 8
 
 # Cells per side on which the loop replaces the stencil estimator's output
@@ -155,13 +143,10 @@ def build_force_field(
     t: float,
 ) -> np.ndarray:
     """The total applied force at time ``t``: (external trap + quantum force
-    by ``config.estimator``) + pressure, faded out below the density gate,
-    when kp != 0.  The quantum term comes from the ``measured`` ln rho and
-    pressure from the true fluid ``ln_rho``; the sum is built in the quantum
-    estimate's own array, which each estimator returns fresh.  The gate
-    1 + exp(min(ln_gate - ln_rho, 60)) is built in place in one scratch
-    array and divides ``pressure_force``'s own array; as ln rho <= max, its
-    argument is inf, NaN or >= 2 ln PRESSURE_GATE_REL."""
+    by ``config.estimator``) + pressure when kp != 0.  The quantum term
+    comes from the ``measured`` ln rho and pressure from the true fluid
+    ``ln_rho``; the sum is built in the quantum estimate's own array, which
+    each estimator returns fresh."""
     ext = external_force(grid, params)
     if config.estimator == "gaussian_fit":
         quantum = gaussian_fit_force(measured, grid, params)
@@ -173,14 +158,7 @@ def build_force_field(
         quantum = np.zeros(grid.n)
     total = np.add(ext, quantum, out=quantum)
     if params.kp != 0.0:
-        ln_gate = float(np.maximum.reduce(ln_rho)) + math.log(PRESSURE_GATE_REL)
-        gate = np.subtract(ln_gate, ln_rho)
-        np.minimum(gate, 60.0, out=gate)
-        np.exp(gate, out=gate)
-        gate += 1.0
-        pressure = pressure_force(ln_rho, grid, params)
-        pressure /= gate
-        total += pressure
+        total += pressure_force(ln_rho, grid, params)
     return total
 
 
@@ -218,9 +196,10 @@ def _damping(n: int) -> np.ndarray:
 
 
 def sponge_active(params: PhysicalParams, config: RunConfig) -> bool:
-    """Whether the absorbing strip damps V: in pressure runs, whose gated
-    tails shed momentum toward the boundary, except with the stencil
-    estimator, which would re-read the strip's shear layer as a ridge."""
+    """Whether the absorbing strip damps V: in pressure runs, which push
+    momentum into the tails toward the boundary (fig4 dies at t = 50 without
+    it), except with the stencil estimator, which would re-read the strip's
+    shear layer as a ridge."""
     return params.kp > 0.0 and config.estimator != "finite_difference"
 
 

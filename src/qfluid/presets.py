@@ -69,7 +69,9 @@ PRESETS = {
     # Sound speed sqrt(5) plus the width-breathing flow requires dt = 1/8; the
     # run covers 40 time units so the full breathing cycle is visible.  As in
     # every pressure run with a fitted force, the absorbing strip keeps the
-    # momentum shed by the gated tails from piling up at the open boundary.
+    # momentum that pressure pushes into the tails from piling up at the open
+    # boundary; carried on past its window without the strip, fig4 dies at
+    # t = 50.
     "fig4": ("Strong pressure (kp = 5): pronounced oscillatory spreading",
              5.0, RunConfig(steps=320, dt=0.125, estimator="gaussian_fit")),
     # The absorbing strip is on, as in fig4.

@@ -9,7 +9,7 @@ import pytest
 
 import qfluid as qf
 from qfluid.core import FluidState
-from qfluid.integrator import PRESSURE_GATE_REL, RHO_FLOOR, sponge_active
+from qfluid.integrator import RHO_FLOOR, sponge_active
 from qfluid.presets import default_grid, default_params
 
 
@@ -291,8 +291,7 @@ def scale_invariance_case(name):
 @pytest.mark.parametrize("name", ["fig1", "fig4", "fig5", "fig6", "fig7", "oracle_exact", "none"])
 def test_run_trajectory_scale_invariance(name):
     # multiplying the initial density by a constant leaves the moment
-    # trajectory unchanged: every force path, the pressure gate and the
-    # sponge are scale-free
+    # trajectory unchanged: every force path and the sponge are scale-free
     params, cfg, grid = scale_invariance_case(name)
     base = qf.init_coherent_state(params, grid, 0.0)
     scaled = replace(base, ln_rho=base.ln_rho + math.log(3.0))
@@ -447,6 +446,16 @@ def test_sponge_is_on_for_the_fitted_pressure_presets_only(name):
     assert sponge_active(params, config) == (name in ("fig4", "fig5"))
 
 
+@pytest.mark.parametrize("name, half_width", [("fig4", 112), ("fig4", 128), ("fig5", 128), ("fig7", 112)])
+def test_pressure_presets_run_their_window_on_wider_grids(name, half_width):
+    # the presets are set up on +-96 cells; on these wider unit-spaced grids
+    # each still runs every step, within criterion 1's 5% center error
+    params, config, _ = qf.preset(name)
+    rec = qf.run(config, params, qf.make_grid(-half_width, 1.0, 2 * half_width))
+    assert (rec.final_status, rec.steps_survived) == ("ok", config.steps)
+    assert rec.max_center_error < 0.05
+
+
 def test_run_cfl_warning_recorded():
     params, grid = default_params(), default_grid()
     state = replace(qf.init_coherent_state(params, grid, 0.0), V=np.full(grid.n, 1.2))  # above dx/dt
@@ -468,11 +477,9 @@ def test_build_force_field_measures_the_quantum_force_and_pushes_with_the_true_d
     measured = ln_rho + np.random.default_rng(3).uniform(0.0, 1.0, grid.n)
     total = qf.build_force_field(grid, params, qf.RunConfig(estimator="gaussian_fit"), measured, ln_rho, 0.0)
     # past the trap and the quantum force of the measured density, what the
-    # total holds is the gated pressure of the true density
+    # total holds is the pressure of the true density
     pressure = total - (qf.external_force(grid, params) + qf.gaussian_fit_force(measured, grid, params))
-    ln_gate = ln_rho.max() + math.log(PRESSURE_GATE_REL)
-    gate = 1.0 + np.exp(np.clip(ln_gate - ln_rho, -60.0, 60.0))
-    expected = qf.pressure_force(ln_rho, grid, params) / gate
+    expected = qf.pressure_force(ln_rho, grid, params)
     assert np.max(np.abs(expected)) > 0.1
     np.testing.assert_allclose(pressure, expected, rtol=1e-12, atol=0.0)
 

@@ -3,7 +3,6 @@ formula it states, on random fields and on fields holding +/-0, +/-inf and
 NaN, and allocates no more n-sized arrays than counted here at
 compare-fine's n = 12288."""
 
-import math
 import tracemalloc
 
 import numpy as np
@@ -180,39 +179,10 @@ def quantum_estimate(estimator, measured, grid, params, t):
     return np.zeros(grid.n)
 
 
-def gate_argument(ln_rho):
-    """ln_gate - ln rho, the gate's argument before any clip."""
-    ln_gate = np.max(ln_rho) + math.log(integrator.PRESSURE_GATE_REL)
-    return ln_gate - ln_rho
-
-
-def gated_pressure_formula(ln_rho, grid, params):
-    # the clip stays two-sided: the code clips only above, so its bit
-    # equality with this formula shows that the lower clip never acts
-    arg = np.clip(gate_argument(ln_rho), -60.0, 60.0)
-    return pressure_formula(ln_rho, grid.dx, params.kp) / (1.0 + np.exp(arg))
-
-
-def test_the_gate_argument_never_reads_below_the_lower_clip():
-    # ln rho <= max, so the argument is at least ln REL, less at most as
-    # much again where max + ln REL rounds (scale 1e14 reads -16); a cell at
-    # +-inf or NaN gives +inf or NaN, which no lower clip changes
-    rel = integrator.PRESSURE_GATE_REL
-    assert 2.0 * -math.log(rel) < 60.0
-    for seed in range(6):
-        rng = np.random.default_rng(seed)
-        for specials in ((), SPECIALS, (np.inf,), (-np.inf,), (np.nan,)):
-            for scale in (1.0, 1e14, 1e300):
-                ln_rho = field(rng, 64, specials) * scale
-                with np.errstate(all="ignore"):
-                    arg = gate_argument(ln_rho)
-                assert not np.any(arg < 2.0 * math.log(rel))
-
-
 @pytest.mark.parametrize("kp", [0.0, 1.0])
 @pytest.mark.parametrize("estimator", qf.core.ESTIMATORS)
 def test_the_total_force_gives_the_bits_of_its_formula(estimator, kp):
-    # the total is (external + quantum) + gated pressure, the pressure term
+    # the total is (external + quantum) + pressure, the pressure term
     # absent at kp = 0, and is a fresh writable array: the cached, read-only
     # trap force is neither returned nor written
     params, grid = default_params(kp=kp), default_grid()
@@ -223,7 +193,7 @@ def test_the_total_force_gives_the_bits_of_its_formula(estimator, kp):
     total = qf.build_force_field(grid, params, qf.RunConfig(estimator=estimator), measured, ln_rho, 0.9)
     want = ext + quantum_estimate(estimator, measured, grid, params, 0.9)
     if kp:
-        want += gated_pressure_formula(ln_rho, grid, params)
+        want += pressure_formula(ln_rho, grid.dx, kp)
     assert bits(total) == bits(want)
     assert total.flags.writeable and not np.shares_memory(total, ext)
     assert ext.tobytes() == cached and qf.external_force(grid, params) is ext
@@ -248,7 +218,7 @@ def test_the_stencil_chain_and_the_pressure_give_the_bits_of_their_formulas(seed
                     stencil_force_formula(ln_rho, dx, 0.7), stencil_edge_formula(F),
                     pressure_formula(ln_rho, dx, 1.7),
                     qf.external_force(grid, params) + quantum_estimate(config.estimator, H, grid, params, 0.0)
-                    + gated_pressure_formula(ln_rho, grid, params)]
+                    + pressure_formula(ln_rho, dx, 1.7)]
         assert [bits(g) for g in got] == [bits(w) for w in want]
 
 
@@ -333,6 +303,7 @@ def peak_arrays(call):
     ("moments", 2),
     ("fd_quantum_force", 3),
     ("pressure_force", 1),
+    ("build_force_field", 2),
     ("density_distance", 1),
 ])
 def test_each_kernel_allocates_no_more_than_its_result_and_a_scratch_array(kernel, arrays):
@@ -340,8 +311,9 @@ def test_each_kernel_allocates_no_more_than_its_result_and_a_scratch_array(kerne
     # temporary per operation frees them back to the system and faults them
     # in again on the next step.  The step holds the new ln rho, the total
     # force and the new V, plus the kick's scratch array.  The stencil chain
-    # holds H, Q and the half square of H, then Q and its result.
-    params = default_params()
+    # holds H, Q and the half square of H, then Q and its result.  The force
+    # at kp = 1 holds the total and the pressure added into it.
+    params, pressured = default_params(), default_params(kp=1.0)
     dx = 1 / 64
     grid = qf.make_grid(-(N // 2) * dx, dx, N)
     config = qf.RunConfig(dt=dx, estimator="oracle_exact")
@@ -355,6 +327,7 @@ def test_each_kernel_allocates_no_more_than_its_result_and_a_scratch_array(kerne
         "moments": lambda: qf.moments(state.ln_rho, grid),
         "fd_quantum_force": lambda: qf.fd_quantum_force(state.ln_rho, grid, params),
         "pressure_force": lambda: qf.pressure_force(state.ln_rho, grid, params),
+        "build_force_field": lambda: qf.build_force_field(grid, pressured, config, state.ln_rho, state.ln_rho, 0.0),
         "density_distance": lambda: qf.density_distance(rho, mirrored),
     }
     assert peak_arrays(calls[kernel]) == arrays
