@@ -60,11 +60,6 @@ STATUS_DISPERSION = "diverged_dispersion"
 VAR_BLOWUP_FACTOR = 10.0
 MASS_STEP_JUMP_FACTOR = 10.0
 
-# ln rho is clamped from below at this fraction of the initial peak density
-# (measured before any initial noise), so the Gaussian tails cannot sink
-# towards -inf under the drift.
-RHO_FLOOR = 1e-12
-
 # Absorbing strip: velocities in the outermost cells are damped each step
 # (quadratic ramp, factor 1/(1+s), s -> 1 at the edge) so that momentum the
 # pressure pushes into the near-vacuum tails cannot pile up against the open
@@ -209,17 +204,15 @@ def drift_kick_step(
     params: PhysicalParams,
     config: RunConfig,
     measurement_noise: np.ndarray | None = None,
-    ln_floor: float = -math.inf,
 ) -> FluidState:
-    """One protocol step: drift ln rho with the current V (clamped from below
-    at ``ln_floor``), measure the drifted density plus ``measurement_noise``,
-    kick V with the force estimated from it.  Returns the new state, possibly
-    non-finite, without touching ``state``.  The fit estimator raises
+    """One protocol step: drift ln rho with the current V, measure the
+    drifted density plus ``measurement_noise``, kick V with the force
+    estimated from it.  Returns the new state, possibly non-finite, without
+    touching ``state``.  The fit estimator raises
     ``NonFiniteDensityError`` for a non-finite measured density and
     ``DegenerateDensityError`` for a delta-like one."""
     dt, dx = config.dt, grid.dx
     new_lnr = _continuity_update(state.ln_rho, state.V, dt, dx)
-    np.maximum(new_lnr, ln_floor, out=new_lnr)
     t_new = state.t + dt
     measured_lnr = new_lnr if measurement_noise is None else new_lnr + measurement_noise
 
@@ -260,7 +253,6 @@ def trajectory(
                          f"but the grid has {grid.n} cells")
     # a noiseless run builds no generator, so numpy.random need not load
     rng = np.random.default_rng(config.seed) if config.noise != "none" else None
-    ln_floor = float(state.ln_rho.max()) + math.log(RHO_FLOOR)
 
     def draw_noise() -> np.ndarray:
         """ln rho perturbation alpha ~ U[0, noise_amplitude] at every cell,
@@ -302,7 +294,7 @@ def trajectory(
         # a step whose force or moments cannot be measured, that goes
         # non-finite, blows up the variance or jumps the mass ends the run
         try:
-            new_state = drift_kick_step(state, grid, params, config, noise, ln_floor)
+            new_state = drift_kick_step(state, grid, params, config, noise)
             v_max = float(np.maximum.reduce(np.abs(new_state.V)))
             if not math.isfinite(v_max):
                 return STATUS_NONFINITE

@@ -36,12 +36,11 @@ from .diagnostics import density_distance
 from .integrator import STATUS_NONFINITE, STATUS_OK, trajectory
 
 __all__ = [
-    "CNOperator", "cn_operator", "cn_step", "wave_to_fluid", "fluid_to_wave", "wave_trajectory",
-    "cross_check",
+    "CNOperator", "cn_operator", "cn_step", "fluid_to_wave", "wave_trajectory", "cross_check",
 ]
 
 # densities below this fraction of the peak are treated as vacuum when
-# extracting a velocity or evaluating ln|psi|
+# evaluating ln|psi|^2 for the pressure phase
 AMPLITUDE_FLOOR = 1e-14
 
 # the cyclic reduction stops at this many rows and inverts what is left; the
@@ -138,10 +137,6 @@ def _solve(plan: tuple, r: np.ndarray) -> None:
         even[1:] -= np.multiply(q, odd[: q.size], out=work[: q.size])
 
 
-def _vacuum_floor(rho: np.ndarray) -> float:
-    return AMPLITUDE_FLOOR * max(float(np.max(rho)), 1e-300)
-
-
 def cn_step(psi: np.ndarray, op: CNOperator, rho: np.ndarray) -> np.ndarray:
     """The new psi after one step of `op` from ``psi``, given its density
     rho = |psi|^2: with pressure, a half phase from rho, the Crank-Nicolson
@@ -171,30 +166,12 @@ def cn_step(psi: np.ndarray, op: CNOperator, rho: np.ndarray) -> np.ndarray:
 
 
 def _pressure_phase(rho: np.ndarray, half_phase: float) -> np.ndarray:
-    """exp(-i half_phase ln rho), with rho floored at the vacuum floor: half
-    a step of i psi_t = (w/2D) psi, w = kp ln|psi|^2, which keeps |psi|."""
-    ln_rho = np.log(np.maximum(rho, _vacuum_floor(rho)))
-    return np.exp(-1j * half_phase * ln_rho)
-
-
-def wave_to_fluid(
-    psi: np.ndarray, rho: np.ndarray, grid: SpatialGrid, params: PhysicalParams
-) -> tuple[np.ndarray, np.ndarray]:
-    """The fluid fields ``(ln_rho, V)`` read out of psi, given its density
-    rho = |psi|^2, with V = 2 D Im(psi_x / psi) = 2 D Im(conj(psi) psi_x) / rho
-    by central differences,
-
-        V_j = (D/dx) (Re psi_j Im dpsi_j - Im psi_j Re dpsi_j) / rho_j,
-        dpsi_j = psi_{j+1} - psi_{j-1},
-
-    with V = 0 at both ends and where the density is below floor."""
-    floor = _vacuum_floor(rho)
+    """exp(-i half_phase ln rho), with rho floored at AMPLITUDE_FLOOR of its
+    peak: half a step of i psi_t = (w/2D) psi, w = kp ln|psi|^2, which keeps
+    |psi|."""
+    floor = AMPLITUDE_FLOOR * max(float(np.max(rho)), 1e-300)
     ln_rho = np.log(np.maximum(rho, floor))
-    dpsi = psi[2:] - psi[:-2]
-    flux = (params.D / grid.dx) * (psi[1:-1].real * dpsi.imag - psi[1:-1].imag * dpsi.real)
-    V = np.zeros(grid.n)
-    np.divide(flux, rho[1:-1], out=V[1:-1], where=rho[1:-1] > floor)
-    return ln_rho, V
+    return np.exp(-1j * half_phase * ln_rho)
 
 
 def fluid_to_wave(state: FluidState, grid: SpatialGrid, params: PhysicalParams) -> np.ndarray:

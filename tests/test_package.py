@@ -12,7 +12,7 @@ PUBLIC_NAMES = [
     "default_params", "density_distance", "drift_kick_step", "external_force",
     "fd_quantum_force", "fluid_to_wave", "gaussian_fit_force",
     "init_coherent_state", "make_grid", "mass", "moments", "preset", "preset_names", "pressure_force",
-    "run", "smoothness", "trajectory", "wave_to_fluid", "wave_trajectory",
+    "run", "smoothness", "trajectory", "wave_trajectory",
 ]
 
 

@@ -1,7 +1,6 @@
-"""Crank-Nicolson wave solver and the fluid <-> wave conversions."""
+"""Crank-Nicolson wave solver and the fluid-to-wave conversion."""
 
 import math
-import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -85,7 +84,7 @@ def apply_h(psi, grid, params):
 
 def pressure_half_phase(psi, params, dt):
     """psi after a time dt/2 of i psi_t = (w/2D) psi, w = kp ln|psi|^2 floored
-    at the vacuum floor: |psi| stays, so the flow is the phase
+    at AMPLITUDE_FLOOR of the peak: |psi| stays, so the flow is the phase
     exp(-i (dt/2) w/(2D)).  A negative dt undoes it."""
     rho = np.abs(psi) ** 2
     w = params.kp * np.log(np.maximum(rho, AMPLITUDE_FLOOR * rho.max()))
@@ -256,13 +255,12 @@ def test_a_pressure_run_reduces_its_system_once(monkeypatch):
 
 
 def wave_moments(params, grid, dt, steps):
-    """The reference's moments at every step, from the fluid fields read
-    out of psi; asserts the run stays finite."""
+    """The reference's moments at every step, from ln |psi|^2 floored at
+    AMPLITUDE_FLOOR of its peak; asserts the run stays finite."""
     waves = qf.wave_trajectory(qf.RunConfig(dt=dt, steps=steps), params, grid, packet_psi(params, grid))
     means, variances = [], []
-    for _, psi, rho in waves:
-        ln_rho, _ = qf.wave_to_fluid(psi, rho, grid, params)
-        m = qf.moments(ln_rho, grid)
+    for _, _, rho in waves:
+        m = qf.moments(np.log(np.maximum(rho, AMPLITUDE_FLOOR * rho.max())), grid)
         means.append(m.mean)
         variances.append(m.var)
     assert len(means) == steps + 1
@@ -364,7 +362,7 @@ def test_cn_pressure_drives_oscillatory_spreading():
         ({"dt": math.inf}, "dt"),
     ],
 )
-def test_run_reference_rejects_bad_inputs(bad, field):
+def test_wave_trajectory_refuses_a_config_it_cannot_run(bad, field):
     # the config wave_trajectory takes refuses them before the first step
     params, grid = default_params(), default_grid()
     kwargs = {"dt": 1.0, "steps": 4, **bad}
@@ -372,61 +370,20 @@ def test_run_reference_rejects_bad_inputs(bad, field):
         next(qf.wave_trajectory(qf.RunConfig(**kwargs), params, grid, packet_psi(params, grid)))
 
 
-def test_wave_fluid_round_trip():
+def test_fluid_to_wave_carries_the_density_and_the_trapezoid_phase():
+    # |psi|^2 = rho, phase 0 at the left end, and each cell's phase step is
+    # the trapezoid (V_j + V_{j+1}) dx / (4 D) of theta = (1/2D) int V dx
     params = default_params()
     grid = default_grid()
     x = grid.positions
     ln_rho = -((x - 5.0) ** 2) / (2 * 14.0**2)
     V = 0.3 * np.sin(2 * math.pi * x / 100.0)
-    state = FluidState(0.0, ln_rho, V)
-    psi = qf.fluid_to_wave(state, grid, params)
-    back_ln_rho, back_V = qf.wave_to_fluid(psi, np.abs(psi) ** 2, grid, params)
-    core = np.abs(x - 5.0) <= 3 * 14.0
-    assert np.allclose(back_ln_rho[core], ln_rho[core], atol=1e-10)
-    assert np.max(np.abs(back_V[core] - V[core])) <= 5e-3  # O(dx^2) phase gradient
-
-
-def test_wave_to_fluid_extracts_uniform_velocity():
-    params = default_params()
-    grid = default_grid()
-    t = 0.5 * math.pi / params.omega
-    psi = qf.OracleWave(params).psi(grid.positions, t)
-    _, V = qf.wave_to_fluid(psi, np.abs(psi) ** 2, grid, params)
-    core = np.abs(grid.positions - 0.0) <= 3 * params.sigma()
-    assert np.allclose(V[core], -params.a * params.omega, rtol=5e-3)
-
-
-def test_real_positive_wave_has_zero_velocity():
-    params = default_params()
-    grid = default_grid()
-    psi = np.exp(-grid.positions**2 / 100.0).astype(complex)
-    _, V = qf.wave_to_fluid(psi, np.abs(psi) ** 2, grid, params)
-    assert np.allclose(V, 0.0, atol=1e-12)
-
-
-def test_wave_to_fluid_vacuum_and_ends_have_zero_velocity():
-    # a plane wave with a hole: zeros and amplitudes below the floor.  The
-    # hole and both ends (which are not vacuum) read V = 0 exactly, and
-    # nothing divides by a vanishing density
-    params = default_params()
-    grid = default_grid()
-    psi = np.exp(0.3j * grid.positions)
-    vacuum = np.zeros(grid.n, dtype=bool)
-    vacuum[40:60] = True
-    psi[40:50] = 0.0
-    psi[50:60] = 1e-9 * psi[50:60]  # |psi|^2 = 1e-18, below 1e-14 of the peak
-    rho = np.abs(psi) ** 2
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        _, V = qf.wave_to_fluid(psi, rho, grid, params)
-    assert np.all(V[vacuum] == 0.0)
-    assert V[0] == 0.0 and V[-1] == 0.0
-    # away from the hole and the ends: the central-difference phase gradient
-    far = np.ones(grid.n, dtype=bool)
-    far[[0, -1]] = False
-    far[39:61] = False
-    expected = 2.0 * params.D * math.sin(0.3 * grid.dx) / grid.dx
-    assert np.allclose(V[far], expected, rtol=1e-12)
+    psi = qf.fluid_to_wave(FluidState(0.0, ln_rho, V), grid, params)
+    np.testing.assert_allclose(np.abs(psi) ** 2, np.exp(ln_rho), rtol=1e-12, atol=0.0)
+    assert np.angle(psi[0]) == 0.0
+    phase_steps = np.angle(psi[1:] / psi[:-1])
+    expected = (V[:-1] + V[1:]) * grid.dx / (4.0 * params.D)
+    np.testing.assert_allclose(phase_steps, expected, rtol=0.0, atol=1e-12)
 
 
 def test_mass_matches_between_solvers():
