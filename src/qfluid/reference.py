@@ -39,10 +39,6 @@ __all__ = [
     "CNOperator", "cn_operator", "cn_step", "fluid_to_wave", "wave_trajectory", "cross_check",
 ]
 
-# densities below this fraction of the peak are treated as vacuum when
-# evaluating ln|psi|^2 for the pressure phase
-AMPLITUDE_FLOOR = 1e-14
-
 # the cyclic reduction stops at this many rows and inverts what is left; the
 # solve's rounding, and so every byte of a compare.csv, depends on the value
 _BASE_ROWS = 32
@@ -166,11 +162,10 @@ def cn_step(psi: np.ndarray, op: CNOperator, rho: np.ndarray) -> np.ndarray:
 
 
 def _pressure_phase(rho: np.ndarray, half_phase: float) -> np.ndarray:
-    """exp(-i half_phase ln rho), with rho floored at AMPLITUDE_FLOOR of its
-    peak: half a step of i psi_t = (w/2D) psi, w = kp ln|psi|^2, which keeps
-    |psi|."""
-    floor = AMPLITUDE_FLOOR * max(float(np.max(rho)), 1e-300)
-    ln_rho = np.log(np.maximum(rho, floor))
+    """exp(-i half_phase ln rho): half a step of i psi_t = (w/2D) psi,
+    w = kp ln|psi|^2, which keeps |psi|.  Where rho = 0 the phase is 1, so
+    psi = 0 (the pinned ends) stays 0 instead of 0 e^{i inf} = NaN."""
+    ln_rho = np.log(rho, out=np.zeros_like(rho), where=rho > 0.0)
     return np.exp(-1j * half_phase * ln_rho)
 
 

@@ -55,3 +55,32 @@ def test_presets_return_fresh_objects():
     # the preset table's configs are shared, so they must not be mutable
     with pytest.raises(dataclasses.FrozenInstanceError):
         c1.steps = 1
+
+
+@pytest.mark.parametrize(
+    "gain, death",
+    [
+        (0.50, None),
+        (0.63, None),
+        (0.70, None),
+        (0.75, (277, 8.3)),
+        (0.88, (100, 3.5)),
+        (1.00, (55, 2.2)),
+    ],
+)
+def test_fig6_ripple_ladder_matches_the_presets_docstring(gain, death):
+    # the module docstring's ladder: fig6 over 16 time units at
+    # D dt/dx^2 = gain survives up to 0.70 and dies from 0.75 on, at the
+    # step and (to 0.1) the time it states
+    params, config, grid = qf.preset("fig6")
+    dt = gain * grid.dx**2 / params.D
+    steps = round(16.0 / dt)
+    record = qf.run(dataclasses.replace(config, dt=dt, steps=steps), params, grid)
+    if death is None:
+        assert record.final_status == "ok"
+        assert record.steps_survived == steps
+    else:
+        step, t = death
+        assert record.final_status == "diverged_dispersion"
+        assert record.steps_survived == step
+        assert record.t[-1] == pytest.approx(t, abs=0.1)
