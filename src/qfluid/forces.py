@@ -34,6 +34,14 @@ __all__ = [
     "external_force",
 ]
 
+# Cells per side on which the stencil estimator returns a linear
+# extrapolation of its first valid values: the stencil itself carries no
+# value on its outer 3 cells, and its 4th cell reads the boundary cell of
+# ln rho, which the continuity update fills by extrapolation rather than by
+# physics.
+STENCIL_EDGE = 4
+
+
 class DegenerateDensityError(ValueError):
     """Density has collapsed to (near) a point; sigma^-4 force would explode."""
 
@@ -95,10 +103,15 @@ def fd_quantum_force(ln_rho: np.ndarray, grid: SpatialGrid, params: PhysicalPara
     """Quantum force from log-density stencils alone: H at j+/-1, j+/-2, then
     Q at j+/-1, then the central difference (Q_{j-1} - Q_{j+1})/(2 dx).
 
-    The chain consumes ln rho at j-3..j+3, so the outermost 3 points per
-    side carry zero force; every grid has at least 7 points.  Each stage is
-    built once, on the cells the next one reads: H on cells 1..n-2, Q on
-    2..n-3 and F, in its result, on 3..n-4.
+    The chain consumes ln rho at j-3..j+3.  Each stage is built once, on the
+    cells the next one reads: H on cells 1..n-2, Q on 2..n-3 and F, in its
+    result, on 3..n-4.  The outer 3 cells are zeroed, then the
+    ``STENCIL_EDGE`` cells per side take F[k] + o (F[k+1] - F[k]) at their
+    offset o from the first valid cell k, and the mirror image on the
+    right: constant bands would shear the boundary fluid against the forced
+    interior, which the D^2-amplified stencil re-reads as a density ridge
+    within a few steps, while the packet's force is linear in x.  On 7 and
+    8 cells (every grid has at least 7) the extrapolation reads zeros.
     """
     Q = _quantum_potential(_log_gradient(ln_rho, grid.dx), grid.dx, params.D)
     F = np.empty(ln_rho.shape)
@@ -106,6 +119,16 @@ def fd_quantum_force(ln_rho: np.ndarray, grid: SpatialGrid, params: PhysicalPara
     np.subtract(Q[:-2], Q[2:], out=out)
     out /= 2 * grid.dx
     F[:3] = F[-3:] = 0.0
+    k = STENCIL_EDGE
+    # in Python floats, the IEEE operations numpy would do; all four reads
+    # come first, as the bands overlap on a 7-cell grid
+    first, second = F[k : k + 2].tolist()
+    second_last, last = F[-k - 2 : -k].tolist()
+    d_left, d_right = second - first, last - second_last
+    for o in range(-k, 0):
+        F[k + o] = first + o * d_left
+    for o in range(1, k + 1):
+        F[o - k - 1] = last + o * d_right
     return F
 
 

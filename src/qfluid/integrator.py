@@ -67,13 +67,6 @@ MASS_STEP_JUMP_FACTOR = 10.0
 # survives with it.  See ``sponge_active`` for when it is on.
 SPONGE_CELLS = 8
 
-# Cells per side on which the loop replaces the stencil estimator's output
-# by a linear extrapolation of the first valid values: the stencil itself
-# carries no value on its outer 3 cells, and its 4th cell reads the
-# boundary cell of ln rho, which the continuity update fills by
-# extrapolation rather than by physics.
-STENCIL_EDGE = 4
-
 
 def _continuity_update(ln_rho: np.ndarray, V: np.ndarray, dt: float, dx: float) -> np.ndarray:
     """Lax update of ln rho:
@@ -146,7 +139,7 @@ def build_force_field(
     if config.estimator == "gaussian_fit":
         quantum = gaussian_fit_force(measured, grid, params)
     elif config.estimator == "finite_difference":
-        quantum = _extend_stencil_force(fd_quantum_force(measured, grid, params))
+        quantum = fd_quantum_force(measured, grid, params)
     elif config.estimator == "oracle_exact":
         quantum = OracleWave(params).force(grid.positions, t)
     else:  # none
@@ -155,28 +148,6 @@ def build_force_field(
     if params.kp != 0.0:
         total += pressure_force(ln_rho, grid, params)
     return total
-
-
-def _extend_stencil_force(F: np.ndarray) -> np.ndarray:
-    """Fill the stencil estimator's edge band by linear extrapolation of the
-    first trustworthy values.  Leaving the band at zero (or any constant)
-    shears the boundary fluid against the forced interior, and the
-    D^2-amplified stencil re-reads that shear as a density ridge within a
-    few steps; the packet's quantum force is linear in x, so linear
-    extrapolation leaves no seed."""
-    k = STENCIL_EDGE
-    # F[k] + o (F[k+1] - F[k]) at the offset o of each band cell from the
-    # first valid cell on its side, in Python floats: the IEEE operations
-    # numpy would do, without building arrays for 8 values.  All four reads
-    # come first, as the bands overlap on a 7-cell grid.
-    first, second = F[k : k + 2].tolist()
-    second_last, last = F[-k - 2 : -k].tolist()
-    d_left, d_right = second - first, last - second_last
-    for o in range(-k, 0):
-        F[k + o] = first + o * d_left
-    for o in range(1, k + 1):
-        F[o - k - 1] = last + o * d_right
-    return F
 
 
 @lru_cache(maxsize=16)

@@ -309,6 +309,37 @@ def test_drift_kick_keeps_the_amplitude_over_ten_periods():
     assert amplitude == pytest.approx(params.a, rel=0.01)
 
 
+def step_jacobian(state, grid, params, config, eps=1e-6):
+    """The 2n x 2n Jacobian of one ``drift_kick_step`` about ``state``, by
+    central differences: column i is the change of (ln rho, V) per unit
+    change of the i-th entry of (ln rho, V)."""
+    n = grid.n
+    x0 = np.concatenate([state.ln_rho, state.V])
+    J = np.empty((2 * n, 2 * n))
+    for i in range(2 * n):
+        ends = []
+        for h in (eps, -eps):
+            x = x0.copy()
+            x[i] += h
+            new = qf.drift_kick_step(FluidState(state.t, x[:n], x[n:]), grid, params, config)
+            ends.append(np.concatenate([new.ln_rho, new.V]))
+        J[:, i] = (ends[0] - ends[1]) / (2 * eps)
+    return J
+
+
+@pytest.mark.parametrize("half_width", [96, 128])
+def test_fig1_loop_is_neutral_about_the_resting_packet(half_width):
+    # at a = 0 the packet rests, and no mode of fig1's loop grows: the
+    # largest |eigenvalue| of one step is 1 (1 + 4e-9 on +-96, 1 + 9e-10 on
+    # +-128); a force measured before the drift would grow the center's
+    # mode by about omega^2 dt^2 / 2 a step
+    params, config, _ = qf.preset("fig1")
+    params = replace(params, a=0.0)
+    grid = qf.make_grid(-half_width, 1.0, 2 * half_width)
+    J = step_jacobian(qf.init_coherent_state(params, grid), grid, params, config)
+    assert abs(np.max(np.abs(np.linalg.eigvals(J))) - 1.0) < 1e-6
+
+
 def test_run_convergence_under_refinement():
     # halving dx and dt cuts the max center error by at least 1.8x
     params = default_params()

@@ -75,16 +75,14 @@ def quantum_potential_formula(H, dx, D):
 
 
 def stencil_force_formula(ln_rho, dx, D):
+    """The chain's central difference on cells 3..n-4 and zeros on the outer
+    3 cells; then F[k] + o (F[k+1] - F[k]) at offsets o = -k..-1 from the
+    first valid cell k, and its mirror image on the right, both read from
+    that zero-filled F."""
     Q = quantum_potential_formula(log_gradient_formula(ln_rho, dx), dx, D)
     F = np.zeros(Q.shape)
     F[3:-3] = (Q[2:-4] - Q[4:-2]) / (2 * dx)
-    return F
-
-
-def stencil_edge_formula(F):
-    """F[k] + o (F[k+1] - F[k]) at offsets o = -k..-1 from the first valid
-    cell k, and its mirror image on the right, both read from F as given."""
-    k = integrator.STENCIL_EDGE
+    k = forces.STENCIL_EDGE
     out = F.copy()
     out[:k] = F[k] + np.arange(-k, 0) * (F[k + 1] - F[k])
     out[-k:] = F[-k - 1] + np.arange(1, k + 1) * (F[-k - 1] - F[-k - 2])
@@ -173,7 +171,7 @@ def quantum_estimate(estimator, measured, grid, params, t):
     if estimator == "gaussian_fit":
         return qf.gaussian_fit_force(measured, grid, params)
     if estimator == "finite_difference":
-        return stencil_edge_formula(stencil_force_formula(measured, grid.dx, params.D))
+        return stencil_force_formula(measured, grid.dx, params.D)
     if estimator == "oracle_exact":
         return qf.OracleWave(params).force(grid.positions, t)
     return np.zeros(grid.n)
@@ -199,23 +197,25 @@ def test_the_total_force_gives_the_bits_of_its_formula(estimator, kp):
     assert ext.tobytes() == cached and qf.external_force(grid, params) is ext
 
 
-@pytest.mark.parametrize("n", [64, 7])
+@pytest.mark.parametrize("n", [64, 9, 8, 7])
 @pytest.mark.parametrize("seed, specials", CASES)
 def test_the_stencil_chain_and_the_pressure_give_the_bits_of_their_formulas(seed, specials, n):
-    # n = 7 is the smallest grid: one stencil cell, and edge bands that overlap
+    # n = 7 is the smallest grid: one stencil cell, and edge bands that
+    # overlap; on n = 8 each band reads one zero-filled cell, and n = 9 is
+    # the first grid where no band read does
     rng = np.random.default_rng(seed)
-    ln_rho, H, F = (field(rng, n, specials) for _ in range(3))
+    ln_rho, H = (field(rng, n, specials) for _ in range(2))
     params = qf.PhysicalParams(D=0.7, omega=1.3, kp=1.7)
     config = qf.RunConfig(estimator="finite_difference")
     for dx in (1 / 64, 0.7, 1e-3):
         grid = qf.make_grid(-3.0, dx, n)
         with np.errstate(all="ignore"):
             got = [forces._log_gradient(ln_rho, dx), forces._quantum_potential(H[1:-1], dx, 0.7),
-                   qf.fd_quantum_force(ln_rho, grid, params), integrator._extend_stencil_force(F.copy()),
+                   qf.fd_quantum_force(ln_rho, grid, params),
                    qf.pressure_force(ln_rho, grid, params),
                    qf.build_force_field(grid, params, config, H, ln_rho, 0.0)]
             want = [log_gradient_formula(ln_rho, dx)[1:-1], quantum_potential_formula(H, dx, 0.7)[2:-2],
-                    stencil_force_formula(ln_rho, dx, 0.7), stencil_edge_formula(F),
+                    stencil_force_formula(ln_rho, dx, 0.7),
                     pressure_formula(ln_rho, dx, 1.7),
                     qf.external_force(grid, params) + quantum_estimate(config.estimator, H, grid, params, 0.0)
                     + pressure_formula(ln_rho, dx, 1.7)]
