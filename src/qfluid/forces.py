@@ -62,29 +62,46 @@ def moments(ln_rho: np.ndarray, grid: SpatialGrid) -> Moments:
     """Mean and dispersion of position under the density exp(ln_rho).
 
     Weights are exponentiated relative to the running peak so that a uniform
-    shift of ln rho (a global density rescaling) cancels exactly.  The
-    weights w = exp(ln rho - max), then w x, then w (x - mean)^2 are built
-    in place in two arrays, in the operations and order of those formulas.
-    The peak's weight exp(0) = 1 makes the total >= 1, or NaN exactly when
-    max ln rho is not finite: the one non-finite rule, NonFiniteDensityError.
+    shift of ln rho (a global density rescaling) cancels exactly.  One
+    matrix-vector product of the grid's ``_moment_table`` with the weights
+    w = exp(ln rho - max) gives the three sums (sum w, sum w (x - c),
+    sum w (x - c)^2) about the grid midpoint c; then d = sum w (x - c)/sum w,
+    mean = c + d and var = sum w (x - c)^2/sum w - d^2.  The subtraction
+    magnifies the sums' rounding by kappa = 1 + d^2/var, so the variance's
+    relative error is O(eps kappa) wherever the grid sits (the tests hold it
+    to 64 eps kappa; 23 was the most measured, on 12288 cells).  Sums about
+    the origin would magnify it by (mean^2 + var)/var instead, a factor
+    that grows with x0^2 even for a packet at the grid's center.  The
+    product sums in the BLAS kernel's order, so the last bits depend on the
+    BLAS.  Every weight is >= 0 and the peak's is exp(0) = 1, so the total
+    is >= 1 in any summation order, or NaN exactly when max ln rho is not
+    finite: the one non-finite rule, NonFiniteDensityError.
     """
     w = ln_rho - np.maximum.reduce(ln_rho)
     np.exp(w, out=w)
-    total = float(np.add.reduce(w))
+    table, c = _moment_table(grid)
+    total, first, second = np.dot(table, w).tolist()
     if not math.isfinite(total):
         raise NonFiniteDensityError("density weights are not summable")
-    x = grid.positions
-    wx = w * x
-    mean = float(np.add.reduce(wx)) / total
-    np.subtract(x, mean, out=wx)
-    np.square(wx, out=wx)
-    np.multiply(w, wx, out=wx)
-    var = float(np.add.reduce(wx)) / total
+    d = first / total
+    var = second / total - d * d
     if var < (grid.dx / 10.0) ** 2:
         raise DegenerateDensityError(
             f"density variance {var:g} below ({grid.dx}/10)^2; distribution is delta-like"
         )
-    return Moments(mean, var)
+    return Moments(c + d, var)
+
+
+@lru_cache(maxsize=16)
+def _moment_table(grid: SpatialGrid) -> tuple[np.ndarray, float]:
+    """The rows 1, x - c and (x - c)^2 that ``moments`` sums its weights
+    against, built once per grid and read-only, and the shift c, the grid
+    midpoint x0 + (n - 1) dx/2."""
+    c = grid.x0 + (grid.n - 1) * grid.dx / 2
+    shifted = grid.positions - c
+    table = np.stack([np.ones(grid.n), shifted, np.square(shifted)])
+    table.flags.writeable = False
+    return table, c
 
 
 def gaussian_fit_force(ln_rho: np.ndarray, grid: SpatialGrid, params: PhysicalParams) -> np.ndarray:

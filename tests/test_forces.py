@@ -59,6 +59,70 @@ def test_moments_degenerate_density_raises():
         qf.moments(ln_rho, grid)
 
 
+EPS = np.finfo(float).eps
+# k of the bounds k eps kappa below; the largest k measured was 23, for the
+# variance on compare-fine's 12288 cells
+MOMENTS_K = 64
+MOMENT_GRIDS = {
+    "+-96": qf.make_grid(-96.0, 1.0, 192),
+    "+-192": qf.make_grid(-192.0, 1.0, 384),
+    "compare-fine": qf.make_grid(-96.0, 1 / 64, 12288),
+    "off-origin": qf.make_grid(1e4, 1.0, 192),
+}
+
+
+def two_pass_moments(ln_rho, grid):
+    """Mean and var of the weights ``moments`` builds, summed in extended
+    precision, the variance about the mean."""
+    w = np.exp(ln_rho - np.maximum.reduce(ln_rho)).astype(np.longdouble)
+    x = grid.positions.astype(np.longdouble)
+    total = w.sum()
+    mean = (w * x).sum() / total
+    return mean, (w * (x - mean) ** 2).sum() / total
+
+
+def assert_moments_within_bound(m, mean, var, grid):
+    """|mean error| <= k eps (|c| + rms(x - c)) and |var error| <= k eps
+    kappa var, with c the grid midpoint and kappa = 1 + (mean - c)^2/var =
+    rms(x - c)^2/var, the factor by which the shifted variance magnifies
+    the rounding of its sums."""
+    c = grid.x0 + (grid.n - 1) * grid.dx / 2
+    kappa = 1 + (mean - c) ** 2 / var
+    assert abs(m.mean - mean) <= MOMENTS_K * EPS * (abs(c) + np.sqrt(var * kappa))
+    assert abs(m.var - var) <= MOMENTS_K * EPS * kappa * var
+
+
+@pytest.mark.parametrize("name", MOMENT_GRIDS)
+def test_moments_err_by_at_most_k_eps_kappa_anywhere_on_the_grid(name):
+    # packets centred on and between nodes from edge to edge, 0.2 cells to a
+    # quarter of the grid wide; kappa reaches 1.7e9 for the narrow ones at
+    # compare-fine's edges.  Sums about the origin fail this on the
+    # off-origin grid, whose packets sit 1e4 from it
+    grid = MOMENT_GRIDS[name]
+    x = grid.positions
+    nodes = np.linspace(grid.x0, grid.x_end, 17)
+    for center in np.concatenate([nodes, nodes[:-1] + 0.37 * grid.dx]):
+        for width in np.geomspace(0.2 * grid.dx, (grid.n - 1) * grid.dx / 4, 9):
+            ln_rho = -0.5 * ((x - center) / width) ** 2
+            mean, var = two_pass_moments(ln_rho, grid)
+            if var < (grid.dx / 10.0) ** 2:
+                with pytest.raises(qf.DegenerateDensityError):
+                    qf.moments(ln_rho, grid)
+                continue
+            assert_moments_within_bound(qf.moments(ln_rho, grid), mean, var, grid)
+
+
+def test_moving_the_grid_and_the_packet_by_L_moves_the_mean_by_L():
+    near, far = MOMENT_GRIDS["+-96"], MOMENT_GRIDS["off-origin"]
+    L = far.x0 - near.x0
+    index = np.arange(near.n)
+    for center in (0.37, 50.37, 95.5, 190.63):
+        for width in (0.2, 3.0, 16.0, 47.75):
+            ln_rho = -0.5 * ((index - center) / width) ** 2
+            m = qf.moments(ln_rho, near)
+            assert_moments_within_bound(qf.moments(ln_rho, far), m.mean + L, m.var, far)
+
+
 def test_gaussian_fit_force_on_equilibrium_packet():
     # sigma^2 = D/omega turns D^2 (x - mean)/sigma^4 into exactly omega^2 x
     params = default_params()

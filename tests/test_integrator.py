@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import qfluid as qf
+from qfluid import integrator
 from qfluid.core import FluidState
 from qfluid.integrator import sponge_active
 from qfluid.presets import default_grid, default_params
@@ -338,6 +339,36 @@ def test_fig1_loop_is_neutral_about_the_resting_packet(half_width):
     grid = qf.make_grid(-half_width, 1.0, 2 * half_width)
     J = step_jacobian(qf.init_coherent_state(params, grid), grid, params, config)
     assert abs(np.max(np.abs(np.linalg.eigvals(J))) - 1.0) < 1e-6
+
+
+@pytest.mark.parametrize("tau, dt", [
+    (0.5, 0.5), (0.5, 0.25), (1.0, 1.0), (1.0, 0.5), (1.0, 0.25), (2.0, 1.0), (2.0, 0.5), (2.0, 0.25),
+])
+def test_a_force_measured_tau_late_grows_the_amplitude_by_exp_pi_omega_tau_per_period(tau, dt):
+    # fig1's loop, its fit fed the density of d = tau/dt steps back (the
+    # start's before step d): averaged over the density, the fitted force
+    # D^2 (x - mean(t - tau))/var^2 plus the trap makes the center obey
+    # mean'' = -omega^2 mean(t - tau), whose amplitude grows by
+    # exp(pi omega tau) per period to O((omega tau)^2) (Hale and Verduyn
+    # Lunel, Introduction to Functional Differential Equations, 1993).
+    # Measured, mean(T)/a reads 1.1667, 1.3598-1.3603 and 1.8339-1.8354
+    # against 1.1667, 1.3613 and 1.8531: the gap of the logs is at most
+    # 0.27 (omega tau)^2, at tau = 2, dt = 0.25
+    params, config, grid = qf.preset("fig1")
+    config = replace(config, dt=dt)
+    delay = round(tau / dt)
+    state = qf.init_coherent_state(params, grid)
+    boot = qf.build_force_field(grid, params, config, state.ln_rho, state.ln_rho, 0.0)
+    state = FluidState(0.0, state.ln_rho, state.V + 0.5 * dt * boot)
+    history = [state.ln_rho] * delay
+    period = 2 * math.pi / params.omega
+    for _ in range(round(period / dt)):
+        drifted = integrator._continuity_update(state.ln_rho, state.V, dt, grid.dx)
+        state = qf.drift_kick_step(state, grid, params, config, history[-delay] - drifted)
+        history.append(state.ln_rho)
+    growth = qf.moments(state.ln_rho, grid).mean / params.a
+    omega_tau = params.omega * tau
+    assert abs(math.log(growth) - math.pi * omega_tau) <= 0.5 * omega_tau**2
 
 
 def test_run_convergence_under_refinement():

@@ -53,13 +53,15 @@ def velocity_formula(V, total_force, dt, dx):
 
 
 def moments_formula(ln_rho, grid):
-    """(total, mean, var) of the weights exp(ln rho - max)."""
+    """(total, mean, var): the weights exp(ln rho - max) summed against the
+    rows 1, x - c and (x - c)^2 in one product, c the grid midpoint, then
+    the mean c + d and the shifted variance about it."""
     w = np.exp(ln_rho - np.maximum.reduce(ln_rho))
-    total = float(np.add.reduce(w))
-    x = grid.positions
-    mean = float(np.add.reduce(w * x)) / total
-    var = float(np.add.reduce(w * (x - mean) ** 2)) / total
-    return total, mean, var
+    c = grid.x0 + (grid.n - 1) * grid.dx / 2
+    x = grid.positions - c
+    total, first, second = (np.stack([np.ones(grid.n), x, x**2]) @ w).tolist()
+    d = first / total
+    return total, c + d, second / total - d * d
 
 
 def log_gradient_formula(ln_rho, dx):
@@ -300,7 +302,7 @@ def peak_arrays(call):
     ("drift_kick_step", 4),
     ("_continuity_update", 2),
     ("_velocity_update", 2),
-    ("moments", 2),
+    ("moments", 1),
     ("fd_quantum_force", 3),
     ("pressure_force", 1),
     ("build_force_field", 2),
