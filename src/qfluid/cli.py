@@ -89,7 +89,7 @@ _SETTINGS = (
     _Setting("a", "params", _FLOAT, "packet oscillation amplitude"),
     _Setting("kp", "params", _FLOAT, "pressure amplitude (squared sound speed)"),
     _Setting("dx", "grid", _FLOAT, "grid spacing"),
-    _Setting("n", "grid", _INT, "number of grid points (grid stays centered on 0)"),
+    _Setting("n", "grid", _INT, "number of grid points (the grid runs from -n dx/2 to (n/2 - 1) dx)"),
     _Setting("x0", "grid", _FLOAT),
     _Setting("dt", "config", _FLOAT, "time step"),
     _Setting("steps", "config", _INT, "number of loop iterations"),
@@ -375,7 +375,3 @@ def main(argv=None) -> int:
     except ValueError as err:  # every refusal, of a setting or of the scenario it builds
         print(f"error: {err}", file=sys.stderr)
     return EXIT_USAGE
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -51,7 +51,9 @@ def default_params(kp: float = 0.0) -> PhysicalParams:
 
 
 def default_grid(dx: float = 1.0, n: int = GRID_N) -> SpatialGrid:
-    # symmetric about the trap minimum
+    # nodes from -n dx/2 to (n/2 - 1) dx, so the grid's midpoint is half a
+    # cell left of the trap minimum; make_grid(-n dx/2, dx, n + 1) is the
+    # mirror-symmetric grid.  Centring it would change every output byte.
     return make_grid(-0.5 * n * dx, dx, n)
 
 

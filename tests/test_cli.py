@@ -49,11 +49,18 @@ def test_run_unknown_flag_is_usage_error(tmp_path):
     assert main(["run", "--frobnicate", "1", "--out", str(tmp_path)]) == 1
 
 
-def test_diverged_run_exits_2_with_partial_rows(tmp_path):
-    code = main(["run", "--estimator", "none", "--steps", "200", "--out", str(tmp_path)])
-    assert code == 2
-    _, rows = read_csv(tmp_path / "diagnostics.csv")
-    assert 1 <= len(rows) < 201
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy warns of the dt = 1e200 overflow
+def test_diverged_run_exits_2_with_partial_rows(tmp_path, capsys):
+    for case, (argv, steps, status) in enumerate((
+        (["--estimator", "none", "--steps", "200"], 8, "diverged_dispersion"),
+        (["--preset", "fig6", "--dt", "0.1", "--steps", "40"], 9, "diverged_dispersion"),  # past the ripple limit
+        (["--dt", "1e200", "--steps", "3"], 0, "diverged_nonfinite"),  # the first drift overflows ln rho
+    )):
+        out = tmp_path / str(case)
+        assert main(["run", *argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().out.startswith(f"steps_survived={steps} status={status} ")
+        _, rows = read_csv(out / "diagnostics.csv")
+        assert [row[0] for row in rows] == [str(step) for step in range(steps + 1)]
 
 
 def test_run_snapshots_written(tmp_path):
@@ -178,19 +185,26 @@ def test_compare_reports_feedback_divergence(tmp_path, capsys):
     ([], 0),
     (["--preset", "fig5"], 3),
     (["--preset", "fig7"], 3),
-    (["--preset", "fig6", "--dt", "0.1", "--steps", "40"], 2),
+    (["--preset", "fig6", "--dt", "0.1", "--steps", "40"], 2),  # the fluid diverges at step 9
+    # a pressure run's first 16 steps, the reference's log term Strang-split,
+    # on +-96 cells and on +-192, whose tails take the exact log phase
+    (["--preset", "fig5", "--steps", "16"], 0),
+    (["--preset", "fig5", "--n", "384", "--steps", "16"], 0),
 ])
 def test_compare_streams_the_distances_the_snapshot_records_give(tmp_path, capsys, argv, expected_code):
     # compare steps both solvers in lockstep and keeps no snapshot; its
     # column must equal, bit for bit, the distances between full records
     assert main(["compare", *argv, "--out", str(tmp_path)]) == expected_code
-    if argv:
-        params, config, grid = qf.preset(argv[1])
-        if len(argv) > 2:
-            config = replace(config, dt=0.1, steps=40)
+    assert ("-> PASS" in capsys.readouterr().out) == (expected_code == 0)
+    flags = dict(zip(argv[::2], argv[1::2]))
+    if "--preset" in flags:
+        params, config, grid = qf.preset(flags["--preset"])
     else:  # compare's own base scenario
-        params, grid = default_params(), default_grid()
-        config = qf.RunConfig(estimator="oracle_exact", steps=16)
+        params, config, grid = default_params(), qf.RunConfig(estimator="oracle_exact", steps=16), default_grid()
+    config = replace(config, **{flag[2:]: kind(flags[flag]) for flag, kind in (("--dt", float), ("--steps", int))
+                                if flag in flags})
+    if "--n" in flags:
+        grid = default_grid(grid.dx, int(flags["--n"]))
     snapshots = qf.run(replace(config, snapshot_every=1), params, grid).snapshots
     expected = [
         (step, qf.density_distance(snapshots[step][0], rho))
@@ -601,12 +615,13 @@ def test_module_entry_point():
 
 def test_importing_the_cli_leaves_scipy_unloaded(tmp_path):
     # nothing in qfluid imports scipy: not the CLI, and not compare's
-    # Crank-Nicolson reference, on the default grid or on compare-fine's.
+    # Crank-Nicolson reference, on the default grid or on compare-fine's
+    # (the benchmark's compare-fine command at 8 steps, within tolerance).
     # A noiseless run builds no random generator, so numpy.random stays
     # unloaded too, unless importing numpy alone loads it (older numpy)
     argvs = [
         ["compare", "--steps", "2", "--out", str(tmp_path / "bare")],
-        ["compare", "--dx", "0.015625", "--dt", "0.015625", "--n", "12288", "--steps", "2",
+        ["compare", "--dx", "0.015625", "--dt", "0.015625", "--n", "12288", "--steps", "8",
          "--out", str(tmp_path / "fine")],
     ]
     script = (

@@ -10,6 +10,7 @@ import pytest
 from scipy.integrate import quad
 
 import qfluid as qf
+from qfluid.cli import main
 from qfluid.core import RunConfig
 from qfluid.presets import default_grid, default_params
 
@@ -173,20 +174,24 @@ def test_coherent_state_warns_if_packet_does_not_fit():
         qf.init_coherent_state(params, qf.make_grid(-30.0, 1.0, 60), 0.0)
 
 
-@pytest.mark.parametrize("caller", ["init_coherent_state", "run", "cross_check"])
-def test_packet_fit_warning_names_the_first_line_outside_qfluid(caller):
+@pytest.mark.parametrize("caller", ["init_coherent_state", "run", "cross_check", "main"])
+def test_packet_fit_warning_names_the_first_line_outside_qfluid(tmp_path, caller):
     # however deep inside the package the packet is built, the warning
-    # points at the code that called into it
+    # points at the code that called into it.  The command line warns once
+    # too, and its default 5% tolerance fails the packet: exit 3
     params, grid = default_params(), default_grid(n=100)
     config = RunConfig(estimator="oracle_exact", steps=4)
     calls = {
         "init_coherent_state": lambda: qf.init_coherent_state(params, grid),
         "run": lambda: qf.run(config, params, grid),
         "cross_check": lambda: qf.cross_check(config, params, grid),
+        "main": lambda: main(["compare", "--n", "100", "--out", str(tmp_path)]),
     }
     with pytest.warns(UserWarning) as record:
-        calls[caller]()
+        result = calls[caller]()
     assert [w.filename for w in record if "does not fit" in str(w.message)] == [__file__]
+    if caller == "main":
+        assert result == 3
 
 
 def test_mass_uniform_density():

@@ -549,7 +549,10 @@ def test_build_force_field_without_pressure_has_no_pressure_part():
 @pytest.mark.parametrize("name, changes, steps, status", [
     (None, {"steps": 16}, 16, "ok"),
     ("fig6", {"dt": 0.1}, 9, "diverged_dispersion"),  # past the stencil's ripple limit
-], ids=["full", "diverged"])
+    # fig4 carried on from its 40-unit window to T = 64: without the
+    # absorbing strip (sponge_active) it dies at t = 50
+    ("fig4", {"steps": 512}, 512, "ok"),
+], ids=["full", "diverged", "sponge"])
 def test_summary_errors_populated(name, changes, steps, status):
     params, config, grid = qf.preset(name) if name else (default_params(), qf.RunConfig(), default_grid())
     rec = qf.run(replace(config, **changes), params, grid)
