@@ -2,8 +2,9 @@
 
 D is a free macroscopic knob.  Large D means a strong anti-spreading force
 and a wide equilibrium packet; D -> 0 removes the mechanism entirely and the
-trap squeezes the fluid until it collapses (the runs end at the
-degenerate-width guard).  Sweeping D toward zero shows the quantum-to-
+trap squeezes the fluid until it collapses to a spike (the runs at D <=
+0.25 D_default end on the mass-jump stop, a step before the degenerate-width
+guard would end them).  Sweeping D toward zero shows the quantum-to-
 classical transition as a monotone loss of survival time.
 
 The packet is initialized at the width that would be in equilibrium at the

@@ -222,10 +222,13 @@ def test_smoothness_increases_with_noise():
     assert qf.smoothness(noisy, grid) > 100 * before
 
 
-def test_l2_distance_identical_records():
+@pytest.mark.parametrize("c", [1.0, 0.5, 2.0, 0.081])
+def test_l2_distance_identical_records(c):
+    # the distance is relative to the first density: rho to c rho is |1 - c|,
+    # exactly 0 at c = 1 (dividing by the second would give |1 - c| / c)
     grid = default_grid()
     rho = np.exp(-grid.positions**2 / 512.0)
-    assert qf.density_distance(rho, rho.copy()) == 0.0
+    assert qf.density_distance(rho, c * rho) == pytest.approx(abs(1.0 - c), rel=1e-12, abs=0.0)
 
 
 def test_l2_distance_shifted_gaussian():

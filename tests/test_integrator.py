@@ -430,8 +430,8 @@ def test_run_mass_drift_shrinks_under_refinement():
 
 
 def test_run_returns_partial_record_on_divergence():
-    # without any quantum force the trap squeezes the packet until the
-    # moments guard trips; the run must stop early, not raise
+    # without any quantum force the trap squeezes the packet to a spike,
+    # which the mass-jump stop ends at step 8; the run must stop early, not raise
     params, grid = default_params(), default_grid()
     rec = qf.run(qf.RunConfig(steps=200, estimator="none"), params, grid)
     assert rec.final_status in ("diverged_dispersion", "diverged_nonfinite")
@@ -552,7 +552,12 @@ def test_build_force_field_without_pressure_has_no_pressure_part():
     # fig4 carried on from its 40-unit window to T = 64: without the
     # absorbing strip (sponge_active) it dies at t = 50
     ("fig4", {"steps": 512}, 512, "ok"),
-], ids=["full", "diverged", "sponge"])
+    # per-step noise pins the mass-jump factor from both sides: at seed 0
+    # the first step of amplitude 5 multiplies the mass by 30.4, and the
+    # steps of amplitude 3 by 4.2-6.9
+    (None, {"noise": "per_step", "noise_amplitude": 5.0, "steps": 10}, 0, "diverged_dispersion"),
+    (None, {"noise": "per_step", "noise_amplitude": 3.0, "steps": 5}, 5, "ok"),
+], ids=["full", "diverged", "sponge", "mass-jump", "under-mass-jump"])
 def test_summary_errors_populated(name, changes, steps, status):
     params, config, grid = qf.preset(name) if name else (default_params(), qf.RunConfig(), default_grid())
     rec = qf.run(replace(config, **changes), params, grid)
