@@ -80,9 +80,9 @@ def center_energy_estimate(state: FluidState, grid: SpatialGrid, params: Physica
     evaluated in scalar arithmetic from the six ln rho cells j-2..j+3 they
     need, with the operations of ``fd_quantum_force``'s H and Q stages in
     their order (``h * h`` is numpy's square).  Both interpolations repeat
-    ``np.interp``'s scalar formula, so the result is the same bits the
-    full-grid chain and ``np.interp`` give.  A V(xbar) whose square
-    overflows gives inf, as numpy's square would.
+    ``np.interp``'s scalar formula: finite cells give the bits of the
+    full-grid chain and ``np.interp``, a non-finite one a non-finite result,
+    and a V(xbar) whose square overflows inf, as numpy's square would.
     """
     m = moments(state.ln_rho, grid)
     mean = m.mean
@@ -111,27 +111,20 @@ def center_energy_estimate(state: FluidState, grid: SpatialGrid, params: Physica
 
 def _interp(x: float, x0: float, x1: float, y0: float, y1: float) -> float:
     """``np.interp`` at x on its table's segment (x0, y0)-(x1, y1) that
-    brackets x, or whose end node x lies beyond, in numpy's own scalar
-    steps and so bit for bit: the node value at or beyond either node, else
-    the slope form from the left node, retried from the right one on NaN."""
+    brackets x, or whose end node x lies beyond: the node value at or beyond
+    either node, else numpy's slope form from the left node, its bits on
+    finite y0 and y1; a non-finite one gives a non-finite result."""
     if x <= x0:
         return y0
     if x >= x1:
         return y1
-    slope = (y1 - y0) / (x1 - x0)
-    y = slope * (x - x0) + y0
-    if y != y:
-        if x != x:
-            return x
-        y = slope * (x - x1) + y1
-        if y != y and y0 == y1:
-            y = y0
-    return y
+    return (y1 - y0) / (x1 - x0) * (x - x0) + y0
 
 
 def smoothness(ln_rho: np.ndarray, grid: SpatialGrid) -> float:
     """Mean squared second difference of ln rho over the packet core
-    (|x - mean| <= 3 sigma).
+    (|x - mean| <= 3 sigma), a free choice: over fig2's period it falls 7.0x,
+    and 6.5x to 19.5x for any core from 1 to 5 sigma.
 
     The grid is sorted, so d = x - mean is too, and the core -r <= d <= r is
     one contiguous run [lo, hi) of the interior nodes: two ``searchsorted``

@@ -137,8 +137,8 @@ def fd_quantum_force(ln_rho: np.ndarray, grid: SpatialGrid, params: PhysicalPara
     out /= 2 * grid.dx
     F[:3] = F[-3:] = 0.0
     k = STENCIL_EDGE
-    # in Python floats, the IEEE operations numpy would do; all four reads
-    # come first, as the bands overlap on a 7-cell grid
+    # in Python floats, numpy's IEEE operations and values (a NaN's sign is
+    # the interpreter's); all four reads first, as the bands overlap on 7 cells
     first, second = F[k : k + 2].tolist()
     second_last, last = F[-k - 2 : -k].tolist()
     d_left, d_right = second - first, last - second_last

@@ -122,6 +122,22 @@ def test_center_energy_estimate_matches_the_full_grid_stencil_bit_for_bit(n):
     assert min(seen.values()) > 0, seen
 
 
+@pytest.mark.parametrize(
+    "field, offset, value", [("ln_rho", -1, -np.inf), ("ln_rho", 0, -np.inf), ("ln_rho", 1, -np.inf), ("V", 0, np.inf)]
+)
+def test_center_energy_estimate_is_not_finite_on_a_non_finite_bracket(field, offset, value):
+    """A vacuum cell (ln rho = -inf) at or beside the node left of the
+    mean, or V = inf at that node, gives a center energy that is not finite;
+    which inf or NaN is not pinned."""
+    params, grid = default_params(), default_grid()
+    state = qf.init_coherent_state(params, grid, 0.0)
+    i = int(grid.positions.searchsorted(qf.moments(state.ln_rho, grid).mean, "right")) - 1
+    values = {"ln_rho": state.ln_rho.copy(), "V": state.V.copy()}
+    values[field][i + offset] = value
+    e = qf.center_energy_estimate(qf.FluidState(state.t, **values), grid, params)
+    assert not math.isfinite(e)
+
+
 def _boolean_core_smoothness(ln_rho, grid):
     """smoothness's formula with the core picked by a boolean mask over the
     whole interior."""

@@ -1,7 +1,15 @@
 """The kernels build their results in place: each gives the bits of the
 formula it states, on random fields and on fields holding +/-0, +/-inf and
 NaN, and allocates no more n-sized arrays than counted here at
-compare-fine's n = 12288."""
+compare-fine's n = 12288.
+
+NaN is compared as NaN, whatever its sign bit.  IEEE 754 leaves the sign
+of a NaN result unspecified, and for two NaN operands the paths differ:
+numpy arrays and CPython 3.11's specialized float ops keep the left one;
+numpy float64 scalars, CPython 3.10 and some builds' generic float ops
+(3.11.7's before an op warms up, or under a trace function) keep the right
+one.  ``fd_quantum_force`` fills its edge band in Python floats, so a
+pinned sign would pin the interpreter, its build and its path."""
 
 import tracemalloc
 
@@ -26,7 +34,10 @@ def field(rng, n, specials=SPECIALS):
 
 
 def bits(value):
-    return np.asarray(value, dtype=float).tobytes()
+    """The float64 bytes of ``value``, with every NaN as the one NaN
+    ``np.nan``, so a NaN's place is pinned but not its sign."""
+    value = np.asarray(value, dtype=float)
+    return np.where(np.isnan(value), np.nan, value).tobytes()
 
 
 # each kernel's formula, as its docstring states it, in plain numpy expressions
