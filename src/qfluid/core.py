@@ -187,9 +187,9 @@ class RunConfig:
         if self.noise not in NOISE_MODES:
             raise ValueError(f"unknown noise mode {self.noise!r}; choose from {NOISE_MODES}")
         if self.noise_amplitude < 0:
-            raise ValueError("noise_amplitude must be non-negative")
+            raise ValueError(f"noise_amplitude must be non-negative, got {self.noise_amplitude}")
         if self.snapshot_every < 0:
-            raise ValueError("snapshot_every must be >= 0")
+            raise ValueError(f"snapshot_every must be >= 0, got {self.snapshot_every}")
         if self.seed < 0:  # numpy's generators take no negative seed
             raise ValueError(f"seed must be non-negative, got {self.seed}")
 

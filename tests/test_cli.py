@@ -1,10 +1,10 @@
 """Command-line interface: subcommands, exit codes, file formats."""
 
-import os
 import subprocess
 import sys
 import tracemalloc
 import warnings
+from collections import namedtuple
 from dataclasses import replace
 
 import numpy as np
@@ -35,18 +35,6 @@ def test_run_fig6_completes(tmp_path):
     assert code == 0
     _, rows = read_csv(tmp_path / "diagnostics.csv")
     assert len(rows) - 1 >= 16
-
-
-def test_run_rejects_zero_steps(tmp_path):
-    assert main(["run", "--steps", "0", "--out", str(tmp_path)]) == 1
-
-
-def test_run_rejects_unknown_preset(tmp_path):
-    assert main(["run", "--preset", "fig99", "--out", str(tmp_path)]) == 1
-
-
-def test_run_unknown_flag_is_usage_error(tmp_path):
-    assert main(["run", "--frobnicate", "1", "--out", str(tmp_path)]) == 1
 
 
 def test_diverged_run_exits_2_with_partial_rows(tmp_path, capsys):
@@ -107,67 +95,6 @@ def test_compare_fails_at_tiny_tolerance(tmp_path, capsys):
     code = main(["compare", "--steps", "16", "--tol", "1e-9", "--out", str(tmp_path)])
     assert code == 3
     assert "FAIL" in capsys.readouterr().out
-
-
-@pytest.mark.parametrize("source", ["flag", "config file"])
-@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
-def test_compare_refuses_a_non_finite_or_negative_tolerance_before_any_run(tmp_path, capsys, tol, source):
-    if source == "flag":
-        chosen = ["--tol", tol]
-    else:
-        (tmp_path / "tol.cfg").write_text(f"tol = {tol}\n")
-        chosen = ["--config", str(tmp_path / "tol.cfg")]
-    out = tmp_path / "out"
-    assert main(["compare", *chosen, "--out", str(out)]) == 1
-    assert capsys.readouterr().err.startswith("error: tol ")
-    assert not (out / "compare.csv").exists()
-    assert main(["compare", *chosen, "--print-config"]) == 1
-    assert capsys.readouterr().out == ""
-
-
-@pytest.mark.parametrize("command, extra", [("compare", []), ("sweep", ["--param", "kp", "--values", "0,1"])])
-def test_snapshot_every_is_refused_where_no_snapshot_is_written(tmp_path, capsys, command, extra):
-    # only run writes snapshots, so only run offers the flag, 0 included
-    out = tmp_path / "out"
-    for every in ("0", "1"):
-        assert main([command, *extra, "--snapshot-every", every, "--out", str(out)]) == 1
-        assert "--snapshot-every" in capsys.readouterr().err
-        assert not out.exists()
-        assert main([command, *extra, "--snapshot-every", every, "--print-config"]) == 1
-        assert capsys.readouterr().out == ""
-
-
-@pytest.mark.parametrize("source", ["flag", "flag=value", "config file"])
-@pytest.mark.parametrize("command, key, reader", [
-    ("run", "tol", "compare"),
-    ("compare", "snapshot_every", "run"),
-    ("sweep", "tol", "compare"),
-    ("sweep", "snapshot_every", "run"),
-])
-def test_a_setting_the_command_does_not_read_is_refused(tmp_path, capsys, command, key, reader, source):
-    extra = ["--param", "kp", "--values", "0,1"] if command == "sweep" else []
-    flag = f"--{key.replace('_', '-')}"
-    # a value the reading command could not parse is refused by name too,
-    # not by a parse error of a setting the command never reads
-    for value in ("1", "x"):
-        if source.startswith("flag"):
-            chosen = [flag, value] if source == "flag" else [f"{flag}={value}"]
-            named = f"error: {flag} is read by {reader} only, not by {command}\n"
-        else:
-            (tmp_path / "other.cfg").write_text(f"steps = 4\n{key} = {value}\n")
-            chosen, named = ["--config", str(tmp_path / "other.cfg")], f"{key} is read by {reader} only"
-        out = tmp_path / "out"
-        assert main([command, *extra, *chosen, "--out", str(out)]) == 1
-        refused = capsys.readouterr()
-        assert refused.out == "" and named in refused.err
-        assert not out.exists()
-
-
-def test_an_unknown_flag_is_refused_and_an_unread_one_is_not_offered(capsys):
-    assert main(["run", "--bogus", "1"]) == 1
-    assert "unrecognized arguments: --bogus" in capsys.readouterr().err
-    assert main(["run", "--help"]) == 0
-    assert "--tol" not in capsys.readouterr().out
 
 
 def test_the_parser_is_built_once_and_answers_alike_every_time(capsys):
@@ -236,25 +163,6 @@ def test_compare_ends_with_the_reference_and_names_its_status(tmp_path, capsys, 
     assert summary.endswith(" -> FAIL status=reference_diverged_nonfinite")
     _, rows = read_csv(tmp_path / "compare.csv")
     assert [row[0] for row in rows] == ["0"]
-
-
-@pytest.mark.parametrize("source", ["flag", "config file"])
-def test_compare_refuses_per_step_noise(tmp_path, capsys, source):
-    # only the fluid would carry it, so the solvers would not compare like
-    # with like; the config is still printable
-    if source == "flag":
-        chosen = ["--noise", "per-step"]
-    else:
-        (tmp_path / "noise.cfg").write_text("noise = per-step\n")
-        chosen = ["--config", str(tmp_path / "noise.cfg")]
-    out = tmp_path / "out"
-    assert main(["compare", "--preset", "fig2", *chosen, "--out", str(out)]) == 1
-    refused = capsys.readouterr()
-    assert refused.out == ""
-    assert refused.err.startswith("error: ") and "per_step" in refused.err
-    assert not out.exists()
-    assert main(["compare", "--preset", "fig2", *chosen, "--print-config"]) == 0
-    assert "noise = per-step\n" in capsys.readouterr().out
 
 
 def test_compare_memory_does_not_grow_with_the_steps(tmp_path):
@@ -340,26 +248,6 @@ def test_a_one_point_sweep_row_is_the_run_with_that_value(tmp_path, param):
     assert [int(rows[0][2]), float(rows[0][3]), float(rows[0][4]), rows[0][5]] == summary(rec)
 
 
-def test_sweep_empty_range_is_usage_error(tmp_path):
-    assert main(["sweep", "--param", "kp", "--values", "", "--out", str(tmp_path)]) == 1
-
-
-def test_sweep_unknown_param_is_usage_error(tmp_path):
-    assert main(["sweep", "--param", "M", "--values", "1,2", "--out", str(tmp_path)]) == 1
-
-
-def test_sweep_invalid_point_is_usage_error_before_any_run(tmp_path, capsys):
-    assert main(["sweep", "--param", "D", "--values", "1,-1", "--out", str(tmp_path)]) == 1
-    assert "error: sweep point D=-1" in capsys.readouterr().err
-    assert not (tmp_path / "sweep.csv").exists()
-
-
-@pytest.mark.parametrize("param, value", [("steps", "2.5"), ("seed", "1.5")])
-def test_sweep_rejects_non_integer_steps_and_seed(tmp_path, capsys, param, value):
-    assert main(["sweep", "--param", param, "--values", value, "--out", str(tmp_path)]) == 1
-    assert f"error: sweep point {param}={value}" in capsys.readouterr().err
-
-
 def test_sweep_print_config_prints_the_run_settings_and_runs_nothing(tmp_path, capsys):
     # every setting run reads but the snapshot cadence, which sweep does not read
     scenario = ["--preset", "fig5", "--steps", "2", "--out", str(tmp_path)]
@@ -371,33 +259,210 @@ def test_sweep_print_config_prints_the_run_settings_and_runs_nothing(tmp_path, c
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("sweep, error", [
-    (["--param", "M", "--values", "x"], "error: cannot sweep 'M'"),
-    (["--param", "kp", "--values", "1,x"], "error: sweep point kp=x: "),
-    (["--param", "D", "--values", "25,-1"], "error: sweep point D=-1: "),
-    (["--param", "seed", "--values=-1"], "error: sweep point seed=-1: seed must be non-negative, got -1\n"),
-], ids=["param", "values", "point", "seed"])
-def test_sweep_print_config_refuses_what_the_sweep_refuses(tmp_path, capsys, sweep, error):
-    out = ["--out", str(tmp_path)]
-    assert main(["sweep", *sweep, *out]) == 1
-    refused = capsys.readouterr()
-    assert refused.out == "" and refused.err.startswith(error)
-    assert main(["sweep", *sweep, *out, "--print-config"]) == 1
-    assert capsys.readouterr() == refused
+# The refusal contract.  cli.main takes its stages in this order: the parser;
+# the settings (a preset, config file, flag or sweep point it cannot use);
+# --print-config; the output directory; the run's start.  Every refusal exits
+# 1 with one message on stderr, prints nothing and creates nothing.  A parser
+# or settings refusal refuses --print-config alike; an output or run-start
+# refusal comes after it, so --print-config prints the config and exits 0.
+PARSER, SETTINGS, OUTPUT, RUN_START = "parser", "settings", "output", "run start"
+
+# argv: the words after `qfluid`, to which `--out {out}` is added.  {cfg} is
+# the config file, written from `config` (text, bytes, or None for no file),
+# {out} the output directory and {tmp} the test's directory.  err: the message
+# after "error: ", or for the parser the line argparse writes under its
+# usage.  layout: "file", "under-file" or "dangling-link" puts {out} at or
+# under a non-directory.  warns: the warnings the refused command gives first.
+# shows: lines --print-config prints besides `out`.
+_Refusal = namedtuple("_Refusal", "argv stage err config layout warns shows", defaults=(None, None, (), ()))
 
 
-@pytest.mark.parametrize("argv, error", [
-    (["run", "--D", "1e155"], "error: D is too large to square"),
-    (["sweep", "--param", "D", "--values", "1e155"], "error: sweep point D=1e155: D is too large to square"),
-    (["run", "--omega", "1e200", "--dx", "1e-300"], "error: omega is too large to square"),
-    (["run", "--dx", "1e160"], "error: grid x0, dx and dx^2 must be finite"),
-], ids=["run-D", "sweep-D", "run-omega", "run-dx"])
-def test_a_finite_value_whose_square_overflows_is_refused(tmp_path, capsys, argv, error):
+def _flags(argv, flag, value, stage, err, **row):
+    """``argv`` with ``flag value`` and with ``flag=value``, refused alike."""
+    return [_Refusal(f"{argv} {flag} {value}", stage, err, **row),
+            _Refusal(f"{argv} {flag}={value}", stage, err, **row)]
+
+
+def _sources(argv, key, value, stage, err, **row):
+    """``argv`` with ``key = value`` from each source, refused alike: the
+    flag, flag=value and a config file."""
+    return [*_flags(argv, f"--{key.replace('_', '-')}", value, stage, err, **row),
+            _Refusal(f"{argv} --config {{cfg}}", stage, err, config=f"{key} = {value}\n", **row)]
+
+
+def _unread(argv, key, reader):
+    """``argv`` with ``key``, which its command does not read, from each
+    source; a value the reader could not parse is refused by name too."""
+    command, flag = argv.split()[0], f"--{key.replace('_', '-')}"
+    rows = []
+    for value in ("0", "1", "x"):
+        rows += _flags(argv, flag, value, SETTINGS, f"{flag} is read by {reader} only, not by {command}")
+        rows.append(_Refusal(f"{argv} --config {{cfg}}", SETTINGS,
+                             f"{{cfg}}:2: {key} is read by {reader} only, not by {command}",
+                             config=f"steps = 4\n{key} = {value}\n"))
+    return rows
+
+
+_ESTIMATOR_WORDS = "['fd', 'gauss', 'none', 'oracle']"
+_NOISE_WORDS = "['initial', 'measurement', 'none', 'per-step']"
+_SWEEP = "sweep --param kp --values 0,1"
+_DEGENERATE = "degenerate initial density: density variance 0 below (1.0/10)^2; distribution is delta-like"
+
+_REFUSALS = [
+    _Refusal("run --frobnicate 1", PARSER, "qfluid: error: unrecognized arguments: --frobnicate 1"),
+    _Refusal("run --bogus 1", PARSER, "qfluid: error: unrecognized arguments: --bogus 1"),
+    # only a sweep sets the noise amplitude
+    _Refusal("run --noise-amplitude 0.5", PARSER, "qfluid: error: unrecognized arguments: --noise-amplitude 0.5"),
+    *_flags("run", "--steps", "4.0", PARSER, "qfluid run: error: argument --steps: invalid int value: '4.0'"),
+    *_flags("run", "--estimator", "bogus", PARSER,
+            f"qfluid run: error: argument --estimator: unknown value 'bogus'; choose from {_ESTIMATOR_WORDS}"),
+    *_flags("run", "--noise", "bogus", PARSER,
+            f"qfluid run: error: argument --noise: unknown value 'bogus'; choose from {_NOISE_WORDS}"),
+    # a config file it cannot read, by line
+    _Refusal("run --config {cfg}", SETTINGS,
+             "cannot read config file {cfg}: [Errno 2] No such file or directory: '{cfg}'"),
+    _Refusal("run --config {cfg}", SETTINGS, "cannot read config file {cfg}: 'utf-8' codec can't decode byte 0xff "
+             "in position 0: invalid start byte", config=b"\xff\xfe"),
+    _Refusal("run --config {cfg}", SETTINGS, "{cfg}:1: expected `key = value`, got 'steps 4'", config="steps 4\n"),
+    _Refusal("run --config {cfg}", SETTINGS, "{cfg}:2: steps: invalid literal for int() with base 10: 'x'",
+             config="# a comment\nsteps = x\n"),
+    _Refusal("run --config {cfg}", SETTINGS, "{cfg}:1: steps: invalid literal for int() with base 10: '4.0'",
+             config="steps = 4.0\n"),
+    _Refusal("run --config {cfg}", SETTINGS, f"{{cfg}}:1: estimator: unknown value 'bogus'; choose from "
+             f"{_ESTIMATOR_WORDS}", config="estimator = bogus\n"),
+    _Refusal("run --config {cfg}", SETTINGS, f"{{cfg}}:1: noise: unknown value 'bogus'; choose from {_NOISE_WORDS}",
+             config="noise = bogus\n"),
+    _Refusal("run --config {cfg}", SETTINGS, "{cfg}:2: steps is already set on line 1",
+             config="steps = 3\nsteps = 4\n"),
+    _Refusal("run --config {cfg}", SETTINGS, "{cfg}:1: unknown key 'banana'", config="banana = 3\n"),
+    _Refusal("run --config {cfg}", SETTINGS, "{cfg}:1: unknown key 'noise_amplitude'", config="noise_amplitude = 1\n"),
+    # a setting the command does not read: only run writes snapshots, so
+    # only run offers the flag, 0 included
+    *_unread("run", "tol", "compare"),
+    *_unread("compare", "snapshot_every", "run"),
+    *_unread(_SWEEP, "tol", "compare"),
+    *_unread(_SWEEP, "snapshot_every", "run"),
+    # a value its preset, dataclass or tolerance refuses
+    *_sources("run", "preset", "fig99", SETTINGS,
+              "unknown preset 'fig99'; available: fig1, fig2, fig3, fig4, fig5, fig6, fig7"),
+    *_sources("run", "steps", "0", SETTINGS, "steps must be >= 1, got 0"),
+    *_sources("run", "seed", "-1", SETTINGS, "seed must be non-negative, got -1"),
+    *_sources("run", "dt", "0", SETTINGS, "dt must be positive, got 0.0"),
+    *_sources("run", "dt", "nan", SETTINGS, "dt must be finite, got nan"),
+    *_sources("run", "snapshot_every", "-1", SETTINGS, "snapshot_every must be >= 0, got -1"),
+    *_sources("run", "kp", "inf", SETTINGS, "kp must be finite, got inf"),
+    *_sources("run", "n", "6", SETTINGS, "need at least 7 grid points, got n=6"),
+    *(row for tol in ("nan", "inf", "-1")
+      for row in _sources("compare", "tol", tol, SETTINGS, f"tol must be finite and non-negative, got {tol}")),
     # the forces square D, omega and dx, and a Python float's x ** 2 raises
     # OverflowError where numpy would give inf
-    assert main([*argv, "--out", str(tmp_path / "out")]) == 1
-    assert capsys.readouterr().err.startswith(error)
-    assert not (tmp_path / "out").exists()
+    *_sources("run", "D", "1e155", SETTINGS, "D is too large to square, got 1e+155"),
+    *_sources("run --dx 1e-300", "omega", "1e200", SETTINGS, "omega is too large to square, got 1e+200"),
+    *_sources("run", "dx", "1e160", SETTINGS, "grid x0, dx and dx^2 must be finite, got x0=-9.6e+161, dx=1e+160"),
+    # the solvers divide by dx^2: at dx = 1e-160, dx^2 is subnormal and
+    # D/dx^2 overflows; at dx = 1e153, the default grid's end positions
+    # square to inf
+    *(row for command in ("run", "compare") for dx, err in (
+        ("1e-300", "grid spacing is too small to square, got dx=1e-300"),
+        ("1e-160", "grid spacing is too small to square, got dx=1e-160"),
+        ("1e153", "grid positions are too large to square, got x0=-9.599999999999999e+154, dx=1e+153, n=192"),
+    ) for row in _sources(command, "dx", dx, SETTINGS, err)),
+    # a sweep's parameter and points, each value read and checked as its flag
+    # would be
+    *(row for values in ("1,2", "x") for row in _flags(
+        f"sweep --values {values}", "--param", "M", SETTINGS,
+        "cannot sweep 'M'; choose from ('D', 'omega', 'a', 'kp', 'dt', 'steps', 'seed', 'noise-amplitude')")),
+    _Refusal("sweep --param kp --values=", SETTINGS, "empty sweep range"),
+    *_flags("sweep --param kp", "--values", ",", SETTINGS, "empty sweep range"),
+    *_flags("sweep --param kp", "--values", "1,x", SETTINGS,
+            "sweep point kp=x: could not convert string to float: 'x'"),
+    *_flags("sweep --param D", "--values", "1,-1", SETTINGS, "sweep point D=-1: D must be positive, got -1.0"),
+    *_flags("sweep --param D", "--values", "25,-1", SETTINGS, "sweep point D=-1: D must be positive, got -1.0"),
+    *_flags("sweep --param D", "--values", "1e155", SETTINGS,
+            "sweep point D=1e155: D is too large to square, got 1e+155"),
+    *_flags("sweep --param steps", "--values", "2.5", SETTINGS,
+            "sweep point steps=2.5: invalid literal for int() with base 10: '2.5'"),
+    *_flags("sweep --param seed", "--values", "1.5", SETTINGS,
+            "sweep point seed=1.5: invalid literal for int() with base 10: '1.5'"),
+    *_flags("sweep --param seed", "--values", "-1", SETTINGS, "sweep point seed=-1: seed must be non-negative, got -1"),
+    *_flags("sweep --param noise-amplitude", "--values", "-1", SETTINGS,
+            "sweep point noise-amplitude=-1: noise_amplitude must be non-negative, got -1.0"),
+    # an output directory that is, or lies under, an existing non-directory
+    *(_Refusal(argv, OUTPUT, f"cannot write to {{out}}: {{tmp}}/{blocker} is not a directory", layout=layout)
+      for argv in ("run --steps 2", "compare --steps 2", f"{_SWEEP} --steps 2")
+      for layout, blocker in (("file", "afile"), ("under-file", "afile"), ("dangling-link", "link"))),
+    # the run's start: a packet narrower than a cell (at D = 0.0005, sigma =
+    # sqrt(D/omega) ~ 0.07 cells, and the initial density is one spike),
+    # per-step noise, which only the fluid would carry, so compare's solvers
+    # would not integrate the same problem, and a packet off the grid, whose
+    # start state holds no mass
+    *(row for command in ("run", "compare")
+      for row in _sources(command, "D", "0.0005", RUN_START, _DEGENERATE, shows=("D = 0.00050000000000000001",))),
+    *_flags("sweep --param D", "--values", "25,0.0005", RUN_START, _DEGENERATE),
+    *_sources("compare --preset fig2", "noise", "per-step", RUN_START,
+              "cannot cross-check noise = per_step: the wave equation carries no noise", shows=("noise = per-step",)),
+    *_sources("run", "a", "1000", RUN_START, "start state's mass must be finite and positive, got 0.0",
+              warns=("coherent packet (center 1000, sigma 16) does not fit within +/-5 sigma of the grid [-96, 95]",),
+              shows=("a = 1000",)),
+]
+
+
+def _refusal_id(row):
+    return " ".join(filter(None, (row.argv, row.config and repr(row.config), row.layout)))
+
+
+def _usage(prog):
+    """The usage lines argparse writes above an error of ``prog``."""
+    parser = build_parser()
+    for command in prog.split()[1:]:
+        parser = parser._subparsers._group_actions[0].choices[command]
+    return parser.format_usage()
+
+
+def _tree(root):
+    """Every path under ``root``, with the bytes of each file."""
+    return {path: path.read_bytes() if path.is_file() else None for path in root.rglob("*")}
+
+
+def _main(capsys, argv):
+    """The exit code, stdout, stderr and warnings of ``main(argv)``."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
+    out, err = capsys.readouterr()
+    return code, out, err, [str(warning.message) for warning in caught]
+
+
+@pytest.mark.parametrize("row", _REFUSALS, ids=_refusal_id)
+def test_a_refusal_names_its_cause_at_its_stage(tmp_path, capsys, row):
+    cfg, out = tmp_path / "run.cfg", tmp_path / "out"
+    if row.layout:
+        afile, link = tmp_path / "afile", tmp_path / "link"
+        afile.write_text("kept\n")
+        link.symlink_to(tmp_path / "missing")
+        out = {"file": afile, "under-file": afile / "out", "dangling-link": link}[row.layout]
+    if isinstance(row.config, bytes):
+        cfg.write_bytes(row.config)
+    elif row.config is not None:
+        cfg.write_text(row.config)
+    argv = [*(word.format(cfg=cfg) for word in row.argv.split()), "--out", str(out)]
+    err = row.err.format(cfg=cfg, out=out, tmp=tmp_path)
+    err = f"{_usage(err.split(': error: ')[0])}{err}\n" if row.stage == PARSER else f"error: {err}\n"
+    before = _tree(tmp_path)
+    assert _main(capsys, argv) == (1, "", err, list(row.warns))
+    printed = _main(capsys, [*argv, "--print-config"])
+    if row.stage in (PARSER, SETTINGS):
+        assert printed == (1, "", err, [])
+    else:
+        code, config, refused, warned = printed
+        assert (code, refused, warned) == (0, "", [])
+        assert {f"out = {out}", *row.shows} <= set(config.splitlines())
+    assert _tree(tmp_path) == before
+
+
+def test_a_flag_the_command_does_not_read_is_not_offered(capsys):
+    assert main(["run", "--help"]) == 0
+    assert "--tol" not in capsys.readouterr().out
 
 
 def test_an_amplitude_whose_square_overflows_is_refused_in_one_line(tmp_path):
@@ -410,42 +475,6 @@ def test_an_amplitude_whose_square_overflows_is_refused_in_one_line(tmp_path):
     assert proc.returncode == 1
     assert proc.stderr == "error: a is too large to square, got 1e+300\n"
     assert not (tmp_path / "out").exists()
-
-
-@pytest.mark.parametrize("command", ["run", "compare"])
-def test_a_dx_whose_square_underflows_is_refused(tmp_path, capsys, command):
-    # the solvers divide by dx^2: compare used to raise ZeroDivisionError and
-    # run to stop at step 0 as a divergence.  At dx = 1e-160, dx^2 is
-    # subnormal and D/dx^2 overflows: both used to warn from numpy and end
-    # as a divergence, as they did at dx = 1e153, whose default grid's end
-    # positions square to inf
-    for dx, error in (
-        ("1e-300", "error: grid spacing is too small to square, got dx=1e-300\n"),
-        ("1e-160", "error: grid spacing is too small to square, got dx=1e-160\n"),
-        ("1e153", "error: grid positions are too large to square, "
-                  "got x0=-9.599999999999999e+154, dx=1e+153, n=192\n"),
-    ):
-        assert main([command, "--dx", dx, "--out", str(tmp_path / "out")]) == 1
-        assert capsys.readouterr().err == error
-        assert not (tmp_path / "out").exists()
-
-
-# sigma = sqrt(D/omega) ~ 0.07 cells: the initial density is one spike
-_SUB_CELL_D = "0.0005"
-
-
-@pytest.mark.parametrize("command", ["run", "compare"])
-def test_a_packet_narrower_than_a_cell_is_refused(tmp_path, capsys, command):
-    assert main([command, "--D", _SUB_CELL_D, "--out", str(tmp_path / "out")]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: degenerate initial density: ") and "Traceback" not in err
-    assert not (tmp_path / "out").exists()
-
-
-def test_a_sweep_point_narrower_than_a_cell_is_refused(tmp_path, capsys):
-    assert main(["sweep", "--param", "D", "--values", f"25,{_SUB_CELL_D}", "--out", str(tmp_path)]) == 1
-    assert capsys.readouterr().err.startswith("error: degenerate initial density: ")
-    assert not (tmp_path / "sweep.csv").exists()
 
 
 def test_print_config_lists_defaults(capsys):
@@ -508,64 +537,6 @@ def test_printed_config_reruns_the_preset(tmp_path, capsys, name):
         assert main(["run", "--config", str(tmp_path / cfg), "--out", str(tmp_path / cfg[:-4])]) == 0
         rerun = (tmp_path / cfg[:-4] / "diagnostics.csv").read_bytes()
         assert rerun == (tmp_path / "preset" / "diagnostics.csv").read_bytes(), cfg
-
-
-def test_config_file_rejects_unknown_key(tmp_path):
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text("banana = 3\n")
-    assert main(["run", "--config", str(cfg)]) == 1
-
-
-_ESTIMATOR_WORDS = "['fd', 'gauss', 'none', 'oracle']"
-_NOISE_WORDS = "['initial', 'measurement', 'none', 'per-step']"
-
-
-@pytest.mark.parametrize("text, error", [
-    (None, "cannot read config file {cfg}: [Errno 2] No such file or directory: '{cfg}'"),
-    ("steps 4\n", "{cfg}:1: expected `key = value`, got 'steps 4'"),
-    ("# a comment\nsteps = x\n", "{cfg}:2: steps: invalid literal for int() with base 10: 'x'"),
-    ("estimator = bogus\n", f"{{cfg}}:1: estimator: unknown value 'bogus'; choose from {_ESTIMATOR_WORDS}"),
-    ("noise = bogus\n", f"{{cfg}}:1: noise: unknown value 'bogus'; choose from {_NOISE_WORDS}"),
-    (b"\xff\xfe", "cannot read config file {cfg}: 'utf-8' codec can't decode byte 0xff in position 0: "
-                   "invalid start byte"),
-    ("steps = 3\nsteps = 4\n", "{cfg}:2: steps is already set on line 1"),
-], ids=["missing", "no-equals", "unparseable", "estimator", "noise", "not-utf-8", "twice"])
-def test_a_config_file_it_cannot_read_is_refused_by_line(tmp_path, capsys, text, error):
-    cfg, out = tmp_path / "run.cfg", tmp_path / "out"
-    if isinstance(text, bytes):
-        cfg.write_bytes(text)
-    elif text is not None:
-        cfg.write_text(text)
-    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
-    refused = capsys.readouterr()
-    assert refused.out == "" and refused.err == f"error: {error.format(cfg=cfg)}\n"
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("layout", ["file", "under-file", "dangling-link"])
-@pytest.mark.parametrize("command", ["run", "compare", "sweep"])
-def test_an_output_directory_that_cannot_be_made_is_refused_before_the_run(tmp_path, capsys, command, layout):
-    afile, link = tmp_path / "afile", tmp_path / "link"
-    afile.write_text("kept\n")
-    link.symlink_to(tmp_path / "missing")
-    out, blocker = {"file": (afile, afile), "under-file": (afile / "out", afile), "dangling-link": (link, link)}[layout]
-    sweep = ["--param", "kp", "--values", "0,1"] if command == "sweep" else []
-    assert main([command, "--steps", "2", *sweep, "--out", str(out)]) == 1
-    refused = capsys.readouterr()
-    assert refused.out == ""
-    assert refused.err == f"error: cannot write to {out}: {blocker} is not a directory\n"
-    assert afile.read_text() == "kept\n" and not (tmp_path / "missing").exists()
-
-
-@pytest.mark.parametrize("flag, words", [("--estimator", _ESTIMATOR_WORDS), ("--noise", _NOISE_WORDS)],
-                         ids=["estimator", "noise"])
-def test_an_unknown_estimator_or_noise_word_is_refused_by_the_parser(tmp_path, capsys, flag, words):
-    out = tmp_path / "out"
-    assert main(["run", flag, "bogus", "--out", str(out)]) == 1
-    refused = capsys.readouterr()
-    assert refused.out == ""
-    assert refused.err.splitlines()[-1] == f"qfluid run: error: argument {flag}: unknown value 'bogus'; choose from {words}"
-    assert not out.exists()
 
 
 def test_outputs_are_byte_identical(tmp_path):

@@ -118,9 +118,9 @@ def test_run_config_validation():
         RunConfig(estimator="nope")
     with pytest.raises(ValueError):
         RunConfig(noise="sometimes")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^snapshot_every must be >= 0, got -1$"):
         RunConfig(snapshot_every=-1)
-    with pytest.raises(ValueError, match="^noise_amplitude must be non-negative$"):
+    with pytest.raises(ValueError, match="^noise_amplitude must be non-negative, got -1$"):
         RunConfig(noise_amplitude=-1)
     with pytest.raises(ValueError, match="^seed must be non-negative, got -1$"):
         RunConfig(seed=-1)

@@ -6,6 +6,7 @@ from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
+from conftest import drain
 
 import qfluid as qf
 from qfluid import integrator
@@ -402,14 +403,10 @@ def test_fitted_center_of_a_two_packet_start_rides_the_pendulum_at_first_order(k
         x, s2 = grid.positions, params.equilibrium_sigma2()
         rho = np.exp(-((x + 10.0) ** 2) / (2 * s2)) + 0.5 * np.exp(-((x - 14.0) ** 2) / (2 * s2))
         config = qf.RunConfig(dt=1.0 / (4 * k), steps=128 * k, estimator="gaussian_fit")
-        steps = qf.trajectory(config, params, grid, FluidState(0.0, np.log(rho), np.zeros(grid.n)))
-        times, centers = [], []
-        with pytest.raises(StopIteration) as stop:
-            while True:
-                _, state, m, *_ = next(steps)
-                times.append(state.t)
-                centers.append(m.mean)
-        assert stop.value.value == "ok" and len(centers) == config.steps + 1
+        items, status = drain(qf.trajectory(config, params, grid, FluidState(0.0, np.log(rho), np.zeros(grid.n))))
+        times = [state.t for _, state, *_ in items]
+        centers = [m.mean for _, _, m, *_ in items]
+        assert status == "ok" and len(centers) == config.steps + 1
         pendulum = centers[0] * np.cos(params.omega * np.array(times))
         errors.append(np.max(np.abs(np.array(centers) - pendulum)))
     orders = [math.log2(c / f) for c, f in zip(errors, errors[1:])]
@@ -445,13 +442,9 @@ def test_trajectory_yields_what_run_records_and_returns_its_final_status(dt):
     # fig6 runs 40 steps at its own dt; at dt = 0.1 it diverges at step 9
     params, config, grid = qf.preset("fig6")
     config = replace(config, steps=40, snapshot_every=1, dt=dt or config.dt)
-    steps = qf.trajectory(config, params, grid)
-    items = []
-    with pytest.raises(StopIteration) as stop:
-        while True:
-            items.append(next(steps))
+    items, status = drain(qf.trajectory(config, params, grid))
     record = qf.run(config, params, grid)
-    assert stop.value.value == record.final_status == ("ok" if dt is None else "diverged_dispersion")
+    assert status == record.final_status == ("ok" if dt is None else "diverged_dispersion")
     assert len(items) == record.steps_survived + 1
     # drained to the end, every yielded item still holds what run recorded
     # at its step: resuming the generator changes no state it yielded

@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import drain
 from scipy.linalg import solve_banded
 
 import qfluid as qf
@@ -62,13 +63,9 @@ def test_cn_operator_rejects_nonpositive_dt():
 def test_cn_preserves_norm(kp, dt):
     params = default_params(kp=kp)
     grid = wide_grid()
-    waves = qf.wave_trajectory(qf.RunConfig(dt=dt, steps=64), params, grid, packet_psi(params, grid))
-    norms = []
-    with pytest.raises(StopIteration) as stop:
-        while True:
-            _, psi, _ = next(waves)
-            norms.append(norm2(psi, grid))
-    assert stop.value.value == "ok"
+    items, status = drain(qf.wave_trajectory(qf.RunConfig(dt=dt, steps=64), params, grid, packet_psi(params, grid)))
+    norms = [norm2(psi, grid) for _, psi, _ in items]
+    assert status == "ok"
     assert len(norms) == 65
     assert np.max(np.abs(np.array(norms) / norms[0] - 1.0)) <= 1e-10
 
@@ -316,12 +313,8 @@ def test_wave_trajectory_yields_every_step_and_returns_ok():
     # with pressure, each step's first half phase comes from the rho
     # yielded before it
     params, grid = default_params(kp=1.0), default_grid()
-    waves = qf.wave_trajectory(qf.RunConfig(dt=0.5, steps=10), params, grid, packet_psi(params, grid))
-    items = []
-    with pytest.raises(StopIteration) as stop:
-        while True:
-            items.append(next(waves))
-    assert stop.value.value == "ok"
+    items, status = drain(qf.wave_trajectory(qf.RunConfig(dt=0.5, steps=10), params, grid, packet_psi(params, grid)))
+    assert status == "ok"
     assert len(items) == 11
     for k, (step, psi, rho) in enumerate(items):
         assert step == k
@@ -334,13 +327,9 @@ def test_wave_trajectory_ends_at_the_first_nonfinite_step(kp):
     params, grid = default_params(kp=kp), default_grid()
     psi0 = packet_psi(params, grid)
     psi0[grid.n // 3] = np.nan
-    waves = qf.wave_trajectory(qf.RunConfig(dt=1.0, steps=4), params, grid, psi0)
-    steps = []
-    with pytest.raises(StopIteration) as stop:
-        while True:
-            steps.append(next(waves)[0])
-    assert steps == [0]
-    assert stop.value.value == "diverged_nonfinite"
+    items, status = drain(qf.wave_trajectory(qf.RunConfig(dt=1.0, steps=4), params, grid, psi0))
+    assert [step for step, *_ in items] == [0]
+    assert status == "diverged_nonfinite"
 
 
 def test_cn_pressure_drives_oscillatory_spreading():
@@ -446,13 +435,9 @@ def test_wave_trajectory_ends_on_an_operator_whose_potential_overflows():
     # silently
     params, grid = qf.PhysicalParams(D=1.0, omega=1e154), qf.make_grid(-3.0, 1.0, 7)
     psi0 = np.exp(-np.arange(-3.0, 4.0) ** 2).astype(complex)
-    waves = qf.wave_trajectory(qf.RunConfig(steps=4), params, grid, psi0)
-    steps = []
-    with pytest.raises(StopIteration) as stop:
-        while True:
-            steps.append(next(waves)[0])
-    assert steps == [0]
-    assert stop.value.value == "diverged_nonfinite"
+    items, status = drain(qf.wave_trajectory(qf.RunConfig(steps=4), params, grid, psi0))
+    assert [step for step, *_ in items] == [0]
+    assert status == "diverged_nonfinite"
 
 
 @pytest.fixture
@@ -472,13 +457,9 @@ def solve_fails_from_the_third_step(monkeypatch):
 
 def test_wave_trajectory_ends_at_a_failed_solve(solve_fails_from_the_third_step):
     params, grid = default_params(), default_grid()
-    waves = qf.wave_trajectory(qf.RunConfig(steps=8), params, grid, packet_psi(params, grid))
-    steps = []
-    with pytest.raises(StopIteration) as stop:
-        while True:
-            steps.append(next(waves)[0])
-    assert steps == [0, 1, 2]
-    assert stop.value.value == "diverged_nonfinite"
+    items, status = drain(qf.wave_trajectory(qf.RunConfig(steps=8), params, grid, packet_psi(params, grid)))
+    assert [step for step, *_ in items] == [0, 1, 2]
+    assert status == "diverged_nonfinite"
 
 
 def test_cross_check_ends_with_a_reference_whose_solve_fails(solve_fails_from_the_third_step):
